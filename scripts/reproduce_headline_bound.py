@@ -17,12 +17,11 @@ from zdx.pairs import generate_pairs
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--depth", type=int, default=3)
-    ap.add_argument("--resolution", type=int, default=256)
     args = ap.parse_args()
 
     interval = Interval(Fraction(17, 18), Fraction(1))
     family = generate_pairs(args.depth)
-    bound = optimize(family, interval, args.resolution)
+    bound = optimize(family, interval)
 
     print(f"family depth {args.depth} ({len(family)} pairs), interval {interval}")
     for seg in bound:

@@ -29,6 +29,7 @@ from .density import (
     optimize,
     piecewise_to_json_obj,
     regions_for,
+    validate_interval,
 )
 from .exact import Interval, LinFrac, RootBracket, dec_str, rat, rat_str
 from .hecke import (
@@ -81,7 +82,12 @@ def _parse_interval(text: str) -> Interval:
     hi = _parse_rat(parts[1], "interval endpoint")
     if lo > hi:
         raise click.UsageError(f"interval endpoints out of order: {text!r}")
-    return Interval(lo, hi)
+    interval = Interval(lo, hi)
+    try:
+        validate_interval(interval)
+    except ValueError as exc:
+        _fail(EXIT_INADMISSIBLE, str(exc))
+    return interval
 
 
 def _parse_baselines(texts: tuple[str, ...], region: Interval) -> tuple[BoundCurve, ...]:
@@ -200,7 +206,8 @@ def cmd_bound(pair_text: str, sigma_text: str, out: str) -> None:
 @cli.command("optimize")
 @click.option("--depth", type=click.IntRange(min=0), default=DEFAULT_DEPTH, show_default=True)
 @click.option("--interval", "interval_text", default="17/18,1", show_default=True)
-@click.option("--resolution", type=click.IntRange(min=1), default=256, show_default=True)
+@click.option("--resolution", type=click.IntRange(min=1), default=256, show_default=True,
+              help="Grid intervals of the CSV table (JSON segments are exact).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--include-conjectural", is_flag=True,
@@ -211,8 +218,7 @@ def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str,
     """Minimize E(sigma) over a pair family plus baselines."""
     interval = _parse_interval(interval_text)
     family = generate_pairs(depth)
-    bound = optimize(family, interval, resolution,
-                     include_conjectural=include_conjectural)
+    bound = optimize(family, interval, include_conjectural=include_conjectural)
     if fmt == "json":
         _write_out(_json_text(piecewise_to_json_obj(bound)), out)
         return
@@ -228,18 +234,17 @@ def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str,
 @cli.command("compare")
 @click.option("--depth", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--interval", "interval_text", default="17/18,1", show_default=True)
-@click.option("--resolution", type=click.IntRange(min=1), default=256, show_default=True)
 @click.option("--baseline", "baseline_texts", multiple=True,
               help="Extra baseline A-curve (repeatable), e.g. '4/(8s-5)'.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]),
               default="text", show_default=True)
 @out_option
-def cmd_compare(depth: int, interval_text: str, resolution: int,
-                baseline_texts: tuple[str, ...], fmt: str, out: str) -> None:
+def cmd_compare(depth: int, interval_text: str, baseline_texts: tuple[str, ...], fmt: str,
+                out: str) -> None:
     """Optimized bound vs baselines: segments and exact crossovers."""
     interval = _parse_interval(interval_text)
     family = generate_pairs(depth)
-    bound = optimize(family, interval, resolution)
+    bound = optimize(family, interval)
     comparisons = baseline_curves() + _parse_baselines(baseline_texts, interval)
 
     rows: list[dict[str, str]] = []
@@ -532,13 +537,12 @@ def cmd_zeta(pair_text: str, t_max: float, samples: int, out: str) -> None:
 @cli.command("plot")
 @click.option("--depth", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--interval", "interval_text", default="17/18,1", show_default=True)
-@click.option("--resolution", type=click.IntRange(min=1), default=256, show_default=True)
 @out_option
-def cmd_plot(depth: int, interval_text: str, resolution: int, out: str) -> None:
+def cmd_plot(depth: int, interval_text: str, out: str) -> None:
     """SVG of the optimized E(sigma) against the baselines."""
     interval = _parse_interval(interval_text)
     family = generate_pairs(depth)
-    bound = optimize(family, interval, resolution)
+    bound = optimize(family, interval)
     _write_out(render_curves_svg(bound, baseline_curves(), interval), out)
 
 

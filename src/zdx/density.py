@@ -11,6 +11,7 @@ of pairs into an exact piecewise bound.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from .exact import (
     RootBracket,
     SignCertificate,
     dec_str,
-    linfrac_compare_on_interval,
     quadratic_roots_in_interval,
     quadratic_sign_on_interval,
     rat_str,
@@ -49,6 +49,7 @@ __all__ = [
     "audit_balance",
     "baseline_curves",
     "crossover",
+    "validate_interval",
     "optimize",
     "candidate_curves",
     "provenance_fields",
@@ -454,7 +455,12 @@ class Segment:
 
 @dataclass(frozen=True)
 class PiecewiseBound:
-    """Ordered disjoint segments covering the optimization interval."""
+    """Ordered segments tiling the optimization interval.
+
+    Adjacent segments share an endpoint; at a shared endpoint the bound
+    takes the segment with the smaller E there (the left one on a tie), so
+    ``eval_E`` is the pointwise minimum even where the bound jumps.
+    """
 
     interval: Interval
     segments: tuple[Segment, ...]
@@ -466,10 +472,10 @@ class PiecewiseBound:
         return iter(self.segments)
 
     def segment_at(self, sigma: Fraction) -> Segment:
-        for seg in self.segments:
-            if seg.region.contains(sigma):
-                return seg
-        raise KeyError(f"sigma = {rat_str(sigma)} outside the optimized interval")
+        hits = [seg for seg in self.segments if seg.region.contains(sigma)]
+        if not hits:
+            raise KeyError(f"sigma = {rat_str(sigma)} outside the optimized interval")
+        return min(hits, key=lambda seg: seg.curve.eval_E(sigma))
 
     def eval_A(self, sigma: Fraction) -> Fraction:
         return self.segment_at(sigma).curve.eval_A(sigma)
@@ -478,9 +484,14 @@ class PiecewiseBound:
         return self.segment_at(sigma).curve.eval_E(sigma)
 
 
+def validate_interval(interval: Interval) -> None:
+    """Raise ValueError unless the interval lies within [1/2, 1]."""
+    if not interval.is_empty and not (_HALF <= interval.lo and interval.hi <= _ONE):
+        raise ValueError(f"interval {interval} does not lie within [1/2, 1]")
+
+
 def candidate_curves(
     family: PairFamily,
-    include_baselines: bool = True,
     include_conjectural: bool = False,
 ) -> tuple[BoundCurve, ...]:
     """All curves the optimizer may pick from, in a fixed deterministic order.
@@ -498,185 +509,79 @@ def candidate_curves(
                 curves.append(exponent_curve(pair, region))
             except (EmptyRegion, InadmissiblePair):
                 continue
-    if include_baselines:
-        for base in baseline_curves():
-            if base.provenance.conjectural and not include_conjectural:
-                continue
-            curves.append(base)
+    for base in baseline_curves():
+        if base.provenance.conjectural and not include_conjectural:
+            continue
+        curves.append(base)
     return tuple(curves)
 
 
-def _prefer_right(
-    curves: tuple[BoundCurve, ...], i: int, j: int, sigma: Fraction, limit: Fraction
-) -> int:
-    """Of two curves tied at sigma, the one smaller immediately to the right.
-
-    Decided exactly: compare the A-branches on (sigma, w] where w stops at
-    the first region end, and on a crossing certificate probe between sigma
-    and the first crossing beyond it.  Functional ties fall back to the
-    fixed candidate order.
-    """
-    f, g = curves[i], curves[j]
-    w = min(limit, f.region.hi, g.region.hi)
-    if w <= sigma:
-        f_cont = f.region.hi > sigma
-        g_cont = g.region.hi > sigma
-        if f_cont != g_cont:
-            return i if f_cont else j
-        return min(i, j)
-    window = Interval(sigma, w)
-    cert = linfrac_compare_on_interval(f.A, g.A, window)
-    if cert.relation == "eq":
-        return min(i, j)
-    if cert.relation == "le":
-        return i
-    if cert.relation == "ge":
-        return j
-    first = None
-    for r in cert.crossings:
-        x = r.lo if isinstance(r, RootBracket) else r
-        if x > sigma:
-            first = x
-            break
-    probe = (sigma + (first if first is not None else w)) / 2
-    return i if f.eval_E(probe) <= g.eval_E(probe) else j
-
-
-def _winner_at(
-    curves: tuple[BoundCurve, ...],
-    sigma: Fraction,
-    limit: Fraction,
-    incumbent: int | None,
-) -> int | None:
-    """Index of the E-minimal curve at sigma.
-
-    Ties keep the incumbent winner when it is still minimal (stable runs);
-    fresh ties are resolved by exact behavior immediately to the right of
-    sigma, then by the fixed candidate order.
-    """
-    eligible = [i for i, c in enumerate(curves) if c.region.contains(sigma)]
-    if not eligible:
-        return None
-    best = min(curves[i].eval_E(sigma) for i in eligible)
-    tied = [i for i in eligible if curves[i].eval_E(sigma) == best]
-    if len(tied) == 1:
-        return tied[0]
-    if incumbent in tied:
-        return incumbent
-    if limit > sigma:
-        win = tied[0]
-        for j in tied[1:]:
-            win = _prefer_right(curves, win, j, sigma, limit)
-        return win
-    return tied[0]
-
-
-def _boundary_between(
-    left: BoundCurve, right: BoundCurve, lo: Fraction, hi: Fraction
-) -> Fraction:
-    """Exact switching point between two adjacent winners inside [lo, hi].
-
-    Prefers a genuine crossing of the two A-curves; falls back to a region
-    edge when the change is caused by eligibility rather than a crossing.
-    Irrational crossings are replaced by a rational point inside their
-    isolating bracket.
-    """
-    window = Interval(lo, hi)
-    candidates: list[Fraction] = []
-    try:
-        cx = crossover(left, right)
-        if cx.kind == "points":
-            for r in cx.points:
-                x = r.midpoint() if isinstance(r, RootBracket) else r
-                if window.contains(x):
-                    candidates.append(x)
-    except ValueError:
-        pass
-    for edge in (left.region.hi, right.region.lo):
-        if window.contains(edge):
-            candidates.append(edge)
-    if not candidates:
-        return hi
-    candidates = sorted(set(candidates))
-    for b in candidates:
-        left_ok = b == lo or _wins_on(left, right, lo, b)
-        right_ok = b == hi or _wins_on(right, left, b, hi)
-        if left_ok and right_ok:
-            return b
-    return candidates[0]
-
-
-def _wins_on(winner: BoundCurve, other: BoundCurve, lo: Fraction, hi: Fraction) -> bool:
-    """winner.E <= other.E at the midpoint of (lo, hi), treating points
-    outside a region as a loss for that curve."""
-    mid = (lo + hi) / 2
-    if not winner.region.contains(mid):
-        return False
-    if not other.region.contains(mid):
-        return True
-    return winner.eval_E(mid) <= other.eval_E(mid)
+def _reciprocal_line(curve: BoundCurve) -> tuple[Fraction, Fraction]:
+    """Slope and intercept of g = 1/A for A = b/(c s + d) positive on its region."""
+    A, region = curve.A, curve.region
+    if A.a != 0 or A.b <= 0 or min(A.denominator_at(region.lo), A.denominator_at(region.hi)) <= 0:
+        raise ValueError(
+            f"optimize needs A = b/(cs+d) with b > 0 and cs+d > 0 on the region, got {curve}"
+        )
+    return Fraction(A.c, A.b), Fraction(A.d, A.b)
 
 
 def optimize(
     family: PairFamily,
     interval: Interval,
-    resolution: int = 256,
-    include_baselines: bool = True,
+    resolution: int | None = None,
+    *,
     include_conjectural: bool = False,
 ) -> PiecewiseBound:
-    """Minimize E(sigma) over all candidate curves on a sigma-interval.
+    """Minimize E(sigma) over all candidate curves on a sigma-interval, exactly.
 
-    Evaluates every candidate at resolution+1 equally spaced rational grid
-    points, merges runs of equal winners, and places the segment boundary
-    at the exact crossover (or region edge) between adjacent winners.
+    Every candidate is A = b/(c s + d) with b > 0 and c s + d > 0 on its
+    region (ValueError otherwise), so g = 1/A is affine and, for
+    sigma < 1, a smaller E = A (1 - sigma) is a larger g.  A left-to-right
+    sweep from x = interval.lo picks the candidate whose region covers
+    [x, x + eps) with the largest (g(x), slope), ties to the earliest in
+    ``candidate_curves`` order.  Its segment ends at the first of: its own
+    region end, interval.hi, or the first point past x where another
+    candidate is strictly better (a crossing of two lines, or the start of
+    a better candidate's region).  Boundaries are exact rationals and every
+    segment's curve is valid on the whole segment.
+
+    The interval must lie within [1/2, 1] (ValueError otherwise).
+    ``resolution`` is ignored, as the sweep samples nothing; it is accepted
+    only so that callers written for the former grid optimizer still run.
     """
+    if resolution is not None:
+        warnings.warn("optimize() ignores resolution", DeprecationWarning, stacklevel=2)
+    validate_interval(interval)
     if interval.is_empty:
         return PiecewiseBound(interval, ())
-    curves = candidate_curves(family, include_baselines, include_conjectural)
-    grid = interval.grid(resolution)
-    winners: list[int | None] = []
-    incumbent: int | None = None
-    for idx, sigma in enumerate(grid):
-        limit = grid[idx + 1] if idx + 1 < len(grid) else interval.hi
-        incumbent = _winner_at(curves, sigma, limit, incumbent)
-        winners.append(incumbent)
-
-    # contract the winner list into runs of equal winner
-    runs: list[tuple[int | None, int, int]] = []  # (winner, first_idx, last_idx)
-    for idx, win in enumerate(winners):
-        if runs and runs[-1][0] == win:
-            runs[-1] = (win, runs[-1][1], idx)
-        else:
-            runs.append((win, idx, idx))
-
+    curves = candidate_curves(family, include_conjectural)
+    lines = [_reciprocal_line(c) for c in curves]
     segments: list[Segment] = []
-    for pos, (win, first, last) in enumerate(runs):
-        if win is None:
-            continue
-        curve = curves[win]
-        prev = runs[pos - 1] if pos > 0 else None
-        nxt = runs[pos + 1] if pos + 1 < len(runs) else None
-        if prev is None:
-            lo = interval.lo
-        elif prev[0] is None:
-            lo = max(curve.region.lo, interval.lo)  # coverage starts with this curve
-        else:
-            lo = segments[-1].region.hi if segments else interval.lo
-        if nxt is None:
-            hi = interval.hi
-        elif nxt[0] is None:
-            hi = min(curve.region.hi, interval.hi)  # coverage ends with this curve
-        else:
-            hi = _boundary_between(curves[win], curves[nxt[0]], grid[last], grid[nxt[1]])
-        hi = max(hi, lo)
-        segments.append(Segment(Interval(lo, hi), curve))
-    # drop zero-width artifacts that duplicate a shared endpoint
-    cleaned: list[Segment] = []
-    for seg in segments:
-        if cleaned and seg.region.is_point and cleaned[-1].region.contains(seg.region.lo):
-            continue
-        cleaned.append(seg)
-    return PiecewiseBound(interval, tuple(cleaned))
+    x = interval.lo
+    while True:
+        at_end = x == interval.hi  # only for a one-point interval
+        live = [
+            i for i, c in enumerate(curves)
+            if c.region.lo <= x < c.region.hi or (at_end and c.region.contains(x))
+        ]
+        win = max(live, key=lambda i: (lines[i][0] * x + lines[i][1], lines[i][0], -i))
+        m_win, k_win = lines[win]
+        end = min(curves[win].region.hi, interval.hi)
+        for (m, k), c in zip(lines, curves):
+            lo, hi = max(x, c.region.lo), min(end, c.region.hi)
+            if lo >= hi:
+                continue
+            # g_c - g_win is affine; find where it first turns positive in [lo, hi)
+            dm, dk = m - m_win, k - k_win
+            if dm * lo + dk > 0:
+                end = lo
+            elif dm > 0 and -dk / dm < hi:
+                end = -dk / dm
+        segments.append(Segment(Interval(x, end), curves[win]))
+        if end == interval.hi:
+            return PiecewiseBound(interval, tuple(segments))
+        x = end
 
 
 # ---------------------------------------------------------------------------
@@ -696,17 +601,10 @@ def provenance_fields(prov: Provenance) -> dict[str, str]:
 
 
 def bound_table_rows(bound: PiecewiseBound, resolution: int) -> list[dict[str, str]]:
-    """Exact + decimal rows of the optimized bound on its grid.
-
-    Grid points not covered by any segment (no eligible candidate) are
-    skipped rather than emitted with placeholders.
-    """
+    """Exact + decimal rows of the optimized bound on its grid."""
     rows = []
     for sigma in bound.interval.grid(resolution):
-        try:
-            seg = bound.segment_at(sigma)
-        except KeyError:
-            continue
+        seg = bound.segment_at(sigma)
         a = seg.curve.eval_A(sigma)
         e = a * (1 - sigma)
         row = {

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +26,9 @@ __all__ = [
     "mellin_probe",
     "zeta_em",
     "zeta_growth_scan",
-    "worker_count",
 ]
 
 HM_REL_TOLERANCE = 1e-10
-
-
-def worker_count() -> int:
-    """Thread cap from ZDX_THREADS (default 1: sequential)."""
-    raw = os.environ.get("ZDX_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))
 
 
 class DimensionMismatch(ValueError):
@@ -121,28 +108,19 @@ class ProbeReport:
         return self.max_rel_slack <= HM_REL_TOLERANCE
 
 
-def _hm_trial(seed: int, trial: int, dim_cap: int, r_cap: int) -> float:
-    return hm_inequality_check(hm_random_system(seed + trial, dim_cap, r_cap)).rel_slack
-
-
 def hm_random_trials(
     trials: int,
     seed: int,
     dim_cap: int = 64,
     r_cap: int = 16,
-    threads: int | None = None,
 ) -> ProbeReport:
     """Seeded batch of random systems; per-trial seed is seed + index."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    threads = threads if threads is not None else worker_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            slacks = list(
-                pool.map(lambda i: _hm_trial(seed, i, dim_cap, r_cap), range(trials))
-            )
-    else:
-        slacks = [_hm_trial(seed, i, dim_cap, r_cap) for i in range(trials)]
+    slacks = [
+        hm_inequality_check(hm_random_system(seed + i, dim_cap, r_cap)).rel_slack
+        for i in range(trials)
+    ]
     worst = max(range(trials), key=lambda i: slacks[i])
     return ProbeReport(trials, seed, slacks[worst], worst)
 

@@ -26,13 +26,7 @@ def _fmt(v: float) -> str:
 
 
 def _sample_envelope(bound: PiecewiseBound, grid: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    pts = []
-    for sigma in grid:
-        try:
-            pts.append((sigma, bound.eval_E(sigma)))
-        except KeyError:
-            continue
-    return pts
+    return [(sigma, bound.eval_E(sigma)) for sigma in grid]
 
 
 def _sample_curve(curve: BoundCurve, grid: list[Fraction]) -> list[tuple[Fraction, Fraction]]:

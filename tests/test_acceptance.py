@@ -54,7 +54,7 @@ def depth12():
 
 def test_criterion_1_headline_bound_reproduction(depth3):
     start = time.perf_counter()
-    bound = optimize(depth3, Interval(F(17, 18), F(1)), 256)
+    bound = optimize(depth3, Interval(F(17, 18), F(1)))
     elapsed = time.perf_counter() - start
     ok = (
         len(bound) == 2
@@ -82,7 +82,7 @@ def test_criterion_2_crossover_certificates():
 
 def test_criterion_3_improvement_claim(depth3):
     interval = Interval(F(17, 18), F(1))
-    bound = optimize(depth3, interval, 256)
+    bound = optimize(depth3, interval)
 
     def ivic92(sigma):
         return 4 * (1 - sigma) / (8 * sigma - 5)

@@ -84,6 +84,21 @@ def test_optimize_csv_header(runner):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("command", ["optimize", "compare", "plot"])
+@pytest.mark.parametrize("interval", ["0,1/4", "1/2,2", "2/5,1"])
+def test_interval_outside_domain_rejected(runner, command, interval):
+    res = runner.invoke(cli, [command, "--depth", "2", "--interval", interval])
+    assert res.exit_code == 3
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "[1/2, 1]" in lines[0]
+
+
+def test_compare_and_plot_have_no_resolution(runner):
+    for command in ("compare", "plot"):
+        res = runner.invoke(cli, [command, "--resolution", "64"])
+        assert res.exit_code == 2
+
+
 def test_compare_reports_known_crossovers(runner):
     res = invoke(runner, "compare", "--interval", "17/18,1", "--depth", "3")
     assert "boundary at sigma = 21/22" in res.output

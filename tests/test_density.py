@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from zdx import density
 from zdx.density import (
     BoundCurve,
     EmptyRegion,
@@ -18,18 +19,30 @@ from zdx.density import (
     piecewise_to_json_obj,
     regions_for,
 )
-from zdx.exact import Interval, LinFrac, Quadratic, quadratic_sign_on_interval
+from zdx.exact import (
+    Interval,
+    LinFrac,
+    Quadratic,
+    linfrac_compare_on_interval,
+    quadratic_sign_on_interval,
+)
 from zdx.pairs import ExponentPair, generate_pairs
 
 F = Fraction
 
 PAIR_114 = ExponentPair(F(1, 14), F(11, 14), "AAB")
 PAIR_16 = ExponentPair(F(1, 6), F(2, 3), "AB")
+WIDE = Interval(F(13, 15), F(1))
 
 
 @pytest.fixture(scope="module")
 def depth12():
     return generate_pairs(12)
+
+
+@pytest.fixture(scope="module")
+def depth13():
+    return generate_pairs(13)
 
 
 def admissible(family):
@@ -267,7 +280,7 @@ def test_crossover_requires_overlap():
 
 def test_optimize_headline_reproduction():
     fam = generate_pairs(3)
-    bound = optimize(fam, Interval(F(17, 18), F(1)), 256)
+    bound = optimize(fam, Interval(F(17, 18), F(1)))
     assert len(bound) == 2
     s1, s2 = bound.segments
     assert s1.region == Interval(F(17, 18), F(21, 22))
@@ -280,33 +293,86 @@ def test_optimize_headline_reproduction():
 
 def test_optimize_single_branches():
     fam = generate_pairs(3)
-    weyl = optimize(fam, Interval(F(21, 22), F(1)), 64)
+    weyl = optimize(fam, Interval(F(21, 22), F(1)))
     assert len(weyl) == 1
     assert weyl.segments[0].curve.A == LinFrac(0, 4, 4, -1)
-    mid = optimize(fam, Interval(F(17, 18), F(21, 22)), 64)
+    mid = optimize(fam, Interval(F(17, 18), F(21, 22)))
     assert len(mid) == 1
     assert mid.segments[0].curve.A == LinFrac(0, 2, 13, -11)
 
 
 def test_optimize_empty_interval():
     fam = generate_pairs(2)
-    assert optimize(fam, Interval.empty(), 16).segments == ()
+    assert optimize(fam, Interval.empty()).segments == ()
 
 
-def test_optimize_dominance(depth12):
-    interval = Interval(F(9, 10), F(1))
-    bound = optimize(depth12, interval, 128)
-    curves = candidate_curves(depth12)
-    for sigma in interval.grid(128):
-        e = bound.eval_E(sigma)
+def test_optimize_point_interval():
+    bound = optimize(generate_pairs(3), Interval.point(F(17, 18)))
+    assert [seg.region for seg in bound] == [Interval.point(F(17, 18))]
+    assert bound.eval_E(F(17, 18)) == exponent_curve(PAIR_114, 2).eval_E(F(17, 18))
+
+
+def test_optimize_dominance(depth13):
+    # every segment is certified <= every candidate on their whole overlap;
+    # depth 13 has a winner narrower than a 256-point grid step
+    bound = optimize(depth13, WIDE)
+    curves = candidate_curves(depth13)
+    for seg in bound:
         for c in curves:
-            if c.region.contains(sigma):
-                assert e <= c.eval_E(sigma)
+            overlap = seg.region.intersect(c.region)
+            if overlap.is_empty:
+                continue
+            if overlap.is_point:
+                assert bound.eval_E(overlap.lo) <= c.eval_E(overlap.lo)
+            else:
+                cert = linfrac_compare_on_interval(seg.curve.A, c.A, overlap)
+                assert cert.relation in ("le", "eq"), (str(seg.curve), str(c))
+
+
+@pytest.mark.parametrize("depth", [9, 13])
+def test_optimize_provenance_replays(depth):
+    for seg in optimize(generate_pairs(depth), WIDE):
+        prov = seg.curve.provenance
+        if prov.pair is None:
+            continue
+        region = regions_for(prov.pair).region(prov.region)
+        assert region.contains(seg.region.lo) and region.contains(seg.region.hi), str(seg.curve)
+        assert exponent_curve(prov.pair, prov.region).A == seg.curve.A
+
+
+@pytest.mark.parametrize("depth,count", [(3, 4), (9, 11), (12, 23), (13, 30), (15, 52)])
+def test_optimize_segment_counts(depth, count):
+    assert len(optimize(generate_pairs(depth), WIDE)) == count
+
+
+def test_optimize_point_at_discontinuity(depth12):
+    # the bound jumps down to ivic-1992 where its region starts
+    bound = optimize(depth12, WIDE)
+    seg = bound.segment_at(F(11, 12))
+    assert seg.curve.provenance.label == "ivic-1992"
+    assert bound.eval_E(F(11, 12)) == F(1, 7)
+    # a continuous boundary keeps the left segment
+    headline = optimize(generate_pairs(3), Interval(F(17, 18), F(1)))
+    assert headline.segment_at(F(21, 22)).curve.A == LinFrac(0, 2, 13, -11)
+
+
+def test_optimize_rejects_interval_outside_domain():
+    fam = generate_pairs(2)
+    for lo, hi in ((F(0), F(1, 4)), (F(1, 2), F(2)), (F(2, 5), F(1))):
+        with pytest.raises(ValueError):
+            optimize(fam, Interval(lo, hi))
+
+
+def test_optimize_rejects_candidate_of_other_form(monkeypatch):
+    bad = BoundCurve.from_A(LinFrac(1, 1, 0, 1), Interval(F(1, 2), F(1)), Provenance("s+1"))
+    monkeypatch.setattr(density, "baseline_curves", lambda: (bad,))
+    with pytest.raises(ValueError):
+        optimize(generate_pairs(2), Interval(F(17, 18), F(1)))
 
 
 def test_optimize_improves_baselines(depth12):
     interval = Interval(F(21, 22), F(1))
-    bound = optimize(depth12, interval, 64)
+    bound = optimize(depth12, interval)
     for sigma in interval.grid(64):
         e = bound.eval_E(sigma)
         assert e <= F(8, 3) * (1 - sigma)
@@ -314,7 +380,7 @@ def test_optimize_improves_baselines(depth12):
 
 
 def test_optimize_segments_adjacent(depth12):
-    bound = optimize(depth12, Interval(F(13, 15), F(1)), 192)
+    bound = optimize(depth12, Interval(F(13, 15), F(1)))
     assert bound.segments[0].region.lo == F(13, 15)
     assert bound.segments[-1].region.hi == F(1)
     for a, b in zip(bound.segments, bound.segments[1:]):
@@ -325,7 +391,7 @@ def test_optimize_segments_adjacent(depth12):
 
 def test_bound_table_rows():
     fam = generate_pairs(3)
-    bound = optimize(fam, Interval(F(17, 18), F(1)), 4)
+    bound = optimize(fam, Interval(F(17, 18), F(1)))
     rows = bound_table_rows(bound, 4)
     assert rows[0]["sigma"] == "17/18"
     assert rows[0]["A_num"] == "36" and rows[0]["A_den"] == "23"
@@ -337,7 +403,7 @@ def test_bound_table_rows():
 
 def test_piecewise_json():
     fam = generate_pairs(3)
-    bound = optimize(fam, Interval(F(17, 18), F(1)), 64)
+    bound = optimize(fam, Interval(F(17, 18), F(1)))
     obj = piecewise_to_json_obj(bound)
     assert obj["interval"] == {"lo": "17/18", "hi": "1"}
     assert obj["segments"][0]["A"]["text"] == "2/(13s-11)"

@@ -72,12 +72,6 @@ def test_hm_seeded_batch_deterministic():
     assert a.ok
 
 
-def test_hm_trials_match_threaded():
-    seq = hm_random_trials(150, seed=3, threads=1)
-    par = hm_random_trials(150, seed=3, threads=4)
-    assert seq == par
-
-
 def test_hm_random_system_caps():
     for i in range(50):
         sys_i = hm_random_system(1000 + i, dim_cap=64, r_cap=16)
