@@ -9,7 +9,7 @@ previous best baseline.
 import argparse
 from fractions import Fraction
 
-from zdx.density import baseline_curves, crossover, optimize
+from zdx.density import baseline_crossovers, baseline_curves, optimize
 from zdx.exact import Interval, dec_str, rat_str
 from zdx.pairs import generate_pairs
 
@@ -33,13 +33,8 @@ def main() -> None:
         print(f"branch switch at sigma = {rat_str(x)} ({dec_str(x, 8)})")
 
     ivic92 = baseline_curves()[1]
-    for seg in bound:
-        if seg.curve.A == ivic92.A or seg.region.intersect(ivic92.region).is_empty:
-            continue
-        cx = crossover(seg.curve, ivic92)
-        if cx.kind == "points":
-            for root in cx.points:
-                print(f"meets {ivic92.provenance.label} at sigma = {rat_str(root)}")
+    for _, base, root in baseline_crossovers(bound, (ivic92,)):
+        print(f"meets {base.provenance.label} at sigma = {rat_str(root)}")
 
     probe = Fraction(24, 25)
     print(f"spot value: E({rat_str(probe)}) = {rat_str(bound.eval_E(probe))}"

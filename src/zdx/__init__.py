@@ -7,3 +7,7 @@ tau-table arithmetic checks (``hecke``), floating-point desk probes
 """
 
 __version__ = "0.1.0"
+
+#: Relative slack allowed by the bilinear large-values harness of
+#: ``zdx.probes``; kept here so the CLI can show it without importing numpy.
+HM_REL_TOLERANCE = 1e-10

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import click
 
+from . import HM_REL_TOLERANCE
 from .density import (
     BalanceViolation,
     BoundCurve,
@@ -22,9 +23,9 @@ from .density import (
     InadmissiblePair,
     Provenance,
     audit_balance,
+    baseline_crossovers,
     baseline_curves,
     bound_table_rows,
-    crossover,
     exponent_curve,
     optimize,
     piecewise_to_json_obj,
@@ -32,17 +33,8 @@ from .density import (
     validate_interval,
 )
 from .exact import Interval, LinFrac, RootBracket, dec_str, rat, rat_str
-from .hecke import (
-    DEFAULT_LIMIT,
-    compute_tau,
-    convolution_values,
-    deligne_check,
-    hecke_recursion_failures,
-    mollifier_from,
-    multiplicativity_failures,
-)
+from .hecke import DEFAULT_LIMIT, MAX_LIMIT, TableLimitError, verify_table
 from .pairs import DEFAULT_DEPTH, ExponentPair, InvalidPair, generate_pairs
-from .probes import HM_REL_TOLERANCE, mellin_probe, zeta_growth_scan
 from .svg import render_curves_svg
 
 EXIT_CHECK_FAILURE = 1
@@ -99,6 +91,10 @@ def _parse_baselines(texts: tuple[str, ...], region: Interval) -> tuple[BoundCur
             raise click.UsageError(
                 f"--baseline expects a curve like 4/(8s-5), got {text!r}"
             )
+        if f.denominator_at(region.lo) * f.denominator_at(region.hi) <= 0:
+            _fail(EXIT_INADMISSIBLE, f"--baseline {text!r} has a pole on {region}")
+        if f.eval(region.lo) <= 0 or f.eval(region.hi) <= 0:
+            _fail(EXIT_INADMISSIBLE, f"--baseline {text!r} is not positive on {region}")
         extra.append(BoundCurve.from_A(f, region, Provenance(text, baseline=True)))
     return tuple(extra)
 
@@ -270,29 +266,16 @@ def cmd_compare(depth: int, interval_text: str, baseline_texts: tuple[str, ...],
             "right": cur.curve.provenance.label,
             "curve": "",
         })
-    for seg in bound.segments:
-        for base in comparisons:
-            if base.region.intersect(seg.region).is_empty:
-                continue
-            if base.A == seg.curve.A:
-                continue
-            cx = crossover(seg.curve, base)
-            if cx.kind != "points":
-                continue
-            for root in cx.points:
-                if not seg.region.contains(
-                    root.midpoint() if isinstance(root, RootBracket) else root
-                ):
-                    continue
-                rows.append({
-                    "kind": "baseline-crossover",
-                    "sigma": _root_str(root),
-                    "sigma_decimal": _root_decimal(root),
-                    "lo": "", "hi": "",
-                    "left": seg.curve.provenance.label,
-                    "right": base.provenance.label,
-                    "curve": "",
-                })
+    for seg, base, root in baseline_crossovers(bound, comparisons):
+        rows.append({
+            "kind": "baseline-crossover",
+            "sigma": _root_str(root),
+            "sigma_decimal": _root_decimal(root),
+            "lo": "", "hi": "",
+            "left": seg.curve.provenance.label,
+            "right": base.provenance.label,
+            "curve": "",
+        })
 
     if fmt == "json":
         _write_out(_json_text(rows), out)
@@ -393,33 +376,23 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
 @out_option
 def cmd_hecke(limit: int, out: str) -> None:
     """Tau table checks; CSV of n, tau, m, convolution value."""
-    from .hecke import MAX_LIMIT, TableLimitError
-
     try:
-        table = compute_tau(limit)
+        rep = verify_table(limit)
     except TableLimitError:
         raise click.UsageError(f"--limit is capped at {MAX_LIMIT}")
-    moll = mollifier_from(table)
-    conv = convolution_values(table, moll, limit)
-    failures = 0
-    for n in range(1, limit + 1):
-        if conv[n] != (1 if n == 1 else 0):
-            failures += 1
-    recursion = hecke_recursion_failures(table)
-    mult = multiplicativity_failures(table)
-    deligne = deligne_check(table)
-    rows = [
-        [str(n), str(table[n]), str(moll[n]), str(conv[n])]
+    rows = (
+        [str(n), str(rep.table[n]), str(rep.mollifier[n]), str(rep.convolution[n])]
         for n in range(1, limit + 1)
-    ]
+    )
     _write_out(_csv_text(["n", "tau", "m", "convolution_value"], rows), out)
     click.echo(
-        f"limit={limit} convolution_failures={failures} "
-        f"recursion_failures={len(recursion)} multiplicativity_failures={len(mult)} "
-        f"deligne_ok={deligne.ok} deligne_max_ratio={deligne.max_ratio_decimal}",
+        f"limit={limit} convolution_failures={len(rep.convolution_failures)} "
+        f"recursion_failures={len(rep.recursion_failures)} "
+        f"multiplicativity_failures={len(rep.multiplicativity_failures)} "
+        f"deligne_ok={rep.deligne.ok} deligne_max_ratio={rep.deligne.max_ratio_decimal}",
         err=True,
     )
-    if failures or recursion or mult or not deligne.ok:
+    if not rep.ok:
         sys.exit(EXIT_CHECK_FAILURE)
 
 
@@ -438,29 +411,20 @@ def cmd_hecke(limit: int, out: str) -> None:
 @out_option
 def cmd_hm(seed: int, trials: int, dim: int, r_cap: int, tol: float, out: str) -> None:
     """Random-system harness for the bilinear large-values inequality."""
-    from .probes import hm_inequality_check, hm_random_system
+    from .probes import hm_random_trials
 
-    rows = []
-    max_slack, worst = -1.0, 0
-    for i in range(trials):
-        system = hm_random_system(seed + i, dim, r_cap)
-        res = hm_inequality_check(system)
-        if res.rel_slack > max_slack:
-            max_slack, worst = res.rel_slack, i
-        rows.append([
-            str(i),
-            str(system.xi.shape[0]),
-            str(system.phis.shape[0]),
-            f"{res.lhs:.17g}",
-            f"{res.rhs:.17g}",
-            f"{res.rel_slack:.17g}",
-        ])
+    rep = hm_random_trials(trials, seed, dim, r_cap)
+    rows = (
+        [str(i), str(d), str(r), f"{res.lhs:.17g}", f"{res.rhs:.17g}", f"{res.rel_slack:.17g}"]
+        for i, (d, r, res) in enumerate(rep.results)
+    )
     _write_out(_csv_text(["trial", "dim", "r", "lhs", "rhs", "rel_slack"], rows), out)
     click.echo(
-        f"trials={trials} seed={seed} max_rel_slack={max_slack:.3e} worst_trial={worst}",
+        f"trials={trials} seed={seed} max_rel_slack={rep.max_rel_slack:.3e} "
+        f"worst_trial={rep.worst_trial}",
         err=True,
     )
-    if max_slack > tol:
+    if rep.max_rel_slack > tol:
         sys.exit(EXIT_CHECK_FAILURE)
 
 
@@ -480,13 +444,18 @@ def cmd_hm(seed: int, trials: int, dim: int, r_cap: int, tol: float, out: str) -
 def cmd_mellin(x_texts: tuple[str, ...], line: float, halfwidth: float, steps: int,
                tol: float, imag_tol: float, out: str) -> None:
     """Gamma-kernel quadrature recovery of exp(-x)."""
+    from .probes import mellin_probe
+
     rows = []
     worst_err = worst_imag = 0.0
     for text in x_texts:
-        x = float(_parse_rat(text, "--x"))
-        if x <= 0:
-            raise click.UsageError(f"--x must be positive, got {text!r}")
-        res = mellin_probe(x, line=line, halfwidth=halfwidth, steps=steps)
+        try:
+            x = float(_parse_rat(text, "--x"))
+            if x <= 0:
+                raise click.UsageError(f"--x must be positive, got {text!r}")
+            res = mellin_probe(x, line=line, halfwidth=halfwidth, steps=steps)
+        except OverflowError:
+            _fail(EXIT_INADMISSIBLE, f"the probe at x = {text} overflows the floating-point range")
         worst_err = max(worst_err, res.abs_error)
         worst_imag = max(worst_imag, res.imag_residual)
         rows.append([
@@ -516,6 +485,8 @@ def cmd_mellin(x_texts: tuple[str, ...], line: float, halfwidth: float, steps: i
 @out_option
 def cmd_zeta(pair_text: str, t_max: float, samples: int, out: str) -> None:
     """Growth scan of zeta on the line sigma0 = lambda - kappa (report only)."""
+    from .probes import zeta_growth_scan
+
     pair = _parse_pair(pair_text)
     sigma0 = pair.lam - pair.kappa
     if not Fraction(1, 2) < sigma0 < 1:

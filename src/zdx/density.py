@@ -12,6 +12,7 @@ of pairs into an exact piecewise bound.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +50,7 @@ __all__ = [
     "audit_balance",
     "baseline_curves",
     "crossover",
+    "baseline_crossovers",
     "validate_interval",
     "optimize",
     "candidate_curves",
@@ -482,6 +484,25 @@ class PiecewiseBound:
 
     def eval_E(self, sigma: Fraction) -> Fraction:
         return self.segment_at(sigma).curve.eval_E(sigma)
+
+
+def baseline_crossovers(
+    bound: PiecewiseBound, curves: Sequence[BoundCurve]
+) -> Iterator[tuple[Segment, BoundCurve, Root]]:
+    """(segment, curve, root) for each point where a curve meets the bound.
+
+    Segments in order, then curves in the given order; a root counts only
+    when it lies in the segment, since outside it the bound is another
+    curve.  A curve identical to the segment's, or disjoint from it, meets
+    it nowhere.
+    """
+    for seg in bound.segments:
+        for curve in curves:
+            if curve.region.intersect(seg.region).is_empty or curve.A == seg.curve.A:
+                continue
+            for root in crossover(seg.curve, curve).points:
+                if seg.region.contains(root.midpoint() if isinstance(root, RootBracket) else root):
+                    yield seg, curve, root
 
 
 def validate_interval(interval: Interval) -> None:

@@ -24,9 +24,11 @@ __all__ = [
     "ConvolutionWitness",
     "DxValue",
     "DeligneReport",
+    "HeckeReport",
     "compute_tau",
     "mollifier_from",
     "convolution_identity_check",
+    "verify_table",
     "d_x",
     "deligne_check",
     "hecke_recursion_failures",
@@ -238,9 +240,12 @@ def convolution_identity_check(
     The expectation is 1 at n = 1 and 0 for every 2 <= n <= upto.
     """
     moll = moll or mollifier_from(table)
-    vals = convolution_values(table, moll, upto)
+    return _convolution_witnesses(convolution_values(table, moll, upto))
+
+
+def _convolution_witnesses(vals: list[int]) -> list[ConvolutionWitness]:
     failures = []
-    for n in range(1, upto + 1):
+    for n in range(1, len(vals)):
         expected = 1 if n == 1 else 0
         if vals[n] != expected:
             failures.append(ConvolutionWitness(n, vals[n], expected))
@@ -344,3 +349,46 @@ def multiplicativity_failures(table: TauTable) -> list[tuple[int, int]]:
             if table[m * n] != table[m] * table[n]:
                 failures.append((m, n))
     return failures
+
+
+@dataclass(frozen=True)
+class HeckeReport:
+    """Every identity check of one tau table, with the tables it checked.
+
+    ``convolution`` holds sum_{d | n} m(d) tau(n/d) for n = 1..limit
+    (index 0 unused); each failure list names its witnesses.
+    """
+
+    table: TauTable
+    mollifier: MollifierTable
+    convolution: list[int]
+    convolution_failures: list[ConvolutionWitness]
+    recursion_failures: list[tuple[int, int]]
+    multiplicativity_failures: list[tuple[int, int]]
+    deligne: DeligneReport
+
+    @property
+    def ok(self) -> bool:
+        return self.deligne.ok and not (
+            self.convolution_failures or self.recursion_failures
+            or self.multiplicativity_failures
+        )
+
+
+def verify_table(limit: int) -> HeckeReport:
+    """Compute tau(1..limit) and m(1..limit) and run every identity check once.
+
+    Raises TableLimitError beyond MAX_LIMIT, like ``compute_tau``.
+    """
+    table = compute_tau(limit)
+    moll = mollifier_from(table)
+    conv = convolution_values(table, moll, limit)
+    return HeckeReport(
+        table,
+        moll,
+        conv,
+        _convolution_witnesses(conv),
+        hecke_recursion_failures(table),
+        multiplicativity_failures(table),
+        deligne_check(table),
+    )

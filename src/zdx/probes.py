@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import HM_REL_TOLERANCE
+
 __all__ = [
     "DimensionMismatch",
     "VectorSystem",
@@ -27,8 +29,6 @@ __all__ = [
     "zeta_em",
     "zeta_growth_scan",
 ]
-
-HM_REL_TOLERANCE = 1e-10
 
 
 class DimensionMismatch(ValueError):
@@ -98,10 +98,13 @@ def hm_random_system(seed: int, dim_cap: int = 64, r_cap: int = 16) -> VectorSys
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """A seeded batch; ``results[i]`` is trial i's (dim, r, HMResult)."""
+
     trials: int
     seed: int
     max_rel_slack: float
     worst_trial: int
+    results: tuple[tuple[int, int, HMResult], ...]
 
     @property
     def ok(self) -> bool:
@@ -117,12 +120,12 @@ def hm_random_trials(
     """Seeded batch of random systems; per-trial seed is seed + index."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    slacks = [
-        hm_inequality_check(hm_random_system(seed + i, dim_cap, r_cap)).rel_slack
-        for i in range(trials)
-    ]
-    worst = max(range(trials), key=lambda i: slacks[i])
-    return ProbeReport(trials, seed, slacks[worst], worst)
+    systems = (hm_random_system(seed + i, dim_cap, r_cap) for i in range(trials))
+    results = tuple(
+        (s.xi.shape[0], s.phis.shape[0], hm_inequality_check(s)) for s in systems
+    )
+    worst = max(range(trials), key=lambda i: results[i][2].rel_slack)
+    return ProbeReport(trials, seed, results[worst][2].rel_slack, worst, results)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import zdx
 from zdx.cli import cli
 
 
@@ -13,6 +18,14 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(cli, args, catch_exceptions=False)
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports zdx from this checkout."""
+    src = str(Path(zdx.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 # -- pairs ---------------------------------------------------------------------
@@ -113,6 +126,21 @@ def test_compare_custom_baseline(runner):
     assert "4/(8s-5)" in res.output
 
 
+@pytest.mark.parametrize("baseline", [
+    "1/(s-0.95)",    # pole inside [17/18, 1]
+    "(4s+2)/(s-1)",  # pole at the right endpoint
+    "1/(s-17/18)",   # pole at the left endpoint
+    "-1",            # negative everywhere
+    "(1-s)/(s+1)",   # A = 0 at sigma = 1
+    "(s-0.95)/1",    # changes sign inside
+])
+def test_compare_rejects_bad_baseline(runner, baseline):
+    res = runner.invoke(cli, ["compare", "--depth", "2", "--baseline", baseline])
+    assert res.exit_code == 3
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: --baseline {baseline!r} ")
+
+
 # -- audit --------------------------------------------------------------------------
 
 def test_audit_both_regions_pass(runner):
@@ -163,6 +191,37 @@ def test_mellin_probe_defaults(runner):
     res = invoke(runner, "mellin-probe", "--steps", "800")
     assert res.exit_code == 0
     assert res.output.splitlines()[0] == "x,value,target,abs_error,imag_residual"
+
+
+@pytest.mark.parametrize("x", ["1e-300", "1e400"])
+def test_mellin_probe_overflow_is_inadmissible(x):
+    proc = run_python("-m", "zdx.cli", "mellin-probe", "--x", x)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: the probe at x = {x} overflows the floating-point range"
+    ]
+
+
+def test_exact_commands_do_not_import_numpy(runner, tmp_path):
+    code = (
+        "import sys\n"
+        "from zdx.cli import main\n"
+        f"out = {str(tmp_path / 'out')!r}\n"
+        "for args in (['pairs', '--depth', '2'], ['compare', '--depth', '2'],\n"
+        "             ['hecke-verify', '--limit', '50']):\n"
+        "    sys.argv = ['zdx', *args, '--out', out]\n"
+        "    try:\n"
+        "        main()\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (args, exc.code)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    # the tolerance default still shows without numpy being loaded for it
+    assert "[default: 1e-10]" in invoke(runner, "hm-test", "--help").output
 
 
 def test_zeta_probe_critical_line_pair_exit3(runner):

@@ -9,6 +9,7 @@ from zdx.density import (
     InadmissiblePair,
     Provenance,
     audit_balance,
+    baseline_crossovers,
     baseline_curves,
     bound_table_rows,
     candidate_curves,
@@ -274,6 +275,19 @@ def test_crossover_requires_overlap():
     c2 = BoundCurve.from_A(LinFrac.constant(2), Interval(F(1, 2), F(2, 3)), Provenance("x"))
     with pytest.raises(ValueError):
         crossover(c1, c2)
+
+
+def test_baseline_crossovers_stay_in_their_segment():
+    # ivic-1992 meets the region-2 branches of depth 9 at 15/16 and 109/116,
+    # both left of 17/18 and so outside every segment of the bound
+    bound = optimize(generate_pairs(9), Interval(F(17, 18), F(1)))
+    hits = [(seg.curve.provenance.label, base.provenance.label, root)
+            for seg, base, root in baseline_crossovers(bound, baseline_curves())]
+    assert hits == [("pair 4/49,75/98 region 1", "ivic-1992", F(1))]
+    bound = optimize(generate_pairs(3), Interval(F(17, 18), F(1)))
+    assert [root for _, _, root in baseline_crossovers(bound, baseline_curves())] == [
+        F(17, 18), F(1)
+    ]
 
 
 # -- optimizer ----------------------------------------------------------------------

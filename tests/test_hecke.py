@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from zdx import hecke
 from zdx.hecke import (
+    ConvolutionWitness,
     DxValue,
     TableLimitError,
     compute_tau,
@@ -14,6 +16,7 @@ from zdx.hecke import (
     hecke_recursion_failures,
     mollifier_from,
     multiplicativity_failures,
+    verify_table,
 )
 
 LIMIT = 2000
@@ -138,3 +141,24 @@ def test_deligne_bound_holds(table):
 def test_divisor_counts():
     d = divisor_counts(12)
     assert d[1:] == [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
+
+
+def test_verify_table_report(table, moll):
+    rep = verify_table(300)
+    assert rep.ok
+    assert rep.table.tau == table.tau[:301] and rep.mollifier.m == moll.m[:301]
+    assert rep.convolution == [0, 1] + [0] * 299
+    assert rep.convolution_failures == rep.recursion_failures == []
+    assert rep.multiplicativity_failures == [] and rep.deligne.argmax == 1
+
+
+def test_verify_table_names_witnesses(monkeypatch, table):
+    tau = list(table.tau[:301])
+    tau[7] += 1  # m is built from the table, so the damage shows first at n = 14
+    monkeypatch.setattr(hecke, "compute_tau", lambda limit: hecke.TauTable(limit, tuple(tau)))
+    rep = verify_table(300)
+    assert not rep.ok
+    assert rep.convolution_failures[0] == ConvolutionWitness(14, 24, 0)
+    assert rep.convolution[14] == 24
+    assert rep.recursion_failures[0] == (7, 1)
+    assert rep.multiplicativity_failures[0] == (2, 7)

@@ -72,6 +72,18 @@ def test_hm_seeded_batch_deterministic():
     assert a.ok
 
 
+def test_hm_trials_report_each_trial():
+    rep = hm_random_trials(50, seed=3)
+    assert len(rep.results) == rep.trials == 50
+    for i in sorted({0, rep.worst_trial, 49}):
+        system = hm_random_system(3 + i)
+        dim, r, res = rep.results[i]
+        assert (dim, r) == (system.xi.shape[0], system.phis.shape[0])
+        assert res == hm_inequality_check(system)
+    slacks = [res.rel_slack for _, _, res in rep.results]
+    assert rep.max_rel_slack == max(slacks) == slacks[rep.worst_trial]
+
+
 def test_hm_random_system_caps():
     for i in range(50):
         sys_i = hm_random_system(1000 + i, dim_cap=64, r_cap=16)
