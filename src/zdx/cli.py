@@ -450,9 +450,12 @@ def cmd_mellin(x_texts: tuple[str, ...], line: float, halfwidth: float, steps: i
     worst_err = worst_imag = 0.0
     for text in x_texts:
         try:
-            x = float(_parse_rat(text, "--x"))
-            if x <= 0:
+            exact_x = _parse_rat(text, "--x")
+            if exact_x <= 0:
                 raise click.UsageError(f"--x must be positive, got {text!r}")
+            x = float(exact_x)
+            if x == 0.0:
+                _fail(EXIT_INADMISSIBLE, f"x = {text} underflows the floating-point range")
             res = mellin_probe(x, line=line, halfwidth=halfwidth, steps=steps)
         except OverflowError:
             _fail(EXIT_INADMISSIBLE, f"the probe at x = {text} overflows the floating-point range")

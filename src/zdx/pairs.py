@@ -127,13 +127,15 @@ class PairFamily:
 
 
 def _pareto_prune(pairs: list[ExponentPair]) -> list[ExponentPair]:
-    kept = []
+    """Drop Pareto-dominated pairs from a list sorted by distinct (kappa, lam).
+
+    Every pair that could dominate p sorts before it, and an earlier pair
+    dominates p iff its lam is <= p.lam; so p is kept iff p.lam is below
+    every earlier lam, whose minimum is the lam of the last pair kept.
+    """
+    kept: list[ExponentPair] = []
     for p in pairs:
-        dominated = any(
-            q.kappa <= p.kappa and q.lam <= p.lam and (q.kappa < p.kappa or q.lam < p.lam)
-            for q in pairs
-        )
-        if not dominated:
+        if not kept or p.lam < kept[-1].lam:
             kept.append(p)
     return kept
 

@@ -203,6 +203,16 @@ def test_mellin_probe_overflow_is_inadmissible(x):
     ]
 
 
+@pytest.mark.parametrize("x", ["1e-400", "1/1" + "0" * 400])
+def test_mellin_probe_underflow_is_inadmissible(x):
+    proc = run_python("-m", "zdx.cli", "mellin-probe", "--x", x)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: x = {x} underflows the floating-point range"
+    ]
+
+
 def test_exact_commands_do_not_import_numpy(runner, tmp_path):
     code = (
         "import sys\n"

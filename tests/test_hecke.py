@@ -1,8 +1,13 @@
+import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdx import hecke
+from zdx.cli import main
 from zdx.hecke import (
     ConvolutionWitness,
     DxValue,
@@ -49,6 +54,28 @@ def test_tau_against_naive_oracle(table):
     oracle = naive_tau(small)
     for n in range(1, small + 1):
         assert table[n] == oracle[n]
+
+
+@pytest.mark.parametrize("limit", [*range(1, 41), 400])
+def test_tau_kernel_against_naive_oracle(limit):
+    # 1..40 crosses the first Jacobi exponents (0, 1, 3, 6, ..., 36) and
+    # the sizes where the packing width grows by a digit
+    assert list(compute_tau(limit).tau) == naive_tau(limit)
+
+
+@given(st.integers(1, LIMIT))
+@settings(max_examples=40, deadline=None)
+def test_tau_tables_are_prefixes(table, limit):
+    assert compute_tau(limit).tau == table.tau[: limit + 1]
+
+
+def test_hecke_verify_20000_output_pinned(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["zdx", "hecke-verify", "--limit", "20000"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "85faa71c3348bb65d054f5fc6ae74d8caef746a016f0e2e61fb33286280ce2af"
 
 
 def test_tau_classical_values(table):

@@ -9,6 +9,7 @@ from zdx.pairs import (
     SEED,
     ExponentPair,
     InvalidPair,
+    _pareto_prune,
     a_process,
     b_process,
     generate_pairs,
@@ -121,6 +122,36 @@ def test_pareto_prune_removes_dominated():
                 and q.lam <= p.lam
                 and (q.kappa < p.kappa or q.lam < p.lam)
             )
+
+
+def brute_force_prune(pairs):
+    return [
+        p for p in pairs
+        if not any(
+            q.kappa <= p.kappa and q.lam <= p.lam and (q.kappa < p.kappa or q.lam < p.lam)
+            for q in pairs
+        )
+    ]
+
+
+def test_pareto_prune_matches_definition():
+    # equal kappas, equal lambdas and dominated pairs, which closure
+    # families never contain
+    keys = [(0, "3/4"), (0, 1), ("1/10", "3/4"), ("1/10", "7/10"), ("1/5", "7/10"),
+            ("1/5", "3/5"), ("1/4", "5/8"), ("1/3", "1/2"), ("1/2", "1/2")]
+    pairs = [ExponentPair(F(k), F(l), word=None) for k, l in keys]
+    kept = _pareto_prune(pairs)
+    assert kept == brute_force_prune(pairs)
+    assert [p.key for p in kept] == [
+        (F(0), F(3, 4)), (F(1, 10), F(7, 10)), (F(1, 5), F(3, 5)), (F(1, 3), F(1, 2))
+    ]
+
+
+@given(st.sets(st.tuples(st.integers(0, 6), st.integers(6, 12)).filter(lambda t: sum(t) <= 12)))
+@settings(max_examples=60, deadline=None)
+def test_pareto_prune_matches_definition_on_grids(cells):
+    pairs = sorted(ExponentPair(F(i, 12), F(j, 12), word=None) for i, j in cells)
+    assert _pareto_prune(pairs) == brute_force_prune(pairs)
 
 
 @given(st.integers(0, 5))
