@@ -2,17 +2,19 @@
 """Sweep the exponent balance audit over a whole pair family.
 
 For every admissible pair (0 < kappa < 1/3) both region branches are
-certified exactly; the script prints a compact per-pair summary and an
-overall tally.
+certified exactly; the script prints a compact per-pair summary, one FAIL
+line per region whose audit fails, and an overall tally.  Exit codes: 0 when
+every audit passes, 1 when any fails, 3 when the depth is over the budget.
 """
 
 import argparse
+import sys
 import time
 from fractions import Fraction
 
-from zdx.density import audit_balance, continuity_check, regions_for
+from zdx.density import BalanceViolation, audit_balance, continuity_check, regions_for
 from zdx.exact import rat_str
-from zdx.pairs import generate_pairs
+from zdx.pairs import DepthLimitError, generate_pairs
 
 
 def main() -> None:
@@ -21,9 +23,13 @@ def main() -> None:
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args()
 
-    family = generate_pairs(args.depth)
+    try:
+        family = generate_pairs(args.depth)
+    except DepthLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)
     start = time.perf_counter()
-    audited = skipped = 0
+    audited = failed = skipped = 0
     for pair in family:
         if not 0 < pair.kappa < Fraction(1, 3):
             skipped += 1
@@ -34,9 +40,17 @@ def main() -> None:
             if regions.region(region).is_empty:
                 statuses.append(f"r{region}:empty")
                 continue
-            rep = audit_balance(pair, region)
-            statuses.append(f"r{region}:{'pass' if rep.passed else 'FAIL'}")
-            audited += 1
+            try:
+                rep = audit_balance(pair, region)
+                reason = None if rep.passed else "no term achieves E"
+            except BalanceViolation as exc:
+                reason = str(exc)
+            statuses.append(f"r{region}:{'FAIL' if reason else 'pass'}")
+            if reason:
+                failed += 1
+                print(f"FAIL {pair} region {region}: {reason}")
+            else:
+                audited += 1
         cont = continuity_check(pair)
         if args.verbose:
             print(
@@ -48,6 +62,8 @@ def main() -> None:
         f"depth {args.depth}: {len(family)} pairs, {audited} region audits passed, "
         f"{skipped} pairs outside (0, 1/3), {elapsed:.2f}s"
     )
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,14 @@ from .density import (
 )
 from .exact import Interval, LinFrac, RootBracket, dec_str, rat, rat_str
 from .hecke import DEFAULT_LIMIT, MAX_LIMIT, TableLimitError, verify_table
-from .pairs import DEFAULT_DEPTH, ExponentPair, InvalidPair, generate_pairs
+from .pairs import (
+    DEFAULT_DEPTH,
+    DepthLimitError,
+    ExponentPair,
+    InvalidPair,
+    PairFamily,
+    generate_pairs,
+)
 from .svg import render_curves_svg
 
 EXIT_CHECK_FAILURE = 1
@@ -99,6 +106,14 @@ def _parse_baselines(texts: tuple[str, ...], region: Interval) -> tuple[BoundCur
     return tuple(extra)
 
 
+def _family(depth: int, prune: bool = False) -> PairFamily:
+    try:
+        return generate_pairs(depth, prune=prune)
+    except DepthLimitError as exc:
+        _fail(EXIT_INADMISSIBLE, str(exc))
+        raise AssertionError  # unreachable
+
+
 def _write_out(text: str, out: str) -> None:
     if out == "-":
         click.echo(text, nl=False)
@@ -152,7 +167,7 @@ def cli() -> None:
 @out_option
 def cmd_pairs(depth: int, prune: bool, out: str) -> None:
     """Generate the exponent-pair family as JSON."""
-    family = generate_pairs(depth, prune=prune)
+    family = _family(depth, prune)
     _write_out(family.to_json(), out)
 
 
@@ -213,7 +228,7 @@ def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str,
                  include_conjectural: bool, out: str) -> None:
     """Minimize E(sigma) over a pair family plus baselines."""
     interval = _parse_interval(interval_text)
-    family = generate_pairs(depth)
+    family = _family(depth)
     bound = optimize(family, interval, include_conjectural=include_conjectural)
     if fmt == "json":
         _write_out(_json_text(piecewise_to_json_obj(bound)), out)
@@ -239,7 +254,7 @@ def cmd_compare(depth: int, interval_text: str, baseline_texts: tuple[str, ...],
                 out: str) -> None:
     """Optimized bound vs baselines: segments and exact crossovers."""
     interval = _parse_interval(interval_text)
-    family = generate_pairs(depth)
+    family = _family(depth)
     bound = optimize(family, interval)
     comparisons = baseline_curves() + _parse_baselines(baseline_texts, interval)
 
@@ -515,7 +530,7 @@ def cmd_zeta(pair_text: str, t_max: float, samples: int, out: str) -> None:
 def cmd_plot(depth: int, interval_text: str, out: str) -> None:
     """SVG of the optimized E(sigma) against the baselines."""
     interval = _parse_interval(interval_text)
-    family = generate_pairs(depth)
+    family = _family(depth)
     bound = optimize(family, interval)
     _write_out(render_curves_svg(bound, baseline_curves(), interval), out)
 

@@ -11,6 +11,7 @@ of pairs into an exact piecewise bound.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -122,12 +123,19 @@ def _require_admissible(pair: ExponentPair) -> None:
         )
 
 
+def _over_common_denominator(pair: ExponentPair) -> tuple[int, int, int]:
+    """Integers (p, r, q) with kappa = p/q and lambda = r/q, q > 0."""
+    k, l = pair.kappa, pair.lam
+    q = k.denominator * l.denominator // math.gcd(k.denominator, l.denominator)
+    return k.numerator * (q // k.denominator), l.numerator * (q // l.denominator), q
+
+
 def regions_for(pair: ExponentPair) -> RegionSpec:
     """Exact region endpoints for a pair; kappa >= 1/3 is rejected."""
     _require_admissible(pair)
-    k, l = pair.kappa, pair.lam
-    sigma_star = (1 + l - 4 * k) / (2 - 6 * k)
-    left2 = (1 + l + k) / (2 * (1 + k))
+    p, r, q = _over_common_denominator(pair)
+    sigma_star = Fraction(q + r - 4 * p, 2 * q - 6 * p)
+    left2 = Fraction(q + r + p, 2 * (q + p))
     lo1 = max(sigma_star, _HALF)
     region1 = Interval(lo1, _ONE) if lo1 <= _ONE else Interval.empty()
     region2 = Interval(left2, sigma_star) if left2 <= sigma_star else Interval.empty()
@@ -188,20 +196,24 @@ def exponent_curve(pair: ExponentPair, region: int) -> BoundCurve:
     of T on both branches.
     """
     regions = regions_for(pair)
-    reg = regions.region(region)
-    if reg.is_empty:
-        raise EmptyRegion(f"region {region} of pair {pair} is empty")
-    k, l = pair.kappa, pair.lam
+    A = _branch_A(regions, region)
+    label = f"pair {rat_str(pair.kappa)},{rat_str(pair.lam)} region {region}"
+    return BoundCurve.from_A(A, regions.region(region), Provenance(label, pair, region))
+
+
+def _branch_A(regions: RegionSpec, region: int) -> LinFrac:
+    """The A of ``exponent_curve(regions.pair, region)``, from its RegionSpec."""
+    if regions.region(region).is_empty:
+        raise EmptyRegion(f"region {region} of pair {regions.pair} is empty")
     if region == 1:
-        A = LinFrac(0, 4, 4, -1)
-    else:
-        if k == 0:
-            raise InadmissiblePair(
-                f"pair {pair}: the region-2 branch degenerates for kappa = 0"
-            )
-        A = LinFrac.of(0, 4 * k, 2 - 2 * k, 3 * k - l - 1)
-    label = f"pair {rat_str(k)},{rat_str(l)} region {region}"
-    return BoundCurve.from_A(A, reg, Provenance(label, pair, region))
+        return LinFrac(0, 4, 4, -1)
+    p, r, q = _over_common_denominator(regions.pair)
+    if p == 0:
+        raise InadmissiblePair(
+            f"pair {regions.pair}: the region-2 branch degenerates for kappa = 0"
+        )
+    # 4k / ((2-2k) s + (3k-l-1)) with numerator and denominator times q
+    return LinFrac(0, 4 * p, 2 * q - 2 * p, 3 * p - r - q)
 
 
 @dataclass(frozen=True)
@@ -233,10 +245,10 @@ def continuity_check(pair: ExponentPair) -> ContinuityReport:
         return ContinuityReport(
             "skipped", note="region-2 branch degenerate for kappa = 0"
         )
-    k, l = pair.kappa, pair.lam
-    a1 = exponent_curve(pair, 1).eval_A(regions.sigma_star)
-    a2 = exponent_curve(pair, 2).eval_A(regions.sigma_star)
-    closed_form = 4 * (2 - 6 * k) / (2 + 4 * l - 10 * k)
+    p, r, q = _over_common_denominator(pair)
+    a1 = _branch_A(regions, 1).eval(regions.sigma_star)
+    a2 = _branch_A(regions, 2).eval(regions.sigma_star)
+    closed_form = Fraction(4 * (2 * q - 6 * p), 2 * q + 4 * r - 10 * p)
     if a1 == a2 == closed_form:
         return ContinuityReport("ok", regions.sigma_star, a1)
     return ContinuityReport(
@@ -329,33 +341,48 @@ def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
     size Y the three exponents and E share that single linear denominator
     (positive on the region, asserted), so each comparison is an exact
     linear sign certificate.  Raises BalanceViolation with a witness sigma
-    if any term pokes above E.
+    if any term pokes above E, or (term "exponent_curve") if the A of
+    ``exponent_curve`` is not 2y, so that E is not the curve's exponent.
     """
     regions = regions_for(pair)
     reg = regions.region(region)
     if reg.is_empty:
         raise EmptyRegion(f"region {region} of pair {pair} is empty")
-    k, l = pair.kappa, pair.lam
-    if k == 0:
+    p, r, q = _over_common_denominator(pair)
+    if p == 0:
         raise InadmissiblePair(
             f"pair {pair}: the block length T0 = N^((2s-1-(l-k))/k) is undefined for kappa = 0"
         )
+    # kappa = p/q and lambda = r/q: every coefficient below is an integer over q
     if region == 1:
         y = LinFrac(0, 2, 4, -1)
     else:
-        y = LinFrac.of(0, 2 * k, 2 - 2 * k, 3 * k - l - 1)
+        y = LinFrac(0, 2 * p, 2 * q - 2 * p, 3 * p - r - q)
     n_y = Fraction(y.b)
     den = Quadratic.linear(y.c, y.d)
     assert den.eval(reg.lo) > 0 and den.eval(reg.hi) > 0, "y denominator must be positive"
 
-    t0_exponent = LinFrac.of(2, -(1 + l - k), 0, k)
+    # E = A (1 - s) for the A of exponent_curve, which must be 2 y
+    A = _branch_A(regions, region)
+    if A != LinFrac(2 * y.a, 2 * y.b, y.c, y.d):
+        gap = Quadratic.from_linear_product(A.a, A.b, y.c, y.d) - Quadratic.from_linear_product(
+            2 * y.a, 2 * y.b, A.c, A.d
+        )
+        witness = next((x for x in (reg.lo, reg.midpoint(), reg.hi) if gap.eval(x) != 0), reg.lo)
+        raise BalanceViolation(
+            "exponent_curve", witness,
+            f"exponent_curve's A = {A} is not 2y = 2({y}); they differ at sigma = "
+            f"{rat_str(witness)}",
+        )
+
+    t0_exponent = LinFrac(2 * q, p - q - r, 0, p)
 
     # Term exponents as numerators over the shared denominator `den`:
     #   e1 = (2 - 2s) y
     e1_num = Quadratic.linear(-2 * n_y, 2 * n_y)
     #   e2 = 1 + y (1 - s - (2s - (1 + l - k)) / (2k))
-    lin_a = -1 - 1 / k
-    lin_b = 1 + (1 + l - k) / (2 * k)
+    lin_a = Fraction(-q - p, p)  # -1 - 1/k
+    lin_b = Fraction(q + r + p, 2 * p)  # 1 + (1 + l - k)/(2k)
     e2_num = den + Quadratic.linear(n_y * lin_a, n_y * lin_b)
     #   e3 = 2 + (3 - 6s) y
     e3_num = den.scale(2) + Quadratic.linear(-6 * n_y, 3 * n_y)

@@ -92,8 +92,10 @@ class Interval:
     is_empty: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if not self.is_empty and self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
         if self.is_empty:
@@ -178,6 +180,19 @@ def _canonical_coeffs(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> tup
     return (ia, ib, ic, id_)
 
 
+def _canonical_ints(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """``_canonical_coeffs`` for integer coefficients, without Fractions."""
+    if c == 0 and d == 0:
+        raise ValueError("linear-fractional denominator is identically zero")
+    if a * d == b * c:
+        k = Fraction(a, c) if c != 0 else Fraction(b, d)
+        return (0, k.numerator, 0, k.denominator)
+    g = math.gcd(a, b, c, d)
+    if (c if c != 0 else d) < 0:
+        g = -g
+    return (a // g, b // g, c // g, d // g)
+
+
 def _linear_str(p: int, q: int, var: str = "s") -> str:
     """Render p*var + q compactly."""
     if p == 0:
@@ -208,9 +223,12 @@ class LinFrac:
     d: int
 
     def __post_init__(self) -> None:
-        ca, cb, cc, cd = _canonical_coeffs(
-            Fraction(self.a), Fraction(self.b), Fraction(self.c), Fraction(self.d)
-        )
+        if type(self.a) is type(self.b) is type(self.c) is type(self.d) is int:
+            ca, cb, cc, cd = _canonical_ints(self.a, self.b, self.c, self.d)
+        else:
+            ca, cb, cc, cd = _canonical_coeffs(
+                Fraction(self.a), Fraction(self.b), Fraction(self.c), Fraction(self.d)
+            )
         object.__setattr__(self, "a", ca)
         object.__setattr__(self, "b", cb)
         object.__setattr__(self, "c", cc)
@@ -235,11 +253,12 @@ class LinFrac:
         return self.a == 0 and self.c == 0
 
     def eval(self, sigma: Fraction) -> Fraction:
-        sigma = Fraction(sigma)
+        if type(sigma) is not Fraction:
+            sigma = Fraction(sigma)
         den = self.c * sigma + self.d
         if den == 0:
             raise PoleError(f"{self} has a pole at sigma = {rat_str(sigma)}")
-        return Fraction(self.a * sigma + self.b, 1) / den
+        return (self.a * sigma + self.b) / den
 
     def denominator_at(self, sigma: Fraction) -> Fraction:
         return self.c * Fraction(sigma) + self.d
@@ -326,9 +345,12 @@ class Quadratic:
     c0: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c2", Fraction(self.c2))
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "c0", Fraction(self.c0))
+        if type(self.c2) is not Fraction:
+            object.__setattr__(self, "c2", Fraction(self.c2))
+        if type(self.c1) is not Fraction:
+            object.__setattr__(self, "c1", Fraction(self.c1))
+        if type(self.c0) is not Fraction:
+            object.__setattr__(self, "c0", Fraction(self.c0))
 
     @classmethod
     def linear(cls, c1, c0) -> "Quadratic":
@@ -345,7 +367,8 @@ class Quadratic:
         return cls(a1 * a2, a1 * b2 + a2 * b1, b1 * b2)
 
     def eval(self, s: Fraction) -> Fraction:
-        s = Fraction(s)
+        if type(s) is not Fraction:
+            s = Fraction(s)
         return (self.c2 * s + self.c1) * s + self.c0
 
     @property

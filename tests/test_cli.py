@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from click.testing import CliRunner
 
 import zdx
 from zdx.cli import cli
+from zdx.pairs import MAX_DEPTH
 
 
 @pytest.fixture()
@@ -35,6 +37,16 @@ def test_pairs_depth3_contains_headline_pair(runner):
     assert res.exit_code == 0
     rows = json.loads(res.output)
     assert {"kappa": "1/14", "lambda": "11/14", "word": "AAB"} in rows
+
+
+@pytest.mark.parametrize("command", ["pairs", "optimize", "compare", "plot"])
+def test_depth_over_budget_exit3(runner, command):
+    res = runner.invoke(cli, [command, "--depth", str(MAX_DEPTH + 1)])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"error: depth {MAX_DEPTH + 1} exceeds the pair-family budget of {MAX_DEPTH}\n"
+    )
 
 
 def test_pairs_depth0_seed_only(runner):
@@ -155,6 +167,59 @@ def test_audit_json(runner):
     reports = json.loads(res.output)
     assert len(reports) == 2
     assert all(r["passed"] for r in reports)
+
+
+AUDIT_TEXT = {
+    "1/14,11/14": """\
+pair 1/14,11/14 region 1 [21/22, 1]: PASS
+  Y = T^y with y = 2/(4s-1); T0 exponent in N = 28s-24
+  class1_main: (-4*s+4) / (4*s-1) = E identically
+  class1_subdivision: (-26*s+25) / (4*s-1) <= E (tight at 21/22)
+  class2_moment: (-4*s+4) / (4*s-1) = E identically
+pair 1/14,11/14 region 2 [13/15, 21/22]: PASS
+  Y = T^y with y = 1/(13s-11); T0 exponent in N = 28s-24
+  class1_main: (-2*s+2) / (13*s-11) = E identically
+  class1_subdivision: (-2*s+2) / (13*s-11) = E identically
+  class2_moment: (20*s-19) / (13*s-11) <= E (tight at 21/22)
+""",
+    "1/6,2/3": """\
+pair 1/6,2/3 region 1 [1, 1]: PASS
+  Y = T^y with y = 2/(4s-1); T0 exponent in N = 12s-9
+  class1_main: (-4*s+4) / (4*s-1) = E identically
+  class1_subdivision: (-10*s+10) / (4*s-1) <= E
+  class2_moment: (-4*s+4) / (4*s-1) = E identically
+pair 1/6,2/3 region 2 [11/14, 1]: PASS
+  Y = T^y with y = 2/(10s-7); T0 exponent in N = 12s-9
+  class1_main: (-4*s+4) / (10*s-7) = E identically
+  class1_subdivision: (-4*s+4) / (10*s-7) = E identically
+  class2_moment: (8*s-8) / (10*s-7) <= E (tight at 1)
+""",
+    # region 1 is empty: only region 2 is audited
+    "8192/49143,65519/98286": """\
+pair 8192/49143,65519/98286 region 2 [180189/229340, 98269/98268]: PASS
+  Y = T^y with y = 32768/(163804s-114653); T0 exponent in N = (196572s-147421)/16384
+  class1_main: (-65536*s+65536) / (163804*s-114653) = E identically
+  class1_subdivision: (-65536*s+65536) / (163804*s-114653) = E identically
+  class2_moment: (131000*s-131002) / (163804*s-114653) <= E (tight at 98269/98268)
+""",
+}
+
+AUDIT_JSON_SHA256 = {
+    "1/14,11/14": "bbca2a477cb7c4c81fbe830dbd9ccb1317278f6f23237a43def5f1803355bd33",
+    "1/6,2/3": "bb63aa0628b99eaa9724567154b6a41d2f424143573867a2e4c615315ad2773d",
+    "8192/49143,65519/98286": "22a78d7b7fe97aaa95376049bde255e6ee3488e96d09780663842bd13100f9e0",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(AUDIT_TEXT))
+def test_audit_output_pinned(runner, pair):
+    text = invoke(runner, "audit", "--pair", pair)
+    js = invoke(runner, "audit", "--pair", pair, "--format", "json")
+    assert text.exit_code == js.exit_code == 0
+    assert text.stdout == AUDIT_TEXT[pair]
+    assert hashlib.sha256(js.stdout.encode("utf-8")).hexdigest() == AUDIT_JSON_SHA256[pair]
+    skipped = "region 1: skipped" in text.stderr
+    assert skipped == (pair == "8192/49143,65519/98286")
 
 
 def test_audit_inadmissible_exit3(runner):

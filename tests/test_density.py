@@ -242,6 +242,42 @@ def test_balance_violation_carries_witness():
     assert diff.eval(witness) > 0
 
 
+@pytest.mark.parametrize("pair, region", [(PAIR_114, 1), (PAIR_114, 2), (PAIR_16, 2)])
+def test_audit_fails_when_curve_is_not_two_y(monkeypatch, pair, region):
+    # a branch A perturbed away from 2y: the audit names the curve and a sigma
+    real = density._branch_A
+
+    def perturbed(regions, index):
+        A = real(regions, index)
+        return LinFrac(A.a, A.b + 1, A.c, A.d)
+
+    monkeypatch.setattr(density, "_branch_A", perturbed)
+    with pytest.raises(density.BalanceViolation) as exc:
+        audit_balance(pair, region)
+    assert exc.value.term == "exponent_curve"
+    sigma = exc.value.witness
+    regions = regions_for(pair)
+    assert regions.region(region).contains(sigma)
+    monkeypatch.undo()
+    y = audit_balance(pair, region).y
+    assert perturbed(regions, region).eval(sigma) != 2 * y.eval(sigma)
+
+
+def test_audit_and_continuity_build_one_region_spec(monkeypatch):
+    calls = []
+    real = density.regions_for
+
+    def counting(pair):
+        calls.append(pair)
+        return real(pair)
+
+    monkeypatch.setattr(density, "regions_for", counting)
+    audit_balance(PAIR_114, 2)
+    assert len(calls) == 1
+    continuity_check(PAIR_114)
+    assert len(calls) == 2
+
+
 # -- baselines and crossovers ------------------------------------------------------
 
 def test_baselines():

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zdx.exact import (
+    _canonical_coeffs,
     BRACKET_WIDTH,
     Interval,
     LinFrac,
@@ -82,6 +83,26 @@ def test_canonical_equality_is_functional_equality():
     # constants collapse regardless of representation
     assert LinFrac(2, 4, 1, 2) == LinFrac.constant(2)
     assert LinFrac.constant(F(8, 3)) == LinFrac(0, 8, 0, 3)
+
+
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
+       st.integers(-30, 30), st.integers(1, 12))
+@example(2, 4, 1, 2, 1)  # constant
+@example(0, 6, 0, -4, 1)  # constant with a negative denominator
+@example(3, 5, 0, 7, 1)  # zero c
+@example(1, 2, -3, 4, 1)  # negative leading coefficient
+@example(0, -5, 0, -7, 3)  # negative d with c = 0
+@example(2, 4, 6, 8, 5)  # common content
+@settings(max_examples=300)
+def test_int_canonical_form_matches_fraction_path(a, b, c, d, content):
+    a, b, c, d = (content * x for x in (a, b, c, d))
+    if c == d == 0:
+        with pytest.raises(ValueError):
+            LinFrac(a, b, c, d)
+        return
+    f = LinFrac(a, b, c, d)
+    assert all(type(x) is int for x in (f.a, f.b, f.c, f.d))
+    assert (f.a, f.b, f.c, f.d) == _canonical_coeffs(F(a), F(b), F(c), F(d))
 
 
 def test_parse_roundtrip():
@@ -205,6 +226,17 @@ def test_interval_basics():
     assert Interval.empty().is_empty
     with pytest.raises(ValueError):
         Interval(F(1), F(0))
+
+
+def test_int_and_text_inputs_become_fractions():
+    i = Interval(1, "3/2")
+    q = Quadratic(1, "-1/3", 2)
+    for x in (i.lo, i.hi, q.c2, q.c1, q.c0):
+        assert type(x) is F
+    assert (i.lo, i.hi) == (F(1), F(3, 2))
+    assert (q.c2, q.c1, q.c0) == (F(1), F(-1, 3), F(2))
+    assert type(q.eval(3)) is F and q.eval(3) == F(10)
+    assert type(Interval.point(2).lo) is F
 
 
 def test_interval_grid():

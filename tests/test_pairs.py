@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zdx import pairs
 from zdx.pairs import (
+    MAX_DEPTH,
     SEED,
+    DepthLimitError,
     ExponentPair,
     InvalidPair,
     _pareto_prune,
@@ -83,6 +86,42 @@ def test_family_growth_and_size_bound():
     assert sizes == sorted(sizes)
     for d, n in enumerate(sizes):
         assert n <= 2 ** (d + 1) - 1
+
+
+def bfs_reference(depth):
+    """Closure under both steps at every level, first word kept, sorted."""
+    seen = {SEED.key: SEED}
+    frontier = [SEED]
+    for _ in range(depth):
+        nxt = []
+        for p in frontier:
+            for q in (a_process(p), b_process(p)):
+                if q.key not in seen:
+                    seen[q.key] = q
+                    nxt.append(q)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda p: p.key)
+
+
+@pytest.mark.parametrize("depth", range(15))
+def test_generate_matches_bfs_reference(depth):
+    got = generate_pairs(depth).pairs
+    want = bfs_reference(depth)
+    assert [(p.key, p.word) for p in got] == [(p.key, p.word) for p in want]
+
+
+def test_depth_budget():
+    with pytest.raises(DepthLimitError, match=f"budget of {MAX_DEPTH}"):
+        generate_pairs(MAX_DEPTH + 1)
+    with pytest.raises(ValueError):
+        generate_pairs(10**6, prune=True)
+
+
+def test_depth_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(pairs, "MAX_DEPTH", 3)
+    assert len(generate_pairs(3)) == len(bfs_reference(3))
+    with pytest.raises(DepthLimitError):
+        generate_pairs(4)
 
 
 @pytest.fixture(scope="module")

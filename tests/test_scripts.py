@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from zdx import density
 from zdx.cli import cli
+from zdx.density import BalanceViolation
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -45,3 +47,35 @@ def test_headline_crossovers_match_compare(monkeypatch, capsys, depth):
     expected = [Fraction(r["sigma"]) for r in csv.DictReader(res.output.splitlines())
                 if r["kind"] == "baseline-crossover" and r["right"] == "ivic-1992"]
     assert meets == expected
+
+
+def test_audit_family_reports_violations(monkeypatch, capsys):
+    real = density.audit_balance
+
+    def audit(pair, region):
+        if (pair.kappa, pair.lam, region) == (Fraction(1, 14), Fraction(11, 14), 2):
+            raise BalanceViolation("class2_moment", Fraction(43, 45))
+        return real(pair, region)
+
+    monkeypatch.setattr(density, "audit_balance", audit)
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "audit_family.py", "--depth", "3")
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == (
+        "FAIL (1/14, 11/14) region 2: term class2_moment exceeds the exponent at sigma = 43/45"
+    )
+    assert out.splitlines()[1].startswith(
+        "depth 3: 4 pairs, 3 region audits passed, 2 pairs outside (0, 1/3), "
+    )
+    assert "Traceback" not in out + err
+
+
+def test_audit_family_depth_budget(monkeypatch, capsys):
+    from zdx.pairs import MAX_DEPTH
+
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "audit_family.py", "--depth", str(MAX_DEPTH + 1))
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: depth ")
