@@ -11,3 +11,8 @@ __version__ = "0.1.0"
 #: Relative slack allowed by the bilinear large-values harness of
 #: ``zdx.probes``; kept here so the CLI can show it without importing numpy.
 HM_REL_TOLERANCE = 1e-10
+
+
+class Inadmissible(ValueError):
+    """Input outside what the library supports: a pair, region, interval,
+    size or probe parameter it rejects.  The ``zdx`` CLI exits 3 on it."""

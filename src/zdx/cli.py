@@ -2,7 +2,10 @@
 
 Every subcommand is reproducible: exact arithmetic, fixed seeds, stable
 ordering, LF line endings.  Exit codes: 0 success, 1 check failure,
-2 usage error, 3 inadmissible input.
+2 usage error (including an ``--out`` that cannot be written),
+3 inadmissible input (``zdx.Inadmissible``: pairs, regions, intervals,
+budgets, probe parameters), 4 internal error.  The ``zdx`` group maps
+exceptions to codes in one place; subcommands only raise.
 """
 
 from __future__ import annotations
@@ -10,17 +13,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
 import click
 
-from . import HM_REL_TOLERANCE
+from . import HM_REL_TOLERANCE, Inadmissible
 from .density import (
     BalanceViolation,
     BoundCurve,
     EmptyRegion,
-    InadmissiblePair,
     Provenance,
     audit_balance,
     baseline_crossovers,
@@ -33,19 +36,13 @@ from .density import (
     validate_interval,
 )
 from .exact import Interval, LinFrac, RootBracket, dec_str, rat, rat_str
-from .hecke import DEFAULT_LIMIT, MAX_LIMIT, TableLimitError, verify_table
-from .pairs import (
-    DEFAULT_DEPTH,
-    DepthLimitError,
-    ExponentPair,
-    InvalidPair,
-    PairFamily,
-    generate_pairs,
-)
+from .hecke import DEFAULT_LIMIT, verify_table
+from .pairs import DEFAULT_DEPTH, ExponentPair, generate_pairs
 from .svg import render_curves_svg
 
 EXIT_CHECK_FAILURE = 1
 EXIT_INADMISSIBLE = 3
+EXIT_INTERNAL = 4
 
 
 def _fail(code: int, message: str) -> None:
@@ -66,11 +63,7 @@ def _parse_pair(text: str) -> ExponentPair:
         raise click.UsageError(f"--pair expects 'kappa,lambda', got {text!r}")
     k = _parse_rat(parts[0], "kappa")
     l = _parse_rat(parts[1], "lambda")
-    try:
-        return ExponentPair(k, l, word=None)
-    except InvalidPair as exc:
-        _fail(EXIT_INADMISSIBLE, str(exc))
-        raise AssertionError  # unreachable
+    return ExponentPair(k, l, word=None)
 
 
 def _parse_interval(text: str) -> Interval:
@@ -82,10 +75,7 @@ def _parse_interval(text: str) -> Interval:
     if lo > hi:
         raise click.UsageError(f"interval endpoints out of order: {text!r}")
     interval = Interval(lo, hi)
-    try:
-        validate_interval(interval)
-    except ValueError as exc:
-        _fail(EXIT_INADMISSIBLE, str(exc))
+    validate_interval(interval)
     return interval
 
 
@@ -99,27 +89,22 @@ def _parse_baselines(texts: tuple[str, ...], region: Interval) -> tuple[BoundCur
                 f"--baseline expects a curve like 4/(8s-5), got {text!r}"
             )
         if f.denominator_at(region.lo) * f.denominator_at(region.hi) <= 0:
-            _fail(EXIT_INADMISSIBLE, f"--baseline {text!r} has a pole on {region}")
+            raise Inadmissible(f"--baseline {text!r} has a pole on {region}")
         if f.eval(region.lo) <= 0 or f.eval(region.hi) <= 0:
-            _fail(EXIT_INADMISSIBLE, f"--baseline {text!r} is not positive on {region}")
-        extra.append(BoundCurve.from_A(f, region, Provenance(text, baseline=True)))
+            raise Inadmissible(f"--baseline {text!r} is not positive on {region}")
+        extra.append(BoundCurve(f, region, Provenance(text, baseline=True)))
     return tuple(extra)
-
-
-def _family(depth: int, prune: bool = False) -> PairFamily:
-    try:
-        return generate_pairs(depth, prune=prune)
-    except DepthLimitError as exc:
-        _fail(EXIT_INADMISSIBLE, str(exc))
-        raise AssertionError  # unreachable
 
 
 def _write_out(text: str, out: str) -> None:
     if out == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}")
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -150,7 +135,21 @@ out_option = click.option(
 )
 
 
-@click.group()
+class _Zdx(click.Group):
+    """The ``zdx`` group: the one place that turns exceptions into exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Inadmissible as exc:
+            _fail(EXIT_INADMISSIBLE, str(exc))
+        except Exception as exc:
+            _fail(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}")
+
+
+@click.group(cls=_Zdx)
 @click.version_option(package_name="zdx", prog_name="zdx")
 def cli() -> None:
     """Exact workbench for exponent-pair zero-density bounds."""
@@ -167,8 +166,7 @@ def cli() -> None:
 @out_option
 def cmd_pairs(depth: int, prune: bool, out: str) -> None:
     """Generate the exponent-pair family as JSON."""
-    family = _family(depth, prune)
-    _write_out(family.to_json(), out)
+    _write_out(generate_pairs(depth, prune=prune).to_json(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -183,23 +181,16 @@ def cmd_bound(pair_text: str, sigma_text: str, out: str) -> None:
     """One-line report of A(sigma) and E(sigma) for a pair."""
     pair = _parse_pair(pair_text)
     sigma = _parse_rat(sigma_text, "--sigma")
-    try:
-        regions = regions_for(pair)
-    except InadmissiblePair as exc:
-        _fail(EXIT_INADMISSIBLE, str(exc))
+    regions = regions_for(pair)
     in1 = regions.region1.contains(sigma)
     in2 = regions.region2.contains(sigma)
     if not in1 and not in2:
-        _fail(
-            EXIT_INADMISSIBLE,
+        raise Inadmissible(
             f"sigma = {rat_str(sigma)} outside the validity regions "
-            f"{regions.region1} and {regions.region2} of pair {pair}",
+            f"{regions.region1} and {regions.region2} of pair {pair}"
         )
     region = 1 if in1 else 2
-    try:
-        curve = exponent_curve(pair, region)
-    except (InadmissiblePair, EmptyRegion) as exc:
-        _fail(EXIT_INADMISSIBLE, str(exc))
+    curve = exponent_curve(pair, region)
     a = curve.eval_A(sigma)
     e = curve.eval_E(sigma)
     note = " note=region-boundary" if (in1 and in2) else ""
@@ -228,7 +219,7 @@ def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str,
                  include_conjectural: bool, out: str) -> None:
     """Minimize E(sigma) over a pair family plus baselines."""
     interval = _parse_interval(interval_text)
-    family = _family(depth)
+    family = generate_pairs(depth)
     bound = optimize(family, interval, include_conjectural=include_conjectural)
     if fmt == "json":
         _write_out(_json_text(piecewise_to_json_obj(bound)), out)
@@ -254,7 +245,7 @@ def cmd_compare(depth: int, interval_text: str, baseline_texts: tuple[str, ...],
                 out: str) -> None:
     """Optimized bound vs baselines: segments and exact crossovers."""
     interval = _parse_interval(interval_text)
-    family = _family(depth)
+    family = generate_pairs(depth)
     bound = optimize(family, interval)
     comparisons = baseline_curves() + _parse_baselines(baseline_texts, interval)
 
@@ -356,8 +347,6 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
             reports.append(audit_balance(pair, region))
         except EmptyRegion as exc:
             click.echo(f"region {region}: skipped ({exc})", err=True)
-        except InadmissiblePair as exc:
-            _fail(EXIT_INADMISSIBLE, str(exc))
         except BalanceViolation as exc:
             _fail(
                 EXIT_CHECK_FAILURE,
@@ -391,10 +380,7 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
 @out_option
 def cmd_hecke(limit: int, out: str) -> None:
     """Tau table checks; CSV of n, tau, m, convolution value."""
-    try:
-        rep = verify_table(limit)
-    except TableLimitError:
-        raise click.UsageError(f"--limit is capped at {MAX_LIMIT}")
+    rep = verify_table(limit)
     rows = (
         [str(n), str(rep.table[n]), str(rep.mollifier[n]), str(rep.convolution[n])]
         for n in range(1, limit + 1)
@@ -416,7 +402,7 @@ def cmd_hecke(limit: int, out: str) -> None:
 # ---------------------------------------------------------------------------
 
 @cli.command("hm-test")
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=10_000, show_default=True)
 @click.option("--dim", type=click.IntRange(min=1), default=64, show_default=True,
               help="Cap on the vector dimension.")
@@ -439,13 +425,18 @@ def cmd_hm(seed: int, trials: int, dim: int, r_cap: int, tol: float, out: str) -
         f"worst_trial={rep.worst_trial}",
         err=True,
     )
-    if rep.max_rel_slack > tol:
+    if not rep.max_rel_slack <= tol:
         sys.exit(EXIT_CHECK_FAILURE)
 
 
 # ---------------------------------------------------------------------------
 # mellin-probe
 # ---------------------------------------------------------------------------
+
+def _worst(values: list[float]) -> float:
+    """The largest value, or NaN if any is NaN (``max`` may drop a NaN)."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
 
 @cli.command("mellin-probe")
 @click.option("--x", "x_texts", multiple=True, default=("1/2", "1", "2"),
@@ -461,8 +452,7 @@ def cmd_mellin(x_texts: tuple[str, ...], line: float, halfwidth: float, steps: i
     """Gamma-kernel quadrature recovery of exp(-x)."""
     from .probes import mellin_probe
 
-    rows = []
-    worst_err = worst_imag = 0.0
+    results = []
     for text in x_texts:
         try:
             exact_x = _parse_rat(text, "--x")
@@ -470,24 +460,24 @@ def cmd_mellin(x_texts: tuple[str, ...], line: float, halfwidth: float, steps: i
                 raise click.UsageError(f"--x must be positive, got {text!r}")
             x = float(exact_x)
             if x == 0.0:
-                _fail(EXIT_INADMISSIBLE, f"x = {text} underflows the floating-point range")
-            res = mellin_probe(x, line=line, halfwidth=halfwidth, steps=steps)
+                raise Inadmissible(f"x = {text} underflows the floating-point range")
+            results.append(mellin_probe(x, line=line, halfwidth=halfwidth, steps=steps))
         except OverflowError:
-            _fail(EXIT_INADMISSIBLE, f"the probe at x = {text} overflows the floating-point range")
-        worst_err = max(worst_err, res.abs_error)
-        worst_imag = max(worst_imag, res.imag_residual)
-        rows.append([
-            text,
-            f"{res.value:.17g}",
-            f"{res.target:.17g}",
-            f"{res.abs_error:.17g}",
-            f"{res.imag_residual:.17g}",
-        ])
+            raise Inadmissible(f"the probe at x = {text} overflows the floating-point range")
+    rows = (
+        [text, f"{r.value:.17g}", f"{r.target:.17g}", f"{r.abs_error:.17g}",
+         f"{r.imag_residual:.17g}"]
+        for text, r in zip(x_texts, results)
+    )
     _write_out(
         _csv_text(["x", "value", "target", "abs_error", "imag_residual"], rows), out
     )
-    click.echo(f"max_abs_error={worst_err:.3e} max_imag_residual={worst_imag:.3e}", err=True)
-    if worst_err > tol or worst_imag > imag_tol:
+    errors = [r.abs_error for r in results]
+    imags = [r.imag_residual for r in results]
+    click.echo(f"max_abs_error={_worst(errors):.3e} max_imag_residual={_worst(imags):.3e}",
+               err=True)
+    # every row is gated as "not <= tol", so a NaN fails
+    if not all(e <= tol for e in errors) or not all(i <= imag_tol for i in imags):
         sys.exit(EXIT_CHECK_FAILURE)
 
 
@@ -506,15 +496,7 @@ def cmd_zeta(pair_text: str, t_max: float, samples: int, out: str) -> None:
     from .probes import zeta_growth_scan
 
     pair = _parse_pair(pair_text)
-    sigma0 = pair.lam - pair.kappa
-    if not Fraction(1, 2) < sigma0 < 1:
-        _fail(
-            EXIT_INADMISSIBLE,
-            f"lambda - kappa = {rat_str(sigma0)} is not strictly inside (1/2, 1)",
-        )
-    if t_max > 10_000:
-        raise click.UsageError("--t-max is capped at 10000")
-    rows = zeta_growth_scan(float(sigma0), t_max, samples, float(pair.kappa))
+    rows = zeta_growth_scan(float(pair.lam - pair.kappa), t_max, samples, float(pair.kappa))
     out_rows = [[f"{t:.17g}", f"{z:.17g}", f"{ratio:.17g}"] for t, z, ratio in rows]
     _write_out(_csv_text(["t", "abs_zeta", "ratio"], out_rows), out)
 
@@ -530,7 +512,7 @@ def cmd_zeta(pair_text: str, t_max: float, samples: int, out: str) -> None:
 def cmd_plot(depth: int, interval_text: str, out: str) -> None:
     """SVG of the optimized E(sigma) against the baselines."""
     interval = _parse_interval(interval_text)
-    family = _family(depth)
+    family = generate_pairs(depth)
     bound = optimize(family, interval)
     _write_out(render_curves_svg(bound, baseline_curves(), interval), out)
 

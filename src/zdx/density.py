@@ -17,6 +17,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Inadmissible
 from .exact import (
     Interval,
     LinFrac,
@@ -67,11 +68,11 @@ _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 
 
-class InadmissiblePair(ValueError):
+class InadmissiblePair(Inadmissible):
     """Pair outside the parameter range the construction supports."""
 
 
-class EmptyRegion(ValueError):
+class EmptyRegion(Inadmissible):
     """Requested a curve or audit on an empty validity region."""
 
 
@@ -94,8 +95,8 @@ class BalanceViolation(Exception):
 class RegionSpec:
     """Validity regions of the two A(sigma) branches for one pair.
 
-    region1 = [max(sigma_star, 1/2), 1]   (empty iff lambda + 2*kappa > 1)
-    region2 = [left2, sigma_star]          (empty iff kappa + 1 > 4*lambda)
+    region1 = [max(sigma_star, 1/2), 1]    (empty iff lambda + 2*kappa > 1)
+    region2 = [left2, min(sigma_star, 1)]   (empty iff kappa + 1 > 4*lambda)
 
     where sigma_star = (1 + lambda - 4 kappa) / (2 - 6 kappa) and
     left2 = (1 + lambda + kappa) / (2 (1 + kappa)).  Empty regions are
@@ -138,7 +139,8 @@ def regions_for(pair: ExponentPair) -> RegionSpec:
     left2 = Fraction(q + r + p, 2 * (q + p))
     lo1 = max(sigma_star, _HALF)
     region1 = Interval(lo1, _ONE) if lo1 <= _ONE else Interval.empty()
-    region2 = Interval(left2, sigma_star) if left2 <= sigma_star else Interval.empty()
+    hi2 = min(sigma_star, _ONE)
+    region2 = Interval(left2, hi2) if left2 <= hi2 else Interval.empty()
     return RegionSpec(pair, sigma_star, left2, region1, region2)
 
 
@@ -159,23 +161,11 @@ class Provenance:
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """One branch of a density bound: A(sigma) and E(sigma) = A(sigma)(1-sigma).
-
-    E is carried redundantly as a ratio of polynomials of degree <= 2 so
-    that sign questions about it reduce to quadratic certificates.
-    """
+    """One branch of a density bound: A(sigma) and E(sigma) = A(sigma)(1-sigma)."""
 
     A: LinFrac
-    e_num: Quadratic
-    e_den: Quadratic
     region: Interval
     provenance: Provenance
-
-    @classmethod
-    def from_A(cls, A: LinFrac, region: Interval, provenance: Provenance) -> "BoundCurve":
-        e_num = Quadratic.from_linear_product(A.a, A.b, -1, 1)  # (a s + b)(1 - s)
-        e_den = Quadratic.linear(A.c, A.d)
-        return cls(A, e_num, e_den, region, provenance)
 
     def eval_A(self, sigma: Fraction) -> Fraction:
         return self.A.eval(sigma)
@@ -198,7 +188,7 @@ def exponent_curve(pair: ExponentPair, region: int) -> BoundCurve:
     regions = regions_for(pair)
     A = _branch_A(regions, region)
     label = f"pair {rat_str(pair.kappa)},{rat_str(pair.lam)} region {region}"
-    return BoundCurve.from_A(A, regions.region(region), Provenance(label, pair, region))
+    return BoundCurve(A, regions.region(region), Provenance(label, pair, region))
 
 
 def _branch_A(regions: RegionSpec, region: int) -> LinFrac:
@@ -414,17 +404,17 @@ def baseline_curves() -> tuple[BoundCurve, ...]:
     density-hypothesis:   A = 2 on [1/2, 1]  (conjectural, flagged)
     """
     return (
-        BoundCurve.from_A(
+        BoundCurve(
             LinFrac.constant(Fraction(8, 3)),
             Interval(_HALF, _ONE),
             Provenance("ivic-8/3", baseline=True),
         ),
-        BoundCurve.from_A(
+        BoundCurve(
             LinFrac(0, 4, 8, -5),
             Interval(Fraction(11, 12), _ONE),
             Provenance("ivic-1992", baseline=True),
         ),
-        BoundCurve.from_A(
+        BoundCurve(
             LinFrac.constant(2),
             Interval(_HALF, _ONE),
             Provenance("density-hypothesis", baseline=True, conjectural=True),
@@ -533,9 +523,9 @@ def baseline_crossovers(
 
 
 def validate_interval(interval: Interval) -> None:
-    """Raise ValueError unless the interval lies within [1/2, 1]."""
+    """Raise Inadmissible unless the interval lies within [1/2, 1]."""
     if not interval.is_empty and not (_HALF <= interval.lo and interval.hi <= _ONE):
-        raise ValueError(f"interval {interval} does not lie within [1/2, 1]")
+        raise Inadmissible(f"interval {interval} does not lie within [1/2, 1]")
 
 
 def candidate_curves(
@@ -594,7 +584,7 @@ def optimize(
     a better candidate's region).  Boundaries are exact rationals and every
     segment's curve is valid on the whole segment.
 
-    The interval must lie within [1/2, 1] (ValueError otherwise).
+    The interval must lie within [1/2, 1] (Inadmissible otherwise).
     ``resolution`` is ignored, as the sweep samples nothing; it is accepted
     only so that callers written for the former grid optimizer still run.
     """

@@ -27,7 +27,6 @@ __all__ = [
     "RootBracket",
     "SignCertificate",
     "OrderCertificate",
-    "linfrac_eval",
     "linfrac_compare_on_interval",
     "quadratic_sign_on_interval",
     "quadratic_roots_in_interval",
@@ -45,13 +44,30 @@ class SignChangeDenominator(ValueError):
     """A denominator vanishes on the interval of a comparison."""
 
 
+#: Most digits ``rat`` accepts in a numerator or denominator read from text:
+#: Python's own limit on an int read from a string, here for every notation.
+_TEXT_DIGITS = 4300
+
+
 def rat(x: Fraction | int | str) -> Fraction:
-    """Parse an exact rational from "p/q", integer, or decimal text."""
+    """Parse an exact rational from "p/q", integer, or decimal text.
+
+    Text whose value needs more than ``_TEXT_DIGITS`` digits raises
+    ValueError; the exponent is checked first, as "1e999999999" would
+    otherwise build 10**999999999 before anything could look at it.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(str(x).strip())
+    text = str(x).strip()
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > _TEXT_DIGITS:
+        raise ValueError(f"the exponent of {text!r} exceeds {_TEXT_DIGITS}")
+    q = Fraction(text)
+    if max(abs(q.numerator), q.denominator) >= 10**_TEXT_DIGITS:
+        raise ValueError(f"{text!r} needs more than {_TEXT_DIGITS} digits")
+    return q
 
 
 def rat_str(q: Fraction) -> str:
@@ -159,31 +175,12 @@ class Interval:
 # Linear-fractional functions
 # ---------------------------------------------------------------------------
 
-def _canonical_coeffs(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> tuple[int, int, int, int]:
+def _canonical_ints(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
     """Canonical integer quadruple: content 1, leading denominator
     coefficient positive, constants collapsed to (0, p, 0, q)."""
     if c == 0 and d == 0:
         raise ValueError("linear-fractional denominator is identically zero")
     # a*d == b*c means the function is constant wherever it is defined.
-    if a * d == b * c:
-        k = a / c if c != 0 else b / d
-        return (0, k.numerator, 0, k.denominator)
-    lcm = 1
-    for q in (a, b, c, d):
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    ia, ib, ic, id_ = (int(q * lcm) for q in (a, b, c, d))
-    g = math.gcd(math.gcd(abs(ia), abs(ib)), math.gcd(abs(ic), abs(id_)))
-    ia, ib, ic, id_ = ia // g, ib // g, ic // g, id_ // g
-    lead = ic if ic != 0 else id_
-    if lead < 0:
-        ia, ib, ic, id_ = -ia, -ib, -ic, -id_
-    return (ia, ib, ic, id_)
-
-
-def _canonical_ints(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
-    """``_canonical_coeffs`` for integer coefficients, without Fractions."""
-    if c == 0 and d == 0:
-        raise ValueError("linear-fractional denominator is identically zero")
     if a * d == b * c:
         k = Fraction(a, c) if c != 0 else Fraction(b, d)
         return (0, k.numerator, 0, k.denominator)
@@ -223,12 +220,13 @@ class LinFrac:
     d: int
 
     def __post_init__(self) -> None:
-        if type(self.a) is type(self.b) is type(self.c) is type(self.d) is int:
-            ca, cb, cc, cd = _canonical_ints(self.a, self.b, self.c, self.d)
-        else:
-            ca, cb, cc, cd = _canonical_coeffs(
-                Fraction(self.a), Fraction(self.b), Fraction(self.c), Fraction(self.d)
-            )
+        coeffs = (self.a, self.b, self.c, self.d)
+        if not type(self.a) is type(self.b) is type(self.c) is type(self.d) is int:
+            # clear denominators so that every input takes the integer path
+            fracs = [Fraction(x) for x in coeffs]
+            lcm = math.lcm(*(q.denominator for q in fracs))
+            coeffs = tuple(q.numerator * (lcm // q.denominator) for q in fracs)
+        ca, cb, cc, cd = _canonical_ints(*coeffs)
         object.__setattr__(self, "a", ca)
         object.__setattr__(self, "b", cb)
         object.__setattr__(self, "c", cc)
@@ -243,14 +241,6 @@ class LinFrac:
     def constant(cls, k) -> "LinFrac":
         k = rat(k)
         return cls(0, k.numerator, 0, k.denominator)
-
-    @classmethod
-    def identity(cls) -> "LinFrac":
-        return cls(1, 0, 0, 1)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.a == 0 and self.c == 0
 
     def eval(self, sigma: Fraction) -> Fraction:
         if type(sigma) is not Fraction:
@@ -274,62 +264,54 @@ class LinFrac:
 
     @classmethod
     def parse(cls, text: str) -> "LinFrac":
-        """Parse "(a s + b)/(c s + d)" style text with integer coefficients.
+        """Parse curve text such as "2/(13s-11)", "4/3", "(4s+2)/(s-1)", "4*s".
 
-        Accepts "2/(13s-11)", "4/3", "s", "(4s+2)/(s-1)"; the variable may
-        be written s, sigma, or x.
+        The text is a linear form in the variable (s, sigma or x) over
+        integer or decimal coefficients, or two such forms divided by "/";
+        a form beside "/" is one signed term or is parenthesized, and inside
+        parentheses coefficients may also be fractions ("1/(s-17/18)").
+        Whitespace is ignored.  Anything else raises ValueError.
         """
-        s = text.strip().replace(" ", "")
-        s = s.replace("sigma", "s").replace("x", "s").replace("*", "")
-        depth = 0
-        split_at = -1
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "/" and depth == 0:
-                if split_at >= 0:
-                    raise ValueError(f"more than one top-level '/' in {text!r}")
-                split_at = i
-        if split_at >= 0:
-            num_text, den_text = s[:split_at], s[split_at + 1:]
+        s = "".join(text.split())
+        m = _QUOTIENT_RE.fullmatch(s)
+        if m:
+            num, den = m.group("num"), m.group("den") or "1"
+        elif _FORM_RE.fullmatch(s):
+            num, den = s, "1"
         else:
-            num_text, den_text = s, "1"
-        na, nb = _parse_linear(num_text, text)
-        da, db = _parse_linear(den_text, text)
-        return cls.of(na, nb, da, db)
+            raise ValueError(f"not a curve like 4/(8s-5): {text!r}")
+        return cls.of(*_linear_coeffs(num), *_linear_coeffs(den))
 
 
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
+_NUM = r"\d+(?:\.\d+)?"
+_RAT = _NUM + r"(?:/\d+)?"
+_VAR = r"(?:sigma|s|x)"
 
 
-def _parse_linear(part: str, original: str) -> tuple[Fraction, Fraction]:
-    part = part.strip()
-    if part.startswith("(") and part.endswith(")"):
-        part = part[1:-1]
-    if not part:
-        raise ValueError(f"empty term in {original!r}")
-    coeff_s = Fraction(0)
-    coeff_1 = Fraction(0)
-    for m in _TERM_RE.finditer(part):
-        term = m.group(0)
-        if "s" in term:
-            head = term[: term.index("s")]
-            if head in ("", "+"):
-                coeff_s += 1
-            elif head == "-":
-                coeff_s -= 1
-            else:
-                coeff_s += Fraction(head)
-        else:
-            coeff_1 += Fraction(term)
-    return coeff_s, coeff_1
+def _term(num: str) -> str:
+    """Regex of one unsigned term (``4s``, ``4*s``, ``s``, ``3``) over ``num``."""
+    return rf"(?:(?:{num})\*?)?{_VAR}|{num}"
 
 
-def linfrac_eval(f: LinFrac, sigma: Fraction) -> Fraction:
-    """Exact value of f at sigma; PoleError if the denominator vanishes."""
-    return f.eval(sigma)
+def _form(num: str) -> str:
+    """Regex of a sum of signed terms over ``num``."""
+    return rf"[+-]?(?:{_term(num)})(?:[+-](?:{_term(num)}))*"
+
+
+_SIDE = rf"\({_form(_RAT)}\)|[+-]?(?:{_term(_NUM)})"
+_QUOTIENT_RE = re.compile(rf"(?P<num>{_SIDE})(?:/(?P<den>{_SIDE}))?")
+_FORM_RE = re.compile(_form(_NUM))
+_TERM_RE = re.compile(rf"([+-]?)({_RAT})?\*?({_VAR})?")
+
+
+def _linear_coeffs(form: str) -> tuple[Fraction, Fraction]:
+    """(coefficient of the variable, constant) of a form the grammar matched."""
+    coeffs = [Fraction(0), Fraction(0)]
+    for sign, num, var in _TERM_RE.findall(form.strip("()")):
+        if num or var:
+            k = Fraction(num or 1)
+            coeffs[0 if var else 1] += -k if sign == "-" else k
+    return coeffs[0], coeffs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +337,6 @@ class Quadratic:
     @classmethod
     def linear(cls, c1, c0) -> "Quadratic":
         return cls(Fraction(0), rat(c1), rat(c0))
-
-    @classmethod
-    def const(cls, c0) -> "Quadratic":
-        return cls(Fraction(0), Fraction(0), rat(c0))
 
     @classmethod
     def from_linear_product(cls, a1, b1, a2, b2) -> "Quadratic":
@@ -387,9 +365,6 @@ class Quadratic:
 
     def __sub__(self, other: "Quadratic") -> "Quadratic":
         return Quadratic(self.c2 - other.c2, self.c1 - other.c1, self.c0 - other.c0)
-
-    def __neg__(self) -> "Quadratic":
-        return Quadratic(-self.c2, -self.c1, -self.c0)
 
     def scale(self, k) -> "Quadratic":
         k = rat(k)
@@ -557,18 +532,9 @@ def quadratic_sign_on_interval(q: Quadratic, interval: Interval) -> SignCertific
         zeros = tuple(sorted(x for x, v in candidates if v == 0))
         return SignCertificate("nonpos", zeros)
 
-    # Mixed sign: report the crossing points.
-    roots = quadratic_roots_in_interval(q, interval)
-    crossings: list[Root] = []
-    for r in roots:
-        if isinstance(r, RootBracket):
-            crossings.append(r)
-            continue
-        # Exact root: it is a crossing unless the sign is the same on both
-        # sides (a touch point), which for a quadratic means a double root,
-        # and a double root cannot produce mixed signs.
-        crossings.append(r)
-    return SignCertificate("mixed", tuple(crossings))
+    # Mixed sign: every root is a crossing, since a touch point would be a
+    # double root, and a quadratic with a double root has one sign.
+    return SignCertificate("mixed", quadratic_roots_in_interval(q, interval))
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +553,6 @@ class OrderCertificate:
     relation: str
     equality_points: tuple[Fraction, ...] = ()
     crossings: tuple[Root, ...] = ()
-
-    def mirrored(self) -> "OrderCertificate":
-        rel = {"le": "ge", "ge": "le"}.get(self.relation, self.relation)
-        return OrderCertificate(rel, self.equality_points, self.crossings)
 
 
 def _denominator_sign_on(f: LinFrac, interval: Interval) -> int:

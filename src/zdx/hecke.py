@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Inadmissible
 from .exact import dec_str
 
 __all__ = [
@@ -40,12 +41,12 @@ __all__ = [
 ]
 
 DEFAULT_LIMIT = 10_000
-#: Memory guard: tables beyond this need a deliberate override.
+#: Memory guard: the largest table ``compute_tau`` builds.
 MAX_LIMIT = 200_000
 
 
-class TableLimitError(ValueError):
-    """Requested table size exceeds the configured memory budget."""
+class TableLimitError(Inadmissible):
+    """Requested table size exceeds ``MAX_LIMIT``."""
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +128,7 @@ class MollifierTable:
         return self.m[n]
 
 
-def compute_tau(limit: int, max_limit: int = MAX_LIMIT) -> TauTable:
+def compute_tau(limit: int) -> TauTable:
     """Exact tau table: Jacobi's eta^3 squared three times, then shifted by q.
 
     eta^24 = (((eta^3)^2)^2)^2 takes three exact truncated squarings
@@ -138,10 +139,8 @@ def compute_tau(limit: int, max_limit: int = MAX_LIMIT) -> TauTable:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if limit > max_limit:
-        raise TableLimitError(
-            f"limit {limit} exceeds the configured budget of {max_limit}"
-        )
+    if limit > MAX_LIMIT:
+        raise TableLimitError(f"limit {limit} exceeds the table budget of {MAX_LIMIT}")
     series = _eta_cubed(limit)
     for _ in range(3):
         series = _series_square(series, limit)

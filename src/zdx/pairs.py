@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import Inadmissible
 from .exact import rat, rat_str
 
 __all__ = [
@@ -41,11 +42,11 @@ DEFAULT_DEPTH = 12
 MAX_DEPTH = 22
 
 
-class InvalidPair(ValueError):
+class InvalidPair(Inadmissible):
     """(kappa, lambda) outside the admissible exponent-pair triangle."""
 
 
-class DepthLimitError(ValueError):
+class DepthLimitError(Inadmissible):
     """Requested generation depth exceeds ``MAX_DEPTH``."""
 
 

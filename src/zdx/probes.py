@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import HM_REL_TOLERANCE
+from . import HM_REL_TOLERANCE, Inadmissible
 
 __all__ = [
     "DimensionMismatch",
@@ -178,12 +178,12 @@ def mellin_probe(
 
     Composite Simpson with ``steps`` panels (2*steps + 1 gamma evaluations);
     the real part approximates exp(-x) and the imaginary part is a symmetry
-    residual reported for sanity.
+    residual reported for sanity.  ``x``, ``line`` and ``halfwidth`` must be
+    finite and positive (Inadmissible otherwise).
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if line <= 0:
-        raise ValueError("the integration line must have positive real part")
+    for name, v in (("x", x), ("line", line), ("halfwidth", halfwidth)):
+        if not 0 < v < math.inf:
+            raise Inadmissible(f"{name} = {v!r} is not a finite positive number")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     log_x = math.log(x)
@@ -225,12 +225,14 @@ def zeta_growth_scan(
     """Rows (t, |zeta(sigma0 + it)|, |zeta| / (1 + t)^kappa) on [0, t_max].
 
     Diagnostic only: the ratio column is emitted for eyeballing growth,
-    never asserted.
+    never asserted.  ``sigma0`` must lie in (1/2, 1) and ``t_max`` in
+    [0, 10000], a budget on the Euler-Maclaurin cutoff (Inadmissible
+    otherwise).
     """
     if not 0.5 < sigma0 < 1.0:
-        raise ValueError("sigma0 must lie strictly between 1/2 and 1")
-    if t_max > 10_000:
-        raise ValueError("t_max capped at 10000")
+        raise Inadmissible(f"sigma0 = {sigma0!r} is not strictly inside (1/2, 1)")
+    if not 0 <= t_max <= 10_000:
+        raise Inadmissible(f"t_max = {t_max!r} is not in [0, 10000]")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rows = []

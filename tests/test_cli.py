@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zdx
 from zdx.cli import cli
@@ -196,18 +198,18 @@ pair 1/6,2/3 region 2 [11/14, 1]: PASS
 """,
     # region 1 is empty: only region 2 is audited
     "8192/49143,65519/98286": """\
-pair 8192/49143,65519/98286 region 2 [180189/229340, 98269/98268]: PASS
+pair 8192/49143,65519/98286 region 2 [180189/229340, 1]: PASS
   Y = T^y with y = 32768/(163804s-114653); T0 exponent in N = (196572s-147421)/16384
   class1_main: (-65536*s+65536) / (163804*s-114653) = E identically
   class1_subdivision: (-65536*s+65536) / (163804*s-114653) = E identically
-  class2_moment: (131000*s-131002) / (163804*s-114653) <= E (tight at 98269/98268)
+  class2_moment: (131000*s-131002) / (163804*s-114653) <= E
 """,
 }
 
 AUDIT_JSON_SHA256 = {
     "1/14,11/14": "bbca2a477cb7c4c81fbe830dbd9ccb1317278f6f23237a43def5f1803355bd33",
     "1/6,2/3": "bb63aa0628b99eaa9724567154b6a41d2f424143573867a2e4c615315ad2773d",
-    "8192/49143,65519/98286": "22a78d7b7fe97aaa95376049bde255e6ee3488e96d09780663842bd13100f9e0",
+    "8192/49143,65519/98286": "6c5aa0d506a9bb04c9f1b4cf262547107a1b71e90f473db93bfb98e725376ced",
 }
 
 
@@ -323,3 +325,136 @@ def test_plot_svg(runner, tmp_path):
     assert text.startswith("<svg ")
     assert "polyline" in text
     assert ">17/18<" in text  # exact endpoint tick label
+
+
+# -- exit codes -----------------------------------------------------------------------
+
+NO_DIR_OUT = str(Path(__file__).resolve().parent / "no-such-dir" / "out")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "--pair", "2/7,4/7", "--sigma", "5/4"], 3),
+    (["bound", "--pair", "2/7,4/7", "--sigma", "2/5"], 3),
+    (["mellin-probe", "--line", "-1"], 3),
+    (["mellin-probe", "--line", "nan"], 3),
+    (["mellin-probe", "--halfwidth", "nan"], 3),
+    (["mellin-probe", "--halfwidth", "inf"], 3),
+    (["zeta-probe", "--t-max", "nan"], 3),
+    (["zeta-probe", "--t-max", "-5"], 3),
+    (["zeta-probe", "--t-max", "20000"], 3),
+    (["hecke-verify", "--limit", "200001"], 3),
+    (["hm-test", "--trials", "5", "--tol", "nan"], 1),
+    (["mellin-probe", "--steps", "1", "--halfwidth", "1e300"], 1),
+    (["compare", "--depth", "3", "--baseline", "s^2"], 2),
+    (["pairs", "--depth", "1", "--out", NO_DIR_OUT], 2),
+])
+def test_witness_exit_codes(runner, argv, code):
+    res = runner.invoke(cli, argv)
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.output
+    lines = res.stderr.splitlines()
+    if code == 3:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    elif code == 1:  # the summary line of a failed float check, never a crash
+        assert len(lines) == 1 and not lines[0].startswith("error: ")
+    else:
+        assert lines[-1].startswith("Error: ")
+
+
+def test_mellin_nan_rows_fail_and_show_in_summary(runner):
+    res = runner.invoke(cli, ["mellin-probe", "--steps", "1", "--halfwidth", "1e300"])
+    assert res.exit_code == 1
+    assert res.stdout.splitlines()[1].split(",")[3] == "nan"
+    assert res.stderr == "max_abs_error=nan max_imag_residual=nan\n"
+
+
+def test_budget_exit_code_without_standalone_mode():
+    # perfbench calls cli.main(standalone_mode=False) and must see the same code
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hecke-verify", "--limit", "200001"], prog_name="zdx",
+                 standalone_mode=False)
+    assert exc.value.code == 3
+
+
+def test_internal_error_exits_4_with_one_line(runner, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken pair generator")
+
+    monkeypatch.setattr("zdx.cli.generate_pairs", broken)
+    res = runner.invoke(cli, ["pairs", "--depth", "1"])
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == "error: internal error: RuntimeError: broken pair generator\n"
+
+
+_RATS = ["0", "1", "-1", "1/2", "1/14", "11/14", "2/7", "4/7", "17/18", "13/15", "0.95",
+         "5/4", "2/5", "1/0", "nan", "inf", "-inf", "1e-5", "1e-5000", "1e999999999", "abc",
+         ""]
+_FLOATS = ["0", "-0", "1", "-1", "2", "0.5", "40", "1e-320", "1e300", "1e400", "nan",
+           "inf", "-inf", "abc", "1/2"]
+_rat = st.sampled_from(_RATS)
+_pair = st.one_of(st.builds(lambda k, l: f"{k},{l}", _rat, _rat),
+                  st.sampled_from(["1/14,11/14", "1/6,2/3", "1,2,3", "1/14", ","]))
+_interval = st.one_of(st.builds(lambda lo, hi: f"{lo},{hi}", _rat, _rat),
+                      st.sampled_from(["17/18,1", "13/15,1", "1,1", "1/2"]))
+_float = st.one_of(st.sampled_from(_FLOATS), st.floats(-1e3, 1e3).map(repr))
+_depth = st.sampled_from(["-1", "0", "1", "2", "3", "5", "23", "x"])
+
+
+def _opt(flag, values):
+    return st.tuples(st.just(flag), values).map(list)
+
+
+def _ints(lo, hi):
+    edges = sorted({lo, min(max(-1, lo), hi), min(max(0, lo), hi), hi})
+    return st.one_of(st.sampled_from(edges), st.integers(lo, hi)).map(str)
+
+
+_OUT = _opt("--out", st.sampled_from(["-", os.devnull, NO_DIR_OUT]))
+_FLAGS = {
+    "pairs": [_opt("--depth", _depth), st.just(["--prune"])],
+    "bound": [_opt("--pair", _pair), _opt("--sigma", _rat)],
+    "optimize": [_opt("--depth", _depth), _opt("--interval", _interval),
+                 _opt("--resolution", _ints(-1, 64)),
+                 _opt("--format", st.sampled_from(["csv", "json", "svg"])),
+                 st.just(["--include-conjectural"])],
+    "compare": [_opt("--depth", _depth), _opt("--interval", _interval),
+                _opt("--baseline", st.sampled_from(
+                    ["4/(8s-5)", "2/(13s-11)", "s^2", "1/(s-0.95)", "-1", "x", "++s", "",
+                     "1/0", "(4s+2)/(s-1)", "1/2/3"])),
+                _opt("--format", st.sampled_from(["csv", "json", "text", "xml"]))],
+    "audit": [_opt("--pair", _pair), _opt("--region", st.sampled_from(["1", "2", "both", "3"])),
+              _opt("--format", st.sampled_from(["text", "json"]))],
+    "hecke-verify": [_opt("--limit", st.one_of(_ints(-1, 300), st.just("200001")))],
+    "hm-test": [_opt("--seed", _ints(-3, 10**6)), _opt("--trials", _ints(-1, 5)),
+                _opt("--dim", _ints(-1, 8)), _opt("--r", _ints(-1, 8)), _opt("--tol", _float)],
+    "mellin-probe": [_opt("--x", st.one_of(_rat, st.sampled_from(["1e-300", "1e400", "1e-400"]))),
+                     _opt("--line", _float), _opt("--halfwidth", _float),
+                     _opt("--steps", _ints(-1, 50)), _opt("--tol", _float),
+                     _opt("--imag-tol", _float)],
+    "zeta-probe": [_opt("--pair", _pair), _opt("--t-max", _float),
+                   _opt("--samples", _ints(-1, 5))],
+    "plot": [_opt("--depth", _depth), _opt("--interval", _interval)],
+}
+# the float checks report their outcome in one summary line instead of an error
+_SUMMARY_ON_FAILURE = {"hecke-verify", "hm-test", "mellin-probe"}
+
+
+def _argv(command):
+    flags = st.one_of(*_FLAGS[command], _OUT, st.just(["--bogus"]))
+    return st.lists(flags, max_size=5).map(
+        lambda groups: [command, *(a for g in groups for a in g)]
+    )
+
+
+@given(argv=st.sampled_from(sorted(_FLAGS)).flatmap(_argv))
+@settings(max_examples=300, deadline=None)
+def test_argv_fuzz_exit_codes(argv):
+    res = CliRunner().invoke(cli, argv)
+    assert res.exit_code in (0, 1, 2, 3), (argv, res.output, res.exception)
+    assert "Traceback" not in res.output, argv
+    lines = res.stderr.splitlines()
+    if res.exit_code == 3 or (res.exit_code == 1 and argv[0] not in _SUMMARY_ON_FAILURE):
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    elif res.exit_code == 1:
+        assert len(lines) == 1 and not lines[0].startswith("error: "), (argv, lines)

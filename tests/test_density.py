@@ -69,6 +69,17 @@ def test_regions_inadmissible():
         regions_for(ExponentPair(F(1, 2), F(1, 2)))
 
 
+def test_regions_lie_within_half_one():
+    # region 2 ends at min(sigma_star, 1): sigma_star > 1 exactly when region 1 is empty
+    for p in admissible(generate_pairs(18)):
+        regions = regions_for(p)
+        for region in (regions.region1, regions.region2):
+            assert region.is_empty or F(1, 2) <= region.lo <= region.hi <= 1, (p, region)
+    regions = regions_for(ExponentPair(F(2, 7), F(4, 7)))
+    assert regions.sigma_star == F(3, 2)
+    assert regions.region2 == Interval(F(13, 18), F(1))
+
+
 def test_region_emptiness_flags_not_dropped():
     # B(1/14, 11/14) = (2/7, 4/7) has lambda + 2 kappa > 1: region 1 empty
     p = ExponentPair(F(2, 7), F(4, 7))
@@ -99,8 +110,9 @@ def test_exponent_e_vanishes_at_one(depth12):
                 continue
             if curve.region.contains(F(1)):
                 assert curve.eval_E(F(1)) == 0
-            # structural: E numerator has (1 - sigma) as a factor
-            assert curve.e_num.eval(F(1)) == 0
+            # structural: E = A (1 - sigma) vanishes at 1 unless A has a pole there
+            if curve.A.denominator_at(F(1)) != 0:
+                assert curve.eval_E(F(1)) == 0
 
 
 def test_exponent_curve_empty_region():
@@ -126,7 +138,9 @@ def test_e_monotone_decreasing_on_regions(depth12):
                 continue
             if curve.region.is_point:
                 continue
-            n, d = curve.e_num, curve.e_den
+            # E = n/d with n = (a s + b)(1 - s) and d = c s + d for A = (a s + b)/(c s + d)
+            n = Quadratic.from_linear_product(curve.A.a, curve.A.b, -1, 1)
+            d = Quadratic.linear(curve.A.c, curve.A.d)
             dn = Quadratic.linear(2 * n.c2, n.c1)  # E numerator derivative
             # derivative numerator of n/d: n' d - n d', both products deg <= 2
             prod1 = Quadratic(dn.c1 * d.c1, dn.c1 * d.c0 + dn.c0 * d.c1, dn.c0 * d.c0)
@@ -302,13 +316,13 @@ def test_crossover_exact_endpoints():
 
 def test_crossover_identical():
     c1 = exponent_curve(PAIR_114, 1)
-    c2 = BoundCurve.from_A(LinFrac(0, 4, 4, -1), Interval(F(9, 10), F(1)), Provenance("x"))
+    c2 = BoundCurve(LinFrac(0, 4, 4, -1), Interval(F(9, 10), F(1)), Provenance("x"))
     assert crossover(c1, c2).kind == "identical"
 
 
 def test_crossover_requires_overlap():
     c1 = exponent_curve(PAIR_114, 1)
-    c2 = BoundCurve.from_A(LinFrac.constant(2), Interval(F(1, 2), F(2, 3)), Provenance("x"))
+    c2 = BoundCurve(LinFrac.constant(2), Interval(F(1, 2), F(2, 3)), Provenance("x"))
     with pytest.raises(ValueError):
         crossover(c1, c2)
 
@@ -414,7 +428,7 @@ def test_optimize_rejects_interval_outside_domain():
 
 
 def test_optimize_rejects_candidate_of_other_form(monkeypatch):
-    bad = BoundCurve.from_A(LinFrac(1, 1, 0, 1), Interval(F(1, 2), F(1)), Provenance("s+1"))
+    bad = BoundCurve(LinFrac(1, 1, 0, 1), Interval(F(1, 2), F(1)), Provenance("s+1"))
     monkeypatch.setattr(density, "baseline_curves", lambda: (bad,))
     with pytest.raises(ValueError):
         optimize(generate_pairs(2), Interval(F(17, 18), F(1)))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,17 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zdx.exact import (
-    _canonical_coeffs,
     BRACKET_WIDTH,
     Interval,
     LinFrac,
+    OrderCertificate,
     PoleError,
     Quadratic,
     RootBracket,
     SignChangeDenominator,
     dec_str,
     linfrac_compare_on_interval,
-    linfrac_eval,
     quadratic_roots_in_interval,
     quadratic_sign_on_interval,
     rat,
@@ -40,6 +40,14 @@ def test_rat_parsing():
         rat("not a number")
 
 
+def test_rat_refuses_more_digits_than_python_reads():
+    assert rat("1e-4299") == F(1, 10**4299)
+    assert rat("9" * 4300) == 10**4300 - 1
+    for text in ("1e-4300", "1e999999999", "9" * 4000 + "e400", "1/1" + "0" * 4300):
+        with pytest.raises(ValueError):
+            rat(text)
+
+
 def test_rat_str_and_dec_str():
     assert rat_str(F(44, 31)) == "44/31"
     assert rat_str(F(4, 2)) == "2"
@@ -58,23 +66,23 @@ def test_exact_arithmetic_no_drift(x, y):
 
 def test_eval_upper_branch():
     f = LinFrac(0, 4, 4, -1)  # 4/(4s-1)
-    assert linfrac_eval(f, F(1)) == F(4, 3)
+    assert f.eval(F(1)) == F(4, 3)
 
 
 def test_eval_identity():
-    f = LinFrac.identity()
-    assert linfrac_eval(f, F(21, 22)) == F(21, 22)
+    f = LinFrac(1, 0, 0, 1)
+    assert f.eval(F(21, 22)) == F(21, 22)
 
 
 def test_eval_lower_branch():
     f = LinFrac(0, 2, 13, -11)  # 2/(13s-11)
-    assert linfrac_eval(f, F(17, 18)) == F(36, 23)
+    assert f.eval(F(17, 18)) == F(36, 23)
 
 
 def test_eval_pole():
     f = LinFrac(0, 4, 4, -1)
     with pytest.raises(PoleError):
-        linfrac_eval(f, F(1, 4))
+        f.eval(F(1, 4))
 
 
 def test_canonical_equality_is_functional_equality():
@@ -83,6 +91,22 @@ def test_canonical_equality_is_functional_equality():
     # constants collapse regardless of representation
     assert LinFrac(2, 4, 1, 2) == LinFrac.constant(2)
     assert LinFrac.constant(F(8, 3)) == LinFrac(0, 8, 0, 3)
+
+
+def _reference_canonical(a: F, b: F, c: F, d: F) -> tuple[int, int, int, int]:
+    """The canonical quadruple computed the long way, over Fractions."""
+    if a * d == b * c:
+        k = a / c if c != 0 else b / d
+        return (0, k.numerator, 0, k.denominator)
+    lcm = 1
+    for q in (a, b, c, d):
+        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
+    ia, ib, ic, id_ = (int(q * lcm) for q in (a, b, c, d))
+    g = math.gcd(math.gcd(abs(ia), abs(ib)), math.gcd(abs(ic), abs(id_)))
+    ia, ib, ic, id_ = ia // g, ib // g, ic // g, id_ // g
+    if (ic if ic != 0 else id_) < 0:
+        ia, ib, ic, id_ = -ia, -ib, -ic, -id_
+    return (ia, ib, ic, id_)
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
@@ -102,7 +126,12 @@ def test_int_canonical_form_matches_fraction_path(a, b, c, d, content):
         return
     f = LinFrac(a, b, c, d)
     assert all(type(x) is int for x in (f.a, f.b, f.c, f.d))
-    assert (f.a, f.b, f.c, f.d) == _canonical_coeffs(F(a), F(b), F(c), F(d))
+    assert (f.a, f.b, f.c, f.d) == _reference_canonical(F(a), F(b), F(c), F(d))
+    # Fraction coefficients clear their denominators and take the same path
+    g = LinFrac(F(a, 7), F(b, 3), F(c, 7 * content), F(d, 21))
+    assert (g.a, g.b, g.c, g.d) == _reference_canonical(
+        F(a, 7), F(b, 3), F(c, 7 * content), F(d, 21)
+    )
 
 
 def test_parse_roundtrip():
@@ -110,13 +139,50 @@ def test_parse_roundtrip():
         ("2/(13s-11)", LinFrac(0, 2, 13, -11)),
         ("4/(4sigma-1)", LinFrac(0, 4, 4, -1)),
         ("8/3", LinFrac.constant(F(8, 3))),
-        ("s", LinFrac.identity()),
+        ("s", LinFrac(1, 0, 0, 1)),
         ("(4s+2)/(s-1)", LinFrac(4, 2, 1, -1)),
         ("2", LinFrac.constant(2)),
     ]:
         assert LinFrac.parse(text) == expected
     with pytest.raises(ValueError):
         LinFrac.parse("1/2/3")
+
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("2/(13s-11)", (0, 2, 13, -11)),
+    ("4/3", (0, 4, 0, 3)),
+    ("(4s+2)/(s-1)", (4, 2, 1, -1)),
+    ("4*s", (4, 0, 0, 1)),
+    ("sigma", (1, 0, 0, 1)),
+    ("x", (1, 0, 0, 1)),
+    ("1/(s-0.96)", (0, 25, 25, -24)),
+    ("1/(s-17/18)", (0, 18, 18, -17)),
+    ("(1-s)/(s+1)", (-1, 1, 1, 1)),
+    ("-4/(s-1)", (0, -4, 1, -1)),
+    (" 4 / ( 8 s - 5 ) ", (0, 4, 8, -5)),
+])
+def test_parse_accepts_curve_text(text, coeffs):
+    f = LinFrac.parse(text)
+    assert (f.a, f.b, f.c, f.d) == coeffs
+
+
+@pytest.mark.parametrize("text", [
+    "s^2", "sigma^3", "s2", "3*s*s", "1/(s)(s)", "++s", "1/2/3",
+    "s+2/3", "1/s-1", "", "()", "(s", "*s", "s*4", "4.", "2/(13s-11))",
+])
+def test_parse_rejects_what_the_grammar_does_not_match(text):
+    with pytest.raises(ValueError):
+        LinFrac.parse(text)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
+       st.integers(-50, 50))
+@settings(max_examples=300)
+def test_parse_reads_back_str(a, b, c, d):
+    if c == d == 0:
+        return
+    f = LinFrac(a, b, c, d)
+    assert LinFrac.parse(str(f)) == f
 
 
 # -- comparison certificates -------------------------------------------------
@@ -164,8 +230,8 @@ def test_compare_mirror_property(a, b, c, d, a2, b2, c2, d2):
         cert_gf = linfrac_compare_on_interval(g, f, interval)
     except (ValueError, SignChangeDenominator):
         return
-    assert cert_gf == cert_fg.mirrored()
-    assert cert_fg.mirrored().mirrored() == cert_fg
+    mirror = {"le": "ge", "ge": "le"}.get(cert_fg.relation, cert_fg.relation)
+    assert cert_gf == OrderCertificate(mirror, cert_fg.equality_points, cert_fg.crossings)
 
 
 # -- quadratic sign certificates ----------------------------------------------
@@ -204,7 +270,7 @@ def test_rational_roots_exact():
 
 
 def test_sign_zero_polynomial():
-    cert = quadratic_sign_on_interval(Quadratic.const(0), Interval(F(0), F(1)))
+    cert = quadratic_sign_on_interval(Quadratic(0, 0, 0), Interval(F(0), F(1)))
     assert cert.kind == "zero"
     assert cert.is_nonneg and cert.is_nonpos
 
