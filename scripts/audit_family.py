@@ -2,9 +2,11 @@
 """Sweep the exponent balance audit over a whole pair family.
 
 For every admissible pair (0 < kappa < 1/3) both region branches are
-certified exactly; the script prints a compact per-pair summary, one FAIL
-line per region whose audit fails, and an overall tally.  Exit codes: 0 when
-every audit passes, 1 when any fails, 3 when the depth is over the budget.
+certified exactly and the two branches must agree at sigma_star; the script
+prints a compact per-pair summary, one FAIL line per region whose audit fails
+and per pair whose continuity check fails, and an overall tally.  Exit codes:
+0 when every check passes, 1 when any fails, 3 when the depth is over the
+budget.
 """
 
 import argparse
@@ -12,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from zdx.density import BalanceViolation, audit_balance, continuity_check, regions_for
+from zdx.density import audit_balance, continuity_check, regions_for
 from zdx.exact import rat_str
 from zdx.pairs import DepthLimitError, generate_pairs
 
@@ -40,18 +42,17 @@ def main() -> None:
             if regions.region(region).is_empty:
                 statuses.append(f"r{region}:empty")
                 continue
-            try:
-                rep = audit_balance(pair, region)
-                reason = None if rep.passed else "no term achieves E"
-            except BalanceViolation as exc:
-                reason = str(exc)
-            statuses.append(f"r{region}:{'FAIL' if reason else 'pass'}")
-            if reason:
-                failed += 1
-                print(f"FAIL {pair} region {region}: {reason}")
-            else:
+            rep = audit_balance(pair, region)
+            statuses.append(f"r{region}:{'pass' if rep.passed else 'FAIL'}")
+            if rep.passed:
                 audited += 1
+            else:
+                failed += 1
+                print(f"FAIL {pair} region {region}: {rep.violation}")
         cont = continuity_check(pair)
+        if cont.status == "mismatch":
+            failed += 1
+            print(f"FAIL {pair} continuity at sigma = {rat_str(cont.sigma_star)}: {cont.note}")
         if args.verbose:
             print(
                 f"({rat_str(pair.kappa)}, {rat_str(pair.lam)})  word={pair.word or '-'}  "

@@ -2,7 +2,8 @@
 
 Every subcommand is reproducible: exact arithmetic, fixed seeds, stable
 ordering, LF line endings.  Exit codes: 0 success, 1 check failure,
-2 usage error (including an ``--out`` that cannot be written),
+2 usage error (including an ``--out`` that cannot be written, checked
+before any work),
 3 inadmissible input (``zdx.Inadmissible``: pairs, regions, intervals,
 budgets, probe parameters), 4 internal error.  The ``zdx`` group maps
 exceptions to codes in one place; subcommands only raise.
@@ -14,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -21,7 +23,6 @@ import click
 
 from . import HM_REL_TOLERANCE, Inadmissible
 from .density import (
-    BalanceViolation,
     BoundCurve,
     EmptyRegion,
     Provenance,
@@ -29,6 +30,7 @@ from .density import (
     baseline_crossovers,
     baseline_curves,
     bound_table_rows,
+    continuity_check,
     exponent_curve,
     optimize,
     piecewise_to_json_obj,
@@ -92,8 +94,21 @@ def _parse_baselines(texts: tuple[str, ...], region: Interval) -> tuple[BoundCur
             raise Inadmissible(f"--baseline {text!r} has a pole on {region}")
         if f.eval(region.lo) <= 0 or f.eval(region.hi) <= 0:
             raise Inadmissible(f"--baseline {text!r} is not positive on {region}")
-        extra.append(BoundCurve(f, region, Provenance(text, baseline=True)))
+        extra.append(BoundCurve(f, region, Provenance(text)))
     return tuple(extra)
+
+
+def _check_out(ctx: click.Context, param: click.Parameter, out: str) -> str:
+    """Reject an unwritable ``--out`` before any work, leaving an existing file as it is."""
+    if out != "-":
+        existed = os.path.lexists(out)
+        try:
+            open(out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise click.BadParameter(f"cannot write {out!r}: {exc.strerror or exc}")
+        if not existed:
+            os.remove(out)
+    return out
 
 
 def _write_out(text: str, out: str) -> None:
@@ -131,7 +146,8 @@ def _root_decimal(root) -> str:
 
 
 out_option = click.option(
-    "--out", default="-", show_default=True, help="Output file, or - for stdout."
+    "--out", default="-", show_default=True, callback=_check_out,
+    help="Output file, or - for stdout.",
 )
 
 
@@ -344,14 +360,27 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
     reports = []
     for region in regions:
         try:
-            reports.append(audit_balance(pair, region))
+            report = audit_balance(pair, region)
         except EmptyRegion as exc:
+            if len(regions) == 1:
+                raise  # an audit that certifies nothing is inadmissible
+            # at most one region of a pair with kappa < 1/3 is empty
             click.echo(f"region {region}: skipped ({exc})", err=True)
-        except BalanceViolation as exc:
+            continue
+        if not report.passed:
+            v = report.violation
             _fail(
                 EXIT_CHECK_FAILURE,
-                f"balance violation in region {region}: term {exc.term} "
-                f"at sigma = {rat_str(exc.witness)}",
+                f"balance violation in region {region}: term {v.term} "
+                f"at sigma = {rat_str(v.witness)}",
+            )
+        reports.append(report)
+    if len(regions) == 2:
+        cont = continuity_check(pair)
+        if cont.status == "mismatch":
+            _fail(
+                EXIT_CHECK_FAILURE,
+                f"continuity mismatch at sigma = {rat_str(cont.sigma_star)}: {cont.note}",
             )
     if fmt == "json":
         _write_out(_json_text([_audit_report_obj(r) for r in reports]), out)

@@ -76,17 +76,6 @@ class EmptyRegion(Inadmissible):
     """Requested a curve or audit on an empty validity region."""
 
 
-class BalanceViolation(Exception):
-    """A balanced term exceeds the claimed exponent somewhere."""
-
-    def __init__(self, term: str, witness: Fraction, message: str = ""):
-        self.term = term
-        self.witness = witness
-        super().__init__(
-            message or f"term {term} exceeds the exponent at sigma = {rat_str(witness)}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Regions
 # ---------------------------------------------------------------------------
@@ -155,7 +144,6 @@ class Provenance:
     label: str
     pair: ExponentPair | None = None
     region: int | None = None
-    baseline: bool = False
     conjectural: bool = False
 
 
@@ -261,9 +249,19 @@ class TermCertificate:
     diff_cert: SignCertificate  # sign of (term - E) numerator
     achieves: bool  # term == E identically on the region
 
-    @property
-    def ok(self) -> bool:
-        return self.diff_cert.is_nonpos
+
+@dataclass(frozen=True)
+class BalanceViolation:
+    """Why an audit failed: the failing term and a sigma in the region where it fails."""
+
+    term: str
+    witness: Fraction
+    message: str = ""
+
+    def __str__(self) -> str:
+        return self.message or (
+            f"term {self.term} exceeds the exponent at sigma = {rat_str(self.witness)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -276,6 +274,7 @@ class AuditReport:
 
     with Y = T^{y(sigma)}, N of size Y, and T0 = N^{t0_exponent}; all
     exponents share the positive linear denominator of y on the region.
+    ``violation`` is None exactly when the audit passed.
     """
 
     pair: ExponentPair
@@ -286,10 +285,11 @@ class AuditReport:
     denominator: Quadratic
     e_num: Quadratic
     terms: tuple[TermCertificate, ...]
+    violation: BalanceViolation | None
 
     @property
     def passed(self) -> bool:
-        return all(t.ok for t in self.terms) and any(t.achieves for t in self.terms)
+        return self.violation is None
 
     def term_value(self, label: str, sigma: Fraction) -> Fraction:
         for t in self.terms:
@@ -304,23 +304,9 @@ class AuditReport:
 _TERM_LABELS = ("class1_main", "class1_subdivision", "class2_moment")
 
 
-def _positive_witness(num: Quadratic, region: Interval, cert: SignCertificate) -> Fraction:
-    """A rational sigma in the region where the numerator is positive."""
-    candidates = [region.lo, region.hi]
-    if num.c2 != 0:
-        v = -num.c1 / (2 * num.c2)
-        if region.contains(v):
-            candidates.append(v)
-    for r in cert.roots:
-        for edge in ((r.lo, r.hi) if isinstance(r, RootBracket) else (r,)):
-            for eps in (region.width / 1000, Fraction(0)):
-                for x in (edge - eps, edge + eps):
-                    if region.contains(x):
-                        candidates.append(x)
-    for x in candidates:
-        if num.eval(x) > 0:
-            return x
-    raise AssertionError("positive witness requested for a nonpositive quadratic")
+def _positive_witness(diff: Quadratic, region: Interval) -> Fraction:
+    """The endpoint of the region where ``diff``, linear and positive somewhere on it, is."""
+    return region.lo if diff.eval(region.lo) > 0 else region.hi
 
 
 def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
@@ -330,9 +316,10 @@ def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
     y = 2 kappa / ((2-2 kappa) sigma + (3 kappa - lambda - 1)).  With N of
     size Y the three exponents and E share that single linear denominator
     (positive on the region, asserted), so each comparison is an exact
-    linear sign certificate.  Raises BalanceViolation with a witness sigma
-    if any term pokes above E, or (term "exponent_curve") if the A of
-    ``exponent_curve`` is not 2y, so that E is not the curve's exponent.
+    linear sign certificate.  A failed audit is a report whose
+    ``violation`` names a witness sigma: the first term that pokes above E,
+    or (term "exponent_curve", checked first) the A of ``exponent_curve``
+    when it is not 2y, so that E is not the curve's exponent.
     """
     regions = regions_for(pair)
     reg = regions.region(region)
@@ -353,13 +340,14 @@ def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
     assert den.eval(reg.lo) > 0 and den.eval(reg.hi) > 0, "y denominator must be positive"
 
     # E = A (1 - s) for the A of exponent_curve, which must be 2 y
+    violation = None
     A = _branch_A(regions, region)
     if A != LinFrac(2 * y.a, 2 * y.b, y.c, y.d):
         gap = Quadratic.from_linear_product(A.a, A.b, y.c, y.d) - Quadratic.from_linear_product(
             2 * y.a, 2 * y.b, A.c, A.d
         )
         witness = next((x for x in (reg.lo, reg.midpoint(), reg.hi) if gap.eval(x) != 0), reg.lo)
-        raise BalanceViolation(
+        violation = BalanceViolation(
             "exponent_curve", witness,
             f"exponent_curve's A = {A} is not 2y = 2({y}); they differ at sigma = "
             f"{rat_str(witness)}",
@@ -368,28 +356,24 @@ def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
     t0_exponent = LinFrac(2 * q, p - q - r, 0, p)
 
     # Term exponents as numerators over the shared denominator `den`:
-    #   e1 = (2 - 2s) y
-    e1_num = Quadratic.linear(-2 * n_y, 2 * n_y)
+    #   E = A (1 - s) = 2 y (1 - s), which is also e1 = (2 - 2s) y
+    e_num = Quadratic.linear(-2 * n_y, 2 * n_y)
     #   e2 = 1 + y (1 - s - (2s - (1 + l - k)) / (2k))
     lin_a = Fraction(-q - p, p)  # -1 - 1/k
     lin_b = Fraction(q + r + p, 2 * p)  # 1 + (1 + l - k)/(2k)
     e2_num = den + Quadratic.linear(n_y * lin_a, n_y * lin_b)
     #   e3 = 2 + (3 - 6s) y
     e3_num = den.scale(2) + Quadratic.linear(-6 * n_y, 3 * n_y)
-    #   E = A (1 - s) = 2 y (1 - s)
-    e_num = Quadratic.linear(-2 * n_y, 2 * n_y)
 
     terms = []
-    for label, num in zip(_TERM_LABELS, (e1_num, e2_num, e3_num)):
+    for label, num in zip(_TERM_LABELS, (e_num, e2_num, e3_num)):
         diff = num - e_num
+        assert diff.c2 == 0, "audit numerators are linear"
         cert = quadratic_sign_on_interval(diff, reg)
         terms.append(TermCertificate(label, num, cert, achieves=diff.is_zero))
-    report = AuditReport(pair, region, reg, y, t0_exponent, den, e_num, tuple(terms))
-    for t in report.terms:
-        if not t.ok:
-            witness = _positive_witness(t.num - e_num, reg, t.diff_cert)
-            raise BalanceViolation(t.label, witness)
-    return report
+        if violation is None and not cert.is_nonpos:
+            violation = BalanceViolation(label, _positive_witness(diff, reg))
+    return AuditReport(pair, region, reg, y, t0_exponent, den, e_num, tuple(terms), violation)
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +391,17 @@ def baseline_curves() -> tuple[BoundCurve, ...]:
         BoundCurve(
             LinFrac.constant(Fraction(8, 3)),
             Interval(_HALF, _ONE),
-            Provenance("ivic-8/3", baseline=True),
+            Provenance("ivic-8/3"),
         ),
         BoundCurve(
             LinFrac(0, 4, 8, -5),
             Interval(Fraction(11, 12), _ONE),
-            Provenance("ivic-1992", baseline=True),
+            Provenance("ivic-1992"),
         ),
         BoundCurve(
             LinFrac.constant(2),
             Interval(_HALF, _ONE),
-            Provenance("density-hypothesis", baseline=True, conjectural=True),
+            Provenance("density-hypothesis", conjectural=True),
         ),
     )
 

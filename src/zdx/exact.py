@@ -131,12 +131,6 @@ class Interval:
         return not self.is_empty and self.lo <= x <= self.hi
 
     @property
-    def width(self) -> Fraction:
-        if self.is_empty:
-            return Fraction(0)
-        return self.hi - self.lo
-
-    @property
     def is_point(self) -> bool:
         return not self.is_empty and self.lo == self.hi
 
@@ -426,14 +420,8 @@ def _bisect_root(q: Quadratic, lo: Fraction, hi: Fraction) -> RootBracket:
     s_lo = _sign(q.eval(lo))
     while hi - lo >= BRACKET_WIDTH:
         mid = (lo + hi) / 2
-        s_mid = _sign(q.eval(mid))
-        if s_mid == 0:
-            # q is rational at rational points, so a zero here would have
-            # been caught by the exact-root path; defensive narrowing.
-            eps = (hi - lo) / 4
-            lo, hi = mid - eps, mid + eps
-            continue
-        if s_mid == s_lo:
+        # q has irrational roots (its discriminant is no rational square), so never q(mid) == 0
+        if _sign(q.eval(mid)) == s_lo:
             lo = mid
         else:
             hi = mid

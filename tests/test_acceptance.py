@@ -108,7 +108,7 @@ def test_criterion_4_audit_suite(depth12):
         for region in (1, 2):
             if regions.region(region).is_empty:
                 continue
-            rep = audit_balance(pair, region)  # raises BalanceViolation on failure
+            rep = audit_balance(pair, region)
             all_pass &= rep.passed
             audited += 1
             # 1000-point rational grid: max of the term numerators equals the

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -234,6 +236,52 @@ def test_audit_invalid_pair_exit3(runner):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_audit_certifying_nothing_exit3(runner, fmt):
+    res = runner.invoke(cli, ["audit", "--pair", "2/7,4/7", "--region", "1", "--format", fmt])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: region 1 of pair (2/7, 4/7) is empty\n"
+
+
+def test_audit_term_violation_exit1(runner, monkeypatch):
+    from zdx import cli as cli_module
+    from zdx.density import BalanceViolation
+
+    real = cli_module.audit_balance
+
+    def audit(pair, region):
+        report = real(pair, region)
+        if region == 2:
+            return replace(report, violation=BalanceViolation("class2_moment", Fraction(43, 45)))
+        return report
+
+    monkeypatch.setattr(cli_module, "audit_balance", audit)
+    res = runner.invoke(cli, ["audit", "--pair", "1/14,11/14"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: balance violation in region 2: term class2_moment at sigma = 43/45\n"
+    )
+
+
+def test_audit_continuity_mismatch_exit1(runner, monkeypatch):
+    from zdx import cli as cli_module
+
+    real = cli_module.continuity_check
+    monkeypatch.setattr(cli_module, "continuity_check", lambda pair: replace(
+        real(pair), status="mismatch", note="branches disagree: 44/31 vs 45/31"))
+    for fmt in ("text", "json"):
+        res = runner.invoke(cli, ["audit", "--pair", "1/14,11/14", "--format", fmt])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: continuity mismatch at sigma = 21/22: branches disagree: 44/31 vs 45/31\n"
+        )
+    # a single region has no shared endpoint to check
+    assert runner.invoke(cli, ["audit", "--pair", "1/14,11/14", "--region", "2"]).exit_code == 0
+
+
 # -- desk checks ----------------------------------------------------------------------
 
 def test_hecke_verify_small(runner, tmp_path):
@@ -359,6 +407,31 @@ def test_witness_exit_codes(runner, argv, code):
         assert len(lines) == 1 and not lines[0].startswith("error: ")
     else:
         assert lines[-1].startswith("Error: ")
+
+
+def test_unwritable_out_rejected_before_work(runner, monkeypatch):
+    def never(limit):
+        raise AssertionError("verify_table ran before --out was checked")
+
+    monkeypatch.setattr("zdx.cli.verify_table", never)
+    res = runner.invoke(cli, ["hecke-verify", "--limit", "200000", "--out", NO_DIR_OUT])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1].startswith("Error: Invalid value for '--out': ")
+
+
+def test_failed_run_leaves_out_untouched(runner, monkeypatch, tmp_path):
+    def broken(limit):
+        raise RuntimeError("broken table")
+
+    monkeypatch.setattr("zdx.cli.verify_table", broken)
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("n,tau\n1,1\n")
+    for out in (kept, fresh):
+        res = runner.invoke(cli, ["hecke-verify", "--limit", "10", "--out", str(out)])
+        assert res.exit_code == 4
+    assert kept.read_text() == "n,tau\n1,1\n"
+    assert not fresh.exists()
 
 
 def test_mellin_nan_rows_fail_and_show_in_summary(runner):

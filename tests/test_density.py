@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -241,24 +242,41 @@ def test_audit_family_grid_consistency(depth12):
                 assert max(terms) == rep.exponent_value(sigma)
 
 
-def test_balance_violation_carries_witness():
-    # Force a violation by auditing a region extended beyond sigma_star:
-    # the sixth-moment term exceeds E to the right of sigma_star.
-    from zdx.density import _positive_witness
-    from zdx.exact import quadratic_sign_on_interval
+def test_audit_differences_are_linear(depth12):
+    # every term minus E is linear, so an endpoint is a witness whenever one exists
+    for p in admissible(depth12):
+        regions = regions_for(p)
+        for region in (1, 2):
+            if p.kappa > 0 and not regions.region(region).is_empty:
+                rep = audit_balance(p, region)
+                assert all((t.num - rep.e_num).c2 == 0 for t in rep.terms), (p, region)
 
+
+def test_balance_violation_carries_witness(monkeypatch):
+    # Force a violation by auditing region 2 extended beyond sigma_star:
+    # the sixth-moment term exceeds E to the right of sigma_star.
+    real = density.regions_for
+
+    def widened(pair):
+        spec = real(pair)
+        return replace(spec, region2=Interval(spec.left2, spec.sigma_star + F(1, 50)))
+
+    monkeypatch.setattr(density, "regions_for", widened)
     rep = audit_balance(PAIR_114, 2)
-    beyond = Interval(rep.region.lo, rep.region.hi + F(1, 50))
-    diff = rep.terms[2].num - rep.e_num
-    cert = quadratic_sign_on_interval(diff, beyond)
-    assert cert.kind == "mixed"
-    witness = _positive_witness(diff, beyond, cert)
-    assert diff.eval(witness) > 0
+    assert rep.region.hi == F(21, 22) + F(1, 50)
+    assert [t.diff_cert.kind for t in rep.terms] == ["zero", "zero", "mixed"]
+    assert not rep.passed and rep.violation.term == "class2_moment"
+    witness = rep.violation.witness
+    assert witness == rep.region.hi
+    assert rep.term_value("class2_moment", witness) > rep.exponent_value(witness)
+    assert str(rep.violation) == (
+        f"term class2_moment exceeds the exponent at sigma = {witness}"
+    )
 
 
 @pytest.mark.parametrize("pair, region", [(PAIR_114, 1), (PAIR_114, 2), (PAIR_16, 2)])
 def test_audit_fails_when_curve_is_not_two_y(monkeypatch, pair, region):
-    # a branch A perturbed away from 2y: the audit names the curve and a sigma
+    # a branch A perturbed away from 2y: the report names the curve and a sigma
     real = density._branch_A
 
     def perturbed(regions, index):
@@ -266,12 +284,13 @@ def test_audit_fails_when_curve_is_not_two_y(monkeypatch, pair, region):
         return LinFrac(A.a, A.b + 1, A.c, A.d)
 
     monkeypatch.setattr(density, "_branch_A", perturbed)
-    with pytest.raises(density.BalanceViolation) as exc:
-        audit_balance(pair, region)
-    assert exc.value.term == "exponent_curve"
-    sigma = exc.value.witness
+    rep = audit_balance(pair, region)
+    assert not rep.passed
+    assert rep.violation.term == "exponent_curve"
+    sigma = rep.violation.witness
     regions = regions_for(pair)
     assert regions.region(region).contains(sigma)
+    assert str(rep.violation).startswith("exponent_curve's A = ")
     monkeypatch.undo()
     y = audit_balance(pair, region).y
     assert perturbed(regions, region).eval(sigma) != 2 * y.eval(sigma)
