@@ -5,8 +5,8 @@ For every admissible pair (0 < kappa < 1/3) both region branches are
 certified exactly and the two branches must agree at sigma_star; the script
 prints a compact per-pair summary, one FAIL line per region whose audit fails
 and per pair whose continuity check fails, and an overall tally.  Exit codes:
-0 when every check passes, 1 when any fails, 3 when the depth is over the
-budget.
+0 when every check passes, 1 when any fails, 2 for a negative depth, 3 when
+the depth is over the budget.
 """
 
 import argparse
@@ -24,6 +24,9 @@ def main() -> None:
     ap.add_argument("--depth", type=int, default=12)
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args()
+    if args.depth < 0:
+        print(f"error: --depth must be >= 0, got {args.depth}", file=sys.stderr)
+        sys.exit(2)
 
     try:
         family = generate_pairs(args.depth)

