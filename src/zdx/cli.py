@@ -17,12 +17,14 @@ import json
 import math
 import os
 import sys
+import time
 from fractions import Fraction
 
 import click
 
 from . import HM_REL_TOLERANCE, Inadmissible
 from .density import (
+    KAPPA_LIMIT,
     BoundCurve,
     EmptyRegion,
     Provenance,
@@ -323,7 +325,7 @@ def cmd_compare(depth: int, interval_text: str, baseline_texts: tuple[str, ...],
 # ---------------------------------------------------------------------------
 
 def _audit_report_obj(report) -> dict:
-    terms = []
+    pair, terms = report.regions.pair, []
     for t in report.terms:
         terms.append({
             "label": t.label,
@@ -335,7 +337,7 @@ def _audit_report_obj(report) -> dict:
             ],
         })
     return {
-        "pair": {"kappa": rat_str(report.pair.kappa), "lambda": rat_str(report.pair.lam)},
+        "pair": {"kappa": rat_str(pair.kappa), "lambda": rat_str(pair.lam)},
         "region_index": report.region_index,
         "region": {"lo": rat_str(report.region.lo), "hi": rat_str(report.region.hi)},
         "y_exponent": str(report.y),
@@ -355,12 +357,12 @@ def _audit_report_obj(report) -> dict:
 @out_option
 def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
     """Certify the exponent balance of both branches for one pair."""
-    pair = _parse_pair(pair_text)
+    spec = regions_for(_parse_pair(pair_text))
     regions = (1, 2) if region_text == "both" else (int(region_text),)
     reports = []
     for region in regions:
         try:
-            report = audit_balance(pair, region)
+            report = audit_balance(spec, region)
         except EmptyRegion as exc:
             if len(regions) == 1:
                 raise  # an audit that certifies nothing is inadmissible
@@ -376,7 +378,7 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
             )
         reports.append(report)
     if len(regions) == 2:
-        cont = continuity_check(pair)
+        cont = continuity_check(spec)
         if cont.status == "mismatch":
             _fail(
                 EXIT_CHECK_FAILURE,
@@ -388,7 +390,7 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
     lines = []
     for r in reports:
         lines.append(
-            f"pair {rat_str(r.pair.kappa)},{rat_str(r.pair.lam)} region {r.region_index} "
+            f"pair {rat_str(spec.pair.kappa)},{rat_str(spec.pair.lam)} region {r.region_index} "
             f"{r.region}: {'PASS' if r.passed else 'FAIL'}"
         )
         lines.append(f"  Y = T^y with y = {r.y}; T0 exponent in N = {r.t0_exponent}")
@@ -398,6 +400,55 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
             tight = f" (tight at {pts})" if pts and not t.achieves else ""
             lines.append(f"  {t.label}: ({t.num}) / ({r.denominator}) {status}{tight}")
     _write_out("\n".join(lines) + "\n", out)
+
+
+@cli.command("audit-family")
+@click.option("--depth", type=click.IntRange(min=0), default=DEFAULT_DEPTH,
+              show_default=True, help="Maximum A/B word length.")
+@click.option("--verbose", is_flag=True, help="One status line per audited pair.")
+def cmd_audit_family(depth: int, verbose: bool) -> None:
+    """Audit a pair family: balance and continuity.
+
+    Every pair with 0 < kappa < 1/3 is audited; exits 1 if any check fails.
+    """
+    family = generate_pairs(depth)
+    start = time.perf_counter()
+    audited = failed = skipped = 0
+    for pair in family:
+        if not 0 < pair.kappa < KAPPA_LIMIT:
+            skipped += 1
+            continue
+        regions = regions_for(pair)
+        statuses = []
+        for region in (1, 2):
+            if regions.region(region).is_empty:
+                statuses.append(f"r{region}:empty")
+                continue
+            rep = audit_balance(regions, region)
+            statuses.append(f"r{region}:{'pass' if rep.passed else 'FAIL'}")
+            if rep.passed:
+                audited += 1
+            else:
+                failed += 1
+                click.echo(f"FAIL {pair} region {region}: {rep.violation}")
+        cont = continuity_check(regions)
+        if cont.status == "mismatch":
+            failed += 1
+            click.echo(
+                f"FAIL {pair} continuity at sigma = {rat_str(cont.sigma_star)}: {cont.note}"
+            )
+        if verbose:
+            click.echo(
+                f"({rat_str(pair.kappa)}, {rat_str(pair.lam)})  word={pair.word or '-'}  "
+                f"{' '.join(statuses)}  continuity:{cont.status}"
+            )
+    elapsed = time.perf_counter() - start
+    click.echo(
+        f"depth {depth}: {len(family)} pairs, {audited} region audits passed, "
+        f"{skipped} pairs outside (0, 1/3), {elapsed:.2f}s"
+    )
+    if failed:
+        sys.exit(EXIT_CHECK_FAILURE)
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,15 @@ class RegionSpec:
 
     where sigma_star = (1 + lambda - 4 kappa) / (2 - 6 kappa) and
     left2 = (1 + lambda + kappa) / (2 (1 + kappa)).  Empty regions are
-    explicit ``Interval.empty()`` values, never dropped.
+    explicit ``Interval.empty()`` values, never dropped.  kappa = p/q and
+    lambda = r/q with q > 0: the integers the branches, the audit and the
+    continuity check are built from, so they take this record, not the pair.
     """
 
     pair: ExponentPair
+    p: int
+    r: int
+    q: int
     sigma_star: Fraction
     left2: Fraction
     region1: Interval
@@ -106,16 +111,11 @@ class RegionSpec:
         raise ValueError(f"region index must be 1 or 2, got {index!r}")
 
 
-def _over_common_denominator(pair: ExponentPair) -> tuple[int, int, int]:
-    """Integers (p, r, q) with kappa = p/q and lambda = r/q, q > 0."""
-    k, l = pair.kappa, pair.lam
-    q = k.denominator * l.denominator // math.gcd(k.denominator, l.denominator)
-    return k.numerator * (q // k.denominator), l.numerator * (q // l.denominator), q
-
-
 def regions_for(pair: ExponentPair) -> RegionSpec:
     """Exact region endpoints for a pair; kappa >= 1/3 is rejected."""
-    p, r, q = _over_common_denominator(pair)
+    k, l = pair.kappa, pair.lam
+    q = math.lcm(k.denominator, l.denominator)
+    p, r = k.numerator * (q // k.denominator), l.numerator * (q // l.denominator)
     if 3 * p >= q:
         raise InadmissiblePair(
             f"pair {pair} has kappa >= 1/3; the region construction needs kappa < 1/3"
@@ -131,7 +131,7 @@ def regions_for(pair: ExponentPair) -> RegionSpec:
         region1 = Interval.empty()
         hi2, hi_n, hi_d = _ONE, 1, 1
     region2 = Interval(left2, hi2) if left_n * hi_d <= hi_n * left_d else Interval.empty()
-    return RegionSpec(pair, sigma_star, left2, region1, region2)
+    return RegionSpec(pair, p, r, q, sigma_star, left2, region1, region2)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def _branch_A(regions: RegionSpec, region: int) -> LinFrac:
         raise EmptyRegion(f"region {region} of pair {regions.pair} is empty")
     if region == 1:
         return LinFrac(0, 4, 4, -1)
-    p, r, q = _over_common_denominator(regions.pair)
+    p, r, q = regions.p, regions.r, regions.q
     if p == 0:
         raise InadmissiblePair(
             f"pair {regions.pair}: the region-2 branch degenerates for kappa = 0"
@@ -204,28 +204,24 @@ class ContinuityReport:
     shared_value: Fraction | None = None
     note: str = ""
 
-    def __bool__(self) -> bool:
-        return self.status == "ok"
 
-
-def continuity_check(pair: ExponentPair) -> ContinuityReport:
-    """Verify both branches take the same value at sigma_star, exactly.
+def continuity_check(regions: RegionSpec) -> ContinuityReport:
+    """Verify both branches of a pair's RegionSpec agree at sigma_star, exactly.
 
     The shared value in closed form is 4(2-6k)/(2+4l-10k); both branch
     values at sigma_star are compared with it by integer cross-multiplication.
     Pairs whose region-2 branch is degenerate (kappa = 0) or whose regions do not both
     exist are reported as skipped with an explicit note.
     """
-    regions = regions_for(pair)
     if regions.region1.is_empty:
         return ContinuityReport("skipped", note="region 1 empty: EmptyRegion")
     if regions.region2.is_empty:
         return ContinuityReport("skipped", note="region 2 empty: EmptyRegion")
-    if pair.kappa == 0:
+    p, r, q = regions.p, regions.r, regions.q
+    if p == 0:
         return ContinuityReport(
             "skipped", note="region-2 branch degenerate for kappa = 0"
         )
-    p, r, q = _over_common_denominator(pair)
     star = regions.sigma_star
     x, w = star.numerator, star.denominator
     # each branch's A at sigma_star as an integer quotient, cross-multiplied
@@ -293,7 +289,7 @@ class AuditReport:
     on first read, so an audit that is only gated on pays for none of them.
     """
 
-    pair: ExponentPair
+    regions: RegionSpec
     region_index: int
     region: Interval
     y_ints: tuple[int, int, int]
@@ -312,7 +308,7 @@ class AuditReport:
 
     @cached_property
     def t0_exponent(self) -> LinFrac:
-        p, r, q = _over_common_denominator(self.pair)
+        p, r, q = self.regions.p, self.regions.r, self.regions.q
         return LinFrac(2 * q, p - q - r, 0, p)
 
     @cached_property
@@ -374,14 +370,14 @@ def _linear_certificate(
     return SignCertificate("mixed", (Fraction(-b, a),))
 
 
-def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
-    """Certify that the three balanced term exponents stay below E.
+def audit_balance(regions: RegionSpec, region: int) -> AuditReport:
+    """Certify that the three balanced term exponents stay below E on a region.
 
     Region 1 uses y = 2/(4 sigma - 1); region 2 uses
     y = 2 kappa / ((2-2 kappa) sigma + (3 kappa - lambda - 1)).  With N of
     size Y the three exponents and E share that single linear denominator
     (positive on the region, asserted), so each term - E is a linear
-    numerator whose coefficients are integers in (p, r, q), where
+    numerator whose coefficients are integers in the RegionSpec's (p, r, q),
     kappa = p/q and lambda = r/q.  Every decision is integer
     cross-multiplication at the region's ends: a term passes when its
     numerator is <= 0 at both, and its SignCertificate is read from those
@@ -391,11 +387,10 @@ def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
     ``exponent_curve`` when it is not 2y, so that E is not the curve's
     exponent.
     """
-    regions = regions_for(pair)
-    reg = regions.region(region)
+    pair, reg = regions.pair, regions.region(region)
     if reg.is_empty:
         raise EmptyRegion(f"region {region} of pair {pair} is empty")
-    p, r, q = _over_common_denominator(pair)
+    p, r, q = regions.p, regions.r, regions.q
     if p == 0:
         raise InadmissiblePair(
             f"pair {pair}: the block length T0 = N^((2s-1-(l-k))/k) is undefined for kappa = 0"
@@ -446,7 +441,7 @@ def audit_balance(pair: ExponentPair, region: int) -> AuditReport:
         if violation is None and (at_lo > 0 or at_hi > 0):
             violation = BalanceViolation(label, reg.lo if at_lo > 0 else reg.hi)
     return AuditReport(
-        pair, region, reg, (n, c, d), scale, term_ints, tuple(term_ends), violation
+        regions, region, reg, (n, c, d), scale, term_ints, tuple(term_ends), violation
     )
 
 

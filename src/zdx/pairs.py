@@ -39,8 +39,8 @@ DEFAULT_DEPTH = 12
 #: (10,947 pairs at depth 20, 28,658 at 22, 75,026 at 24); on a 2-vCPU
 #: Xeon (CPython 3.11.7) ``pairs --depth 22 --prune`` takes about 2 s and
 #: 63 MB peak RSS, depth 24 about 6 s and 136 MB.  The balance audit of the
-#: depth-22 family, ``scripts/audit_family.py --depth 22`` (41,396 region
-#: audits), takes about 3 s end to end.
+#: depth-22 family, ``zdx audit-family --depth 22`` (41,396 region audits),
+#: takes about 3 s end to end.
 MAX_DEPTH = 22
 
 

@@ -108,7 +108,7 @@ def test_criterion_4_audit_suite(depth12):
         for region in (1, 2):
             if regions.region(region).is_empty:
                 continue
-            rep = audit_balance(pair, region)
+            rep = audit_balance(regions, region)
             all_pass &= rep.passed
             audited += 1
             # 1000-point rational grid: max of the term numerators equals the
@@ -116,7 +116,7 @@ def test_criterion_4_audit_suite(depth12):
             nums = [t.num for t in rep.terms]
             for sigma in rep.region.grid(1000):
                 all_pass &= max(q.eval(sigma) for q in nums) == rep.e_num.eval(sigma)
-    spot = audit_balance(ExponentPair(F(1, 14), F(11, 14), "AAB"), 1)
+    spot = audit_balance(regions_for(ExponentPair(F(1, 14), F(11, 14), "AAB")), 1)
     s = F(24, 25)
     spot_ok = (
         spot.term_value("class1_main", s) == F(4, 71)
@@ -141,7 +141,7 @@ def test_criterion_5_continuity_and_admissibility(depth12):
         ok &= (not regions.region1.is_empty) == (pair.lam + 2 * pair.kappa <= 1)
         # branch continuity at sigma_star (kappa = 0 seed is degenerate: skipped)
         if pair.kappa > 0 and not regions.region1.is_empty and not regions.region2.is_empty:
-            rep = continuity_check(pair)
+            rep = continuity_check(regions)
             ok &= rep.status == "ok"
             k, l = pair.kappa, pair.lam
             ok &= rep.shared_value == 4 * (2 - 6 * k) / (2 + 4 * l - 10 * k)

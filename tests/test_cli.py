@@ -43,7 +43,7 @@ def test_pairs_depth3_contains_headline_pair(runner):
     assert {"kappa": "1/14", "lambda": "11/14", "word": "AAB"} in rows
 
 
-@pytest.mark.parametrize("command", ["pairs", "optimize", "compare", "plot"])
+@pytest.mark.parametrize("command", ["pairs", "optimize", "compare", "plot", "audit-family"])
 def test_depth_over_budget_exit3(runner, command):
     res = runner.invoke(cli, [command, "--depth", str(MAX_DEPTH + 1)])
     assert res.exit_code == 3
@@ -250,8 +250,8 @@ def test_audit_term_violation_exit1(runner, monkeypatch):
 
     real = cli_module.audit_balance
 
-    def audit(pair, region):
-        report = real(pair, region)
+    def audit(regions, region):
+        report = real(regions, region)
         if region == 2:
             return replace(report, violation=BalanceViolation("class2_moment", Fraction(43, 45)))
         return report
@@ -269,8 +269,8 @@ def test_audit_continuity_mismatch_exit1(runner, monkeypatch):
     from zdx import cli as cli_module
 
     real = cli_module.continuity_check
-    monkeypatch.setattr(cli_module, "continuity_check", lambda pair: replace(
-        real(pair), status="mismatch", note="branches disagree: 44/31 vs 45/31"))
+    monkeypatch.setattr(cli_module, "continuity_check", lambda regions: replace(
+        real(regions), status="mismatch", note="branches disagree: 44/31 vs 45/31"))
     for fmt in ("text", "json"):
         res = runner.invoke(cli, ["audit", "--pair", "1/14,11/14", "--format", fmt])
         assert res.exit_code == 1
@@ -280,6 +280,37 @@ def test_audit_continuity_mismatch_exit1(runner, monkeypatch):
         )
     # a single region has no shared endpoint to check
     assert runner.invoke(cli, ["audit", "--pair", "1/14,11/14", "--region", "2"]).exit_code == 0
+
+
+def test_audit_family_builds_one_region_spec_per_pair(runner, monkeypatch):
+    from zdx import cli as cli_module
+    from zdx.density import KAPPA_LIMIT
+    from zdx.pairs import generate_pairs
+
+    calls = []
+    real = cli_module.regions_for
+
+    def counting(pair):
+        calls.append(pair)
+        return real(pair)
+
+    monkeypatch.setattr(cli_module, "regions_for", counting)
+    res = invoke(runner, "audit-family", "--depth", "9")
+    assert res.exit_code == 0
+    admissible = [p for p in generate_pairs(9) if 0 < p.kappa < KAPPA_LIMIT]
+    assert calls == admissible
+
+
+def test_audit_family_internal_error_exits_4(runner, monkeypatch):
+    # a crash inside the audit is exit 4, never the check-failure exit 1
+    def broken(regions, region):
+        raise RuntimeError("broken audit")
+
+    monkeypatch.setattr("zdx.cli.audit_balance", broken)
+    res = runner.invoke(cli, ["audit-family", "--depth", "3"])
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == "error: internal error: RuntimeError: broken audit\n"
 
 
 # -- desk checks ----------------------------------------------------------------------
@@ -300,6 +331,21 @@ def test_hm_test_small(runner, tmp_path):
     res = invoke(runner, "hm-test", "--trials", "200", "--seed", "7", "--out", str(out))
     assert res.exit_code == 0
     assert len(out.read_text().splitlines()) == 201
+
+
+@pytest.mark.parametrize("flag, budget", [("--dim", "MAX_DIM"), ("--r", "MAX_R")])
+def test_hm_test_cap_over_budget_exit3(runner, monkeypatch, flag, budget):
+    from zdx import probes
+
+    def never(*args):
+        raise AssertionError("a system was built before the caps were checked")
+
+    monkeypatch.setattr(probes, "hm_random_system", never)
+    cap = getattr(probes, budget) + 1
+    res = runner.invoke(cli, ["hm-test", flag, str(cap)])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: {flag[2:]} cap {cap} exceeds the probe budget of {cap - 1}\n"
 
 
 def test_mellin_probe_defaults(runner):
@@ -508,6 +554,7 @@ _FLAGS = {
     "zeta-probe": [_opt("--pair", _pair), _opt("--t-max", _float),
                    _opt("--samples", _ints(-1, 5))],
     "plot": [_opt("--depth", _depth), _opt("--interval", _interval)],
+    "audit-family": [_opt("--depth", _depth), st.just(["--verbose"])],
 }
 # the float checks report their outcome in one summary line instead of an error
 _SUMMARY_ON_FAILURE = {"hecke-verify", "hm-test", "mellin-probe"}

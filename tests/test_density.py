@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -157,29 +158,29 @@ def test_e_monotone_decreasing_on_regions(depth12):
 # -- continuity ------------------------------------------------------------------
 
 def test_continuity_headline_pair():
-    rep = continuity_check(PAIR_114)
+    rep = continuity_check(regions_for(PAIR_114))
     assert rep.status == "ok"
     assert rep.sigma_star == F(21, 22)
     assert rep.shared_value == F(44, 31)
 
 
 def test_continuity_16():
-    assert continuity_check(PAIR_16).status == "ok"
+    assert continuity_check(regions_for(PAIR_16)).status == "ok"
 
 
 def test_continuity_skips_degenerate():
-    rep = continuity_check(ExponentPair(F(0), F(1)))
+    rep = continuity_check(regions_for(ExponentPair(F(0), F(1))))
     assert rep.status == "skipped"
     assert "kappa" in rep.note
     p = ExponentPair(F(2, 7), F(4, 7))
-    rep = continuity_check(p)
+    rep = continuity_check(regions_for(p))
     assert rep.status == "skipped"
     assert "EmptyRegion" in rep.note
 
 
 def test_continuity_family_closed_form(depth12):
     for p in admissible(depth12):
-        rep = continuity_check(p)
+        rep = continuity_check(regions_for(p))
         if rep.status != "ok":
             continue
         k, l = p.kappa, p.lam
@@ -189,7 +190,7 @@ def test_continuity_family_closed_form(depth12):
 # -- audit ------------------------------------------------------------------------
 
 def test_audit_spot_value_region1():
-    rep = audit_balance(PAIR_114, 1)
+    rep = audit_balance(regions_for(PAIR_114), 1)
     s = F(24, 25)
     assert rep.y.eval(s) == F(50, 71)
     assert rep.term_value("class1_main", s) == F(4, 71)
@@ -200,7 +201,7 @@ def test_audit_spot_value_region1():
 
 
 def test_audit_region1_at_one():
-    rep = audit_balance(PAIR_114, 1)
+    rep = audit_balance(regions_for(PAIR_114), 1)
     assert rep.y.eval(F(1)) == F(2, 3)
     assert rep.term_value("class1_main", F(1)) == 0
     assert rep.term_value("class2_moment", F(1)) == 0
@@ -208,26 +209,27 @@ def test_audit_region1_at_one():
 
 
 def test_audit_region2_subdivision_tight_at_left_endpoint():
-    rep = audit_balance(PAIR_16, 2)
-    left = regions_for(PAIR_16).left2
+    regions = regions_for(PAIR_16)
+    rep = audit_balance(regions, 2)
+    left = regions.left2
     assert left == F(11, 14)
     assert rep.term_value("class1_subdivision", left) == rep.exponent_value(left)
 
 
 def test_audit_t0_exponent_expression():
-    rep = audit_balance(PAIR_114, 1)
+    rep = audit_balance(regions_for(PAIR_114), 1)
     # (2 sigma - 1 - (lambda - kappa)) / kappa at sigma = 24/25: (36/175)*14 = 72/25
     assert rep.t0_exponent.eval(F(24, 25)) == F(36, 175) * 14
 
 
 def test_audit_rejects_kappa_zero():
     with pytest.raises(InadmissiblePair):
-        audit_balance(ExponentPair(F(0), F(1)), 1)
+        audit_balance(regions_for(ExponentPair(F(0), F(1))), 1)
 
 
 def test_audit_empty_region():
     with pytest.raises(EmptyRegion):
-        audit_balance(ExponentPair(F(2, 7), F(4, 7)), 1)
+        audit_balance(regions_for(ExponentPair(F(2, 7), F(4, 7))), 1)
 
 
 def test_audit_family_grid_consistency(depth12):
@@ -239,7 +241,7 @@ def test_audit_family_grid_consistency(depth12):
         for region in (1, 2):
             if regions.region(region).is_empty:
                 continue
-            rep = audit_balance(p, region)
+            rep = audit_balance(regions, region)
             for sigma in rep.region.grid(1000):
                 terms = [rep.term_value(t.label, sigma) for t in rep.terms]
                 assert max(terms) == rep.exponent_value(sigma)
@@ -251,21 +253,15 @@ def test_audit_differences_are_linear(depth12):
         regions = regions_for(p)
         for region in (1, 2):
             if p.kappa > 0 and not regions.region(region).is_empty:
-                rep = audit_balance(p, region)
+                rep = audit_balance(regions, region)
                 assert all((t.num - rep.e_num).c2 == 0 for t in rep.terms), (p, region)
 
 
-def test_balance_violation_carries_witness(monkeypatch):
+def test_balance_violation_carries_witness():
     # Force a violation by auditing region 2 extended beyond sigma_star:
     # the sixth-moment term exceeds E to the right of sigma_star.
-    real = density.regions_for
-
-    def widened(pair):
-        spec = real(pair)
-        return replace(spec, region2=Interval(spec.left2, spec.sigma_star + F(1, 50)))
-
-    monkeypatch.setattr(density, "regions_for", widened)
-    rep = audit_balance(PAIR_114, 2)
+    spec = regions_for(PAIR_114)
+    rep = audit_balance(replace(spec, region2=Interval(spec.left2, spec.sigma_star + F(1, 50))), 2)
     assert rep.region.hi == F(21, 22) + F(1, 50)
     assert [t.diff_cert.kind for t in rep.terms] == ["zero", "zero", "mixed"]
     assert not rep.passed and rep.violation.term == "class2_moment"
@@ -287,31 +283,30 @@ def test_audit_fails_when_curve_is_not_two_y(monkeypatch, pair, region):
         return LinFrac(A.a, A.b + 1, A.c, A.d)
 
     monkeypatch.setattr(density, "_branch_A", perturbed)
-    rep = audit_balance(pair, region)
+    regions = regions_for(pair)
+    rep = audit_balance(regions, region)
     assert not rep.passed
     assert rep.violation.term == "exponent_curve"
     sigma = rep.violation.witness
-    regions = regions_for(pair)
     assert regions.region(region).contains(sigma)
     assert str(rep.violation).startswith("exponent_curve's A = ")
     monkeypatch.undo()
-    y = audit_balance(pair, region).y
+    y = audit_balance(regions, region).y
     assert perturbed(regions, region).eval(sigma) != 2 * y.eval(sigma)
 
 
 def test_audit_and_continuity_build_one_region_spec(monkeypatch):
-    calls = []
-    real = density.regions_for
+    # both take the pair's one RegionSpec and build no other
+    regions = regions_for(PAIR_114)
 
-    def counting(pair):
-        calls.append(pair)
-        return real(pair)
+    def never(*args):
+        raise AssertionError("a second RegionSpec was built")
 
-    monkeypatch.setattr(density, "regions_for", counting)
-    audit_balance(PAIR_114, 2)
-    assert len(calls) == 1
-    continuity_check(PAIR_114)
-    assert len(calls) == 2
+    monkeypatch.setattr(density, "regions_for", never)
+    monkeypatch.setattr(density, "RegionSpec", never)
+    for region in (1, 2):
+        assert audit_balance(regions, region).passed
+    assert continuity_check(regions).status == "ok"
 
 
 # -- integer audit kernel against the Fraction reference ---------------------------
@@ -327,7 +322,9 @@ def _reference_regions(pair):
     region1 = Interval(lo1, F(1)) if lo1 <= 1 else Interval.empty()
     hi2 = min(sigma_star, F(1))
     region2 = Interval(left2, hi2) if left2 <= hi2 else Interval.empty()
-    return density.RegionSpec(pair, sigma_star, left2, region1, region2)
+    q = math.lcm(k.denominator, l.denominator)
+    p, r = int(k * q), int(l * q)
+    return density.RegionSpec(pair, p, r, q, sigma_star, left2, region1, region2)
 
 
 def _reference_audit(pair, region, regions, branch_A):
@@ -401,20 +398,18 @@ def assert_kernel_matches_reference(pair, monkeypatch=None, widen=None, perturb=
     if perturb is not None:
         def branch_A(regions, index, real=branch_A):
             return perturb(real(regions, index))
-    if monkeypatch is not None:
-        real_regions = density.regions_for
-        monkeypatch.setattr(density, "regions_for", lambda p: widen(real_regions(p)))
         monkeypatch.setattr(density, "_branch_A", branch_A)
-    regions = widen(_reference_regions(pair))
-    assert density.regions_for(pair) == regions, pair
+    regions = _reference_regions(pair)
+    assert regions_for(pair) == regions, pair
+    regions = widen(regions)
     for region in (1, 2):
         if regions.region(region).is_empty:
             with pytest.raises(EmptyRegion):
-                audit_balance(pair, region)
+                audit_balance(regions, region)
             continue
         expected = _reference_audit(pair, region, regions, branch_A)
-        assert _audit_summary(audit_balance(pair, region)) == expected, (pair, region)
-    assert _continuity_summary(continuity_check(pair)) == _reference_continuity(regions, branch_A)
+        assert _audit_summary(audit_balance(regions, region)) == expected, (pair, region)
+    assert _continuity_summary(continuity_check(regions)) == _reference_continuity(regions, branch_A)
 
 
 def test_audit_kernel_matches_reference_on_family():
@@ -452,9 +447,9 @@ def test_audit_kernel_matches_reference_off_family(pair):
     lambda s: replace(s, region2=Interval(s.left2, s.sigma_star + F(1, 50))),
     lambda s: replace(s, region2=Interval(s.left2 - F(1, 200), s.left2)),
 ], ids=["region1-below-star", "region2-past-star", "region2-left-of-left2"])
-def test_audit_kernel_matches_reference_on_failures(monkeypatch, pair, widen):
+def test_audit_kernel_matches_reference_on_failures(pair, widen):
     # regions moved off their construction; past sigma_star a term fails: same term, same witness
-    assert_kernel_matches_reference(pair, monkeypatch, widen=widen)
+    assert_kernel_matches_reference(pair, widen=widen)
 
 
 @pytest.mark.parametrize("pair", [PAIR_114, PAIR_16, ExponentPair(F(1, 30), F(13, 15))])
@@ -467,13 +462,11 @@ def test_audit_kernel_matches_reference_when_curve_is_not_two_y(monkeypatch, pai
     assert_kernel_matches_reference(pair, monkeypatch, perturb=perturb)
 
 
-def test_audit_asserts_positive_y_denominator(monkeypatch):
+def test_audit_asserts_positive_y_denominator():
     # region 2 widened left to the pole of y = 1/(13s - 11) at 11/13
-    real = density.regions_for
-    monkeypatch.setattr(density, "regions_for", lambda pair: replace(
-        real(pair), region2=Interval(F(11, 13), F(21, 22))))
+    widened = replace(regions_for(PAIR_114), region2=Interval(F(11, 13), F(21, 22)))
     with pytest.raises(AssertionError, match="y denominator must be positive"):
-        audit_balance(PAIR_114, 2)
+        audit_balance(widened, 2)
 
 
 # -- baselines and crossovers ------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The experiment scripts format library results."""
+"""scripts/audit_family.py is an alias of ``zdx audit-family``."""
 
 import runpy
 import sys
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zdx import density
+from zdx import cli as cli_module
 from zdx.density import BalanceViolation
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -21,15 +21,15 @@ def run_script(monkeypatch, capsys, name, *args):
 
 
 def test_audit_family_reports_violations(monkeypatch, capsys):
-    real = density.audit_balance
+    real = cli_module.audit_balance
 
-    def audit(pair, region):
-        report = real(pair, region)
-        if (pair.kappa, pair.lam, region) == (Fraction(1, 14), Fraction(11, 14), 2):
+    def audit(regions, region):
+        report = real(regions, region)
+        if (regions.pair.kappa, regions.pair.lam, region) == (Fraction(1, 14), Fraction(11, 14), 2):
             return replace(report, violation=BalanceViolation("class2_moment", Fraction(43, 45)))
         return report
 
-    monkeypatch.setattr(density, "audit_balance", audit)
+    monkeypatch.setattr(cli_module, "audit_balance", audit)
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "audit_family.py", "--depth", "3")
     assert exc.value.code == 1
@@ -44,15 +44,15 @@ def test_audit_family_reports_violations(monkeypatch, capsys):
 
 
 def test_audit_family_fails_on_continuity_mismatch(monkeypatch, capsys):
-    real = density.continuity_check
+    real = cli_module.continuity_check
 
-    def check(pair):
-        report = real(pair)
-        if (pair.kappa, pair.lam) == (Fraction(1, 6), Fraction(2, 3)):
+    def check(regions):
+        report = real(regions)
+        if (regions.pair.kappa, regions.pair.lam) == (Fraction(1, 6), Fraction(2, 3)):
             return replace(report, status="mismatch", note="branches disagree: 4/3 vs 5/4")
         return report
 
-    monkeypatch.setattr(density, "continuity_check", check)
+    monkeypatch.setattr(cli_module, "continuity_check", check)
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "audit_family.py", "--depth", "6")
     assert exc.value.code == 1
@@ -78,4 +78,31 @@ def test_audit_family_negative_depth_is_a_usage_error(monkeypatch, capsys):
         run_script(monkeypatch, capsys, "audit_family.py", "--depth", "-1")
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: --depth must be >= 0, got -1\n"
+    assert out == "" and err == (
+        "Usage: zdx audit-family [OPTIONS]\n"
+        "Try 'zdx audit-family --help' for help.\n"
+        "\n"
+        "Error: Invalid value for '--depth': -1 is not in the range x>=0.\n"
+    )
+
+
+def test_audit_family_internal_error_exits_4(monkeypatch, capsys):
+    # a crash inside the audit is exit 4, never the check-failure exit 1
+    def broken(regions, region):
+        raise RuntimeError("broken audit")
+
+    monkeypatch.setattr(cli_module, "audit_balance", broken)
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "audit_family.py", "--depth", "3")
+    assert exc.value.code == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: internal error: RuntimeError: broken audit\n"
+
+
+def test_audit_family_passes_through_exit_0(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "audit_family.py", "--depth", "3", "--verbose")
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "(1/14, 11/14)  word=AAB  r1:pass r2:pass  continuity:ok"
+    assert err == ""
