@@ -174,7 +174,12 @@ def exponent_curve(pair: ExponentPair, region: int) -> BoundCurve:
     the coefficient normalization that makes A * (1 - sigma) the exponent
     of T on both branches.
     """
-    regions = regions_for(pair)
+    return _branch_curve(regions_for(pair), region)
+
+
+def _branch_curve(regions: RegionSpec, region: int) -> BoundCurve:
+    """``exponent_curve(regions.pair, region)``, from the pair's RegionSpec."""
+    pair = regions.pair
     A = _branch_A(regions, region)
     label = f"pair {rat_str(pair.kappa)},{rat_str(pair.lam)} region {region}"
     return BoundCurve(A, regions.region(region), Provenance(label, pair, region))
@@ -587,17 +592,19 @@ def candidate_curves(
 ) -> tuple[BoundCurve, ...]:
     """All curves the optimizer may pick from, in a fixed deterministic order.
 
-    Pairs come first (sorted by (kappa, lambda), region 1 then 2); pairs
-    with kappa >= 1/3 are skipped, as is the degenerate kappa = 0 region-2
-    branch.  Baselines follow; conjectural ones only on request.
+    Pairs come first, in family order, which ``generate_pairs`` sorts by
+    (kappa, lambda), region 1 then 2; pairs with kappa >= 1/3 are skipped,
+    as is the degenerate kappa = 0 region-2 branch.  Baselines follow;
+    conjectural ones only on request.
     """
     curves: list[BoundCurve] = []
-    for pair in sorted(family, key=lambda p: p.key):
+    for pair in family:
         if pair.kappa >= KAPPA_LIMIT:
             continue
+        regions = regions_for(pair)
         for region in (1, 2):
             try:
-                curves.append(exponent_curve(pair, region))
+                curves.append(_branch_curve(regions, region))
             except (EmptyRegion, InadmissiblePair):
                 continue
     for base in baseline_curves():

@@ -12,6 +12,7 @@ All coordinates are exact rationals.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,10 +38,10 @@ DEFAULT_DEPTH = 12
 
 #: Largest generation depth.  The family grows about x1.6 per level
 #: (10,947 pairs at depth 20, 28,658 at 22, 75,026 at 24); on a 2-vCPU
-#: Xeon (CPython 3.11.7) ``pairs --depth 22 --prune`` takes about 2 s and
-#: 63 MB peak RSS, depth 24 about 6 s and 136 MB.  The balance audit of the
-#: depth-22 family, ``zdx audit-family --depth 22`` (41,396 region audits),
-#: takes about 3 s end to end.
+#: Xeon (CPython 3.11.7) ``pairs --depth 22 --prune`` takes about 0.5-0.8 s
+#: and 63 MB peak RSS, depth 24 about 1.4-2 s and 135 MB.  The balance audit
+#: of the depth-22 family, ``zdx audit-family --depth 22`` (41,396 region
+#: audits), takes about 1-1.7 s end to end.
 MAX_DEPTH = 22
 
 
@@ -68,14 +69,16 @@ class ExponentPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa", rat(self.kappa))
         object.__setattr__(self, "lam", rat(self.lam))
+        # kappa = a/b and lambda = c/d with b, d > 0: every test is on integers
         k, l = self.kappa, self.lam
-        if not (0 <= k <= Fraction(1, 2)):
+        a, b, c, d = k.numerator, k.denominator, l.numerator, l.denominator
+        if not (0 <= a and 2 * a <= b):
             raise InvalidPair(f"kappa = {rat_str(k)} outside [0, 1/2]")
-        if not (Fraction(1, 2) <= l <= 1):
+        if not (d <= 2 * c <= 2 * d):
             raise InvalidPair(f"lambda = {rat_str(l)} outside [1/2, 1]")
-        if k + l > 1:
+        if a * d + c * b > b * d:
             raise InvalidPair(f"kappa + lambda = {rat_str(k + l)} exceeds 1")
-        if self.word is not None and any(ch not in "AB" for ch in self.word):
+        if self.word is not None and self.word.strip("AB"):
             raise InvalidPair(f"derivation word {self.word!r} not over {{A, B}}")
 
     @property
@@ -128,11 +131,6 @@ class PairFamily:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __contains__(self, key) -> bool:
-        if isinstance(key, ExponentPair):
-            key = key.key
-        return any(p.key == key for p in self.pairs)
-
     def to_json(self) -> str:
         rows = [
             {"kappa": rat_str(p.kappa), "lambda": rat_str(p.lam), "word": p.word}
@@ -166,19 +164,34 @@ def generate_pairs(depth: int, prune: bool = False) -> PairFamily:
         raise ValueError("depth must be >= 0")
     if depth > MAX_DEPTH:
         raise DepthLimitError(f"depth {depth} exceeds the pair-family budget of {MAX_DEPTH}")
-    seen: dict[tuple[Fraction, Fraction], ExponentPair] = {SEED.key: SEED}
-    frontier = [SEED]
+    # a pair is the triple (p, r, q) with kappa = p/q, lambda = r/q and
+    # gcd(p, r, q) = 1, so equal pairs are equal triples
+    seen = {(0, 1, 1): ""}
+    frontier = [(0, 1, 1)]
     for _ in range(depth):
         nxt = []
-        for p in frontier:
+        for parent in frontier:
+            p, r, q = parent
+            word = seen[parent]
+            steps = [("A", p, p + r + q, 2 * p + 2 * q)]
             # B is an involution: B of a pair whose word starts with B is its seen parent
-            for step in (a_process,) if p.word.startswith("B") else (a_process, b_process):
-                q = step(p)
-                if q.key not in seen:
-                    seen[q.key] = q
-                    nxt.append(q)
+            if not word.startswith("B"):
+                steps.append(("B", 2 * r - q, 2 * p + q, 2 * q))
+            for letter, p2, r2, q2 in steps:
+                g = math.gcd(p2, r2, q2)
+                child = (p2 // g, r2 // g, q2 // g)
+                if child not in seen:
+                    seen[child] = letter + word
+                    nxt.append(child)
         frontier = nxt
-    pairs = sorted(seen.values(), key=lambda p: p.key)
+    # floor(2^shift x) orders rationals exactly: two distinct ones with
+    # denominators below 2^B differ by more than 2^-2B, and shift > 2B
+    shift = 2 * max(q for _, _, q in seen).bit_length() + 1
+    pairs = []
+    for p, r, q in sorted(seen, key=lambda t: ((t[0] << shift) // t[2], (t[1] << shift) // t[2])):
+        word = seen[p, r, q]
+        # the empty word is the seed itself
+        pairs.append(ExponentPair(Fraction(p, q), Fraction(r, q), word) if word else SEED)
     if prune:
         pairs = _pareto_prune(pairs)
     return PairFamily(tuple(pairs), depth)

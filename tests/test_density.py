@@ -309,6 +309,22 @@ def test_audit_and_continuity_build_one_region_spec(monkeypatch):
     assert continuity_check(regions).status == "ok"
 
 
+def test_candidate_curves_build_one_region_spec_per_pair(monkeypatch, depth12):
+    # both branches of a pair come from one RegionSpec, and they are exponent_curve's
+    want = []
+    for p in admissible(depth12):
+        for region in (1, 2):
+            try:
+                want.append(exponent_curve(p, region))
+            except (EmptyRegion, InadmissiblePair):
+                continue
+    built = []
+    monkeypatch.setattr(density, "regions_for", lambda pair: built.append(pair) or regions_for(pair))
+    curves = candidate_curves(depth12)
+    assert built == admissible(depth12)
+    assert list(curves[:len(want)]) == want
+
+
 # -- integer audit kernel against the Fraction reference ---------------------------
 # The reference below is the audit and continuity algorithm as it was written over
 # Fraction and Quadratic, with every sign decided by quadratic_sign_on_interval; the

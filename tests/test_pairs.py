@@ -41,14 +41,56 @@ def test_word_extension_right_to_left():
 
 
 def test_invalid_pairs_rejected():
-    with pytest.raises(InvalidPair):
-        ExponentPair(F(3, 5), F(1, 2))
-    with pytest.raises(InvalidPair):
-        ExponentPair(F(0), F(1, 3))
-    with pytest.raises(InvalidPair):
-        ExponentPair(F(1, 2), F(2, 3))  # sum > 1
-    with pytest.raises(InvalidPair):
-        ExponentPair(F(0), F(1), "AXB")
+    cases = [
+        (F(3, 5), F(1, 2), "", "kappa = 3/5 outside [0, 1/2]"),
+        (F(-1, 7), F(1), "", "kappa = -1/7 outside [0, 1/2]"),
+        (F(0), F(1, 3), "", "lambda = 1/3 outside [1/2, 1]"),
+        (F(0), F(5, 4), "", "lambda = 5/4 outside [1/2, 1]"),
+        (F(1, 2), F(2, 3), "", "kappa + lambda = 7/6 exceeds 1"),
+        (F(0), F(1), "AXB", "derivation word 'AXB' not over {A, B}"),
+    ]
+    for kappa, lam, word, message in cases:
+        with pytest.raises(InvalidPair) as caught:
+            ExponentPair(kappa, lam, word)
+        assert str(caught.value) == message
+
+
+def fraction_checks(kappa, lam, word):
+    """ExponentPair's checks decided in Fraction arithmetic: the message of
+    the first one that fails, or None."""
+    if not (0 <= kappa <= F(1, 2)):
+        return f"kappa = {kappa} outside [0, 1/2]"
+    if not (F(1, 2) <= lam <= 1):
+        return f"lambda = {lam} outside [1/2, 1]"
+    if kappa + lam > 1:
+        return f"kappa + lambda = {kappa + lam} exceeds 1"
+    if word is not None and any(ch not in "AB" for ch in word):
+        return f"derivation word {word!r} not over {{A, B}}"
+    return None
+
+
+_EDGE = st.sampled_from([F(0), F(1, 2), F(1)])
+# denominators up to 2^24 cover every pair of the depth-22 family
+_COORD = st.one_of(_EDGE, st.fractions(F(-1), F(2), max_denominator=2**24))
+_NEAR = st.sampled_from([F(0), F(1, 2**24), F(-1, 2**24)])
+
+
+@given(
+    st.data(),
+    st.one_of(st.none(), st.sampled_from(["", "AXB"]), st.text("ABX ", max_size=4)),
+)
+@settings(max_examples=400, deadline=None)
+def test_integer_checks_match_fraction_checks(data, word):
+    kappa = data.draw(_COORD)
+    # lambda on or next to the kappa + lambda = 1 edge half the time
+    lam = data.draw(st.one_of(_COORD, _NEAR.map(lambda e: 1 - kappa + e)))
+    want = fraction_checks(kappa, lam, word)
+    if want is None:
+        assert ExponentPair(kappa, lam, word).key == (kappa, lam)
+    else:
+        with pytest.raises(InvalidPair) as caught:
+            ExponentPair(kappa, lam, word)
+        assert str(caught.value) == want
 
 
 def test_generate_depth0():
@@ -103,7 +145,8 @@ def bfs_reference(depth):
     return sorted(seen.values(), key=lambda p: p.key)
 
 
-@pytest.mark.parametrize("depth", range(15))
+# the sort key's exactness depends on the largest denominator, 23 bits at MAX_DEPTH
+@pytest.mark.parametrize("depth", [*range(15), 18, MAX_DEPTH])
 def test_generate_matches_bfs_reference(depth):
     got = generate_pairs(depth).pairs
     want = bfs_reference(depth)
