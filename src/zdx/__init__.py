@@ -1,7 +1,8 @@
 """Exact workbench for exponent-pair zero-density bounds.
 
 Subpackages: exact rational substrate (``exact``), exponent-pair
-generation (``pairs``), density curves and audits (``density``),
+generation (``pairs``), density curves and audits (``density``), the
+exact hull and line-envelope geometry of the optimizer (``hull``),
 tau-table arithmetic checks (``hecke``), floating-point desk probes
 (``probes``), and the ``zdx`` command line (``cli``).
 """

@@ -113,9 +113,7 @@ class RegionSpec:
 
 def regions_for(pair: ExponentPair) -> RegionSpec:
     """Exact region endpoints for a pair; kappa >= 1/3 is rejected."""
-    k, l = pair.kappa, pair.lam
-    q = math.lcm(k.denominator, l.denominator)
-    p, r = k.numerator * (q // k.denominator), l.numerator * (q // l.denominator)
+    p, r, q = pair.triple
     if 3 * p >= q:
         raise InadmissiblePair(
             f"pair {pair} has kappa >= 1/3; the region construction needs kappa < 1/3"
@@ -549,16 +547,33 @@ class PiecewiseBound:
         return iter(self.segments)
 
     def segment_at(self, sigma: Fraction) -> Segment:
-        hits = [seg for seg in self.segments if seg.region.contains(sigma)]
-        if not hits:
-            raise KeyError(f"sigma = {rat_str(sigma)} outside the optimized interval")
-        return min(hits, key=lambda seg: seg.curve.eval_E(sigma))
+        return _lowest_at(self.segments, sigma)
+
+    def segments_along(self, grid: Sequence[Fraction]) -> Iterator[tuple[Fraction, Segment]]:
+        """(sigma, segment_at(sigma)) for an ascending grid, in one pass.
+
+        Only the first segment not ending before sigma, and the next, can
+        hold it, as segments tile the interval with positive lengths.
+        """
+        i = 0
+        for sigma in grid:
+            while i < len(self.segments) and self.segments[i].region.hi < sigma:
+                i += 1
+            yield sigma, _lowest_at(self.segments[i:i + 2], sigma)
 
     def eval_A(self, sigma: Fraction) -> Fraction:
         return self.segment_at(sigma).curve.eval_A(sigma)
 
     def eval_E(self, sigma: Fraction) -> Fraction:
         return self.segment_at(sigma).curve.eval_E(sigma)
+
+
+def _lowest_at(segments: Sequence[Segment], sigma: Fraction) -> Segment:
+    """The segment holding sigma with the smallest E there, the first on a tie."""
+    hits = [seg for seg in segments if seg.region.contains(sigma)]
+    if not hits:
+        raise KeyError(f"sigma = {rat_str(sigma)} outside the optimized interval")
+    return min(hits, key=lambda seg: seg.curve.eval_E(sigma))
 
 
 def baseline_crossovers(
@@ -635,51 +650,82 @@ def optimize(
 
     Every candidate is A = b/(c s + d) with b > 0 and c s + d > 0 on its
     region (ValueError otherwise), so g = 1/A is affine and, for
-    sigma < 1, a smaller E = A (1 - sigma) is a larger g.  A left-to-right
-    sweep from x = interval.lo picks the candidate whose region covers
-    [x, x + eps) with the largest (g(x), slope), ties to the earliest in
-    ``candidate_curves`` order.  Its segment ends at the first of: its own
-    region end, interval.hi, or the first point past x where another
-    candidate is strictly better (a crossing of two lines, or the start of
-    a better candidate's region).  Boundaries are exact rationals and every
-    segment's curve is valid on the whole segment.
+    sigma < 1, a smaller E = A (1 - sigma) is a larger g.  Each segment
+    starts at x with the candidate whose region covers [x, x + eps) with
+    the largest (g(x), slope), ties to the earliest in ``candidate_curves``
+    order, and ends at the first of: its own region end, interval.hi, or
+    the first point past x where another candidate is strictly better.
+    Boundaries are exact rationals and every segment's curve is valid on
+    the whole segment.
+
+    The pairs are not swept one by one.  Write a = 2 sigma - 1 and, for an
+    admissible pair (0 < kappa < 1/3), m = (lambda - a)/kappa, the slope
+    from (0, a) to (kappa, lambda).  Region 2 holds sigma iff
+    4 - 6 sigma <= m <= 2 sigma - 1, where g = (3 - 2 sigma - m)/4; region 1
+    holds it iff m <= 4 - 6 sigma, where g = (4 sigma - 1)/4 is at least
+    every region-2 g.  So the region-1 line wins from the least region-1
+    start on, credited to the first pair in family order whose region 1
+    has begun; before that, the winner is the pair of least m, the lower
+    tangent from (0, a) to the convex hull of the admissible pairs (exponent
+    pairs are closed under convex combination).  The tangent vertex moves
+    to the next smaller kappa where a crosses a hull edge's kappa = 0
+    intercept; on an edge's collinear pairs the smaller kappa has the
+    larger slope and wins.  The hull comes from Andrew's monotone chain on
+    the integer triples, and the baselines are merged in by exact line
+    crossings.  The cost is O(n + V) for n pairs and V hull vertices, plus
+    O(baselines) per segment (the sort is linear on a sorted family).  On
+    a 2-vCPU Xeon (CPython 3.11.7) it takes about 5 ms at depth 12 (80
+    vertices), 20 ms at depth 16 (298) and 0.1-0.25 s at depth 22
+    (2,008), where the candidate-by-candidate sweep it replaced took
+    0.08-0.13 s, 1.6-4.6 s and, end to end, 7.5 minutes, for the same
+    segments.  A one-point interval is decided over every candidate whose
+    closed region holds it.
 
     The interval must lie within [1/2, 1] (Inadmissible otherwise).
-    ``resolution`` is ignored, as the sweep samples nothing; it is accepted
-    only so that callers written for the former grid optimizer still run.
+    ``resolution`` is ignored, as nothing is sampled; it is accepted only
+    so that callers written for the former grid optimizer still run.
     """
     if resolution is not None:
         warnings.warn("optimize() ignores resolution", DeprecationWarning, stacklevel=2)
     validate_interval(interval)
     if interval.is_empty:
         return PiecewiseBound(interval, ())
-    curves = candidate_curves(family, include_conjectural)
-    lines = [_reciprocal_line(c) for c in curves]
-    segments: list[Segment] = []
-    x = interval.lo
-    while True:
-        at_end = x == interval.hi  # only for a one-point interval
-        live = [
-            i for i, c in enumerate(curves)
-            if c.region.lo <= x < c.region.hi or (at_end and c.region.contains(x))
-        ]
-        win = max(live, key=lambda i: (lines[i][0] * x + lines[i][1], lines[i][0], -i))
-        m_win, k_win = lines[win]
-        end = min(curves[win].region.hi, interval.hi)
-        for (m, k), c in zip(lines, curves):
-            lo, hi = max(x, c.region.lo), min(end, c.region.hi)
-            if lo >= hi:
-                continue
-            # g_c - g_win is affine; find where it first turns positive in [lo, hi)
-            dm, dk = m - m_win, k - k_win
-            if dm * lo + dk > 0:
-                end = lo
-            elif dm > 0 and -dk / dm < hi:
-                end = -dk / dm
-        segments.append(Segment(Interval(x, end), curves[win]))
-        if end == interval.hi:
-            return PiecewiseBound(interval, tuple(segments))
-        x = end
+    if interval.is_point:
+        x = interval.lo
+        curves = candidate_curves(family, include_conjectural)
+        lines = [_reciprocal_line(c) for c in curves]
+        live = [(m * x + k, m, -i) for i, (c, (m, k)) in enumerate(zip(curves, lines))
+                if c.region.contains(x)]
+        return PiecewiseBound(interval, (Segment(interval, curves[-max(live)[2]]),))
+    from . import hull  # here, so that commands which never optimize do not load it
+
+    def line(curve: BoundCurve, lo: Fraction, hi: Fraction) -> hull.Line:
+        return hull.Line(lo, hi, *_reciprocal_line(curve), curve)
+
+    baselines = [
+        line(c, c.region.lo, c.region.hi) for c in baseline_curves()
+        if include_conjectural or not c.provenance.conjectural
+    ]
+    # the best pair curve just right of each sigma: the region-1 line from
+    # the least region-1 start sigma1 on, the tangent vertex's region 2 before
+    vertices, records = hull.admissible_hull(family)
+    sigma1 = Fraction(*records[-1][:2]) if records else interval.hi
+    pair_lines = []
+    for a, b, vertex in hull.tangent_ranges(vertices, interval.lo, min(sigma1, interval.hi)):
+        regions = regions_for(vertex[3])
+        lo, hi = max(a, regions.region2.lo), min(b, regions.region2.hi)
+        if not regions.region2.is_empty and lo < hi:
+            pair_lines.append(line(_branch_curve(regions, 2), lo, hi))
+    if sigma1 < interval.hi:
+        region1 = line(exponent_curve(records[-1][2], 1), max(sigma1, interval.lo), interval.hi)
+        pair_lines.append(region1._replace(item=None))  # credited per segment
+    segments = []
+    for lo, hi, win in hull.upper_envelope(interval.lo, interval.hi, pair_lines, baselines):
+        curve = win.item or exponent_curve(
+            next(pair for n, d, pair in records if n * lo.denominator <= lo.numerator * d), 1
+        )
+        segments.append(Segment(Interval(lo, hi), curve))
+    return PiecewiseBound(interval, tuple(segments))
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +747,7 @@ def provenance_fields(prov: Provenance) -> dict[str, str]:
 def bound_table_rows(bound: PiecewiseBound, resolution: int) -> list[dict[str, str]]:
     """Exact + decimal rows of the optimized bound on its grid."""
     rows = []
-    for sigma in bound.interval.grid(resolution):
-        seg = bound.segment_at(sigma)
+    for sigma, seg in bound.segments_along(bound.interval.grid(resolution)):
         a = seg.curve.eval_A(sigma)
         e = a * (1 - sigma)
         row = {

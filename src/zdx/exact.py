@@ -72,7 +72,8 @@ def rat(x: Fraction | int | str) -> Fraction:
 
 def rat_str(q: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -80,7 +81,8 @@ def rat_str(q: Fraction) -> str:
 
 def dec_str(q: Fraction, digits: int = 20) -> str:
     """Decimal rendering with ``digits`` significant digits (deterministic)."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     with localcontext() as ctx:
         ctx.prec = digits
         d = Decimal(q.numerator) / Decimal(q.denominator)

@@ -85,6 +85,13 @@ class ExponentPair:
     def key(self) -> tuple[Fraction, Fraction]:
         return (self.kappa, self.lam)
 
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """(p, r, q) with kappa = p/q, lambda = r/q and q > 0 least."""
+        k, l = self.kappa, self.lam
+        q = math.lcm(k.denominator, l.denominator)
+        return k.numerator * (q // k.denominator), l.numerator * (q // l.denominator), q
+
     def __str__(self) -> str:
         return f"({rat_str(self.kappa)}, {rat_str(self.lam)})"
 

@@ -26,7 +26,7 @@ def _fmt(v: float) -> str:
 
 
 def _sample_envelope(bound: PiecewiseBound, grid: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    return [(sigma, bound.eval_E(sigma)) for sigma in grid]
+    return [(sigma, seg.curve.eval_E(sigma)) for sigma, seg in bound.segments_along(grid)]
 
 
 def _sample_curve(curve: BoundCurve, grid: list[Fraction]) -> list[tuple[Fraction, Fraction]]:

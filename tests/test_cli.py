@@ -113,6 +113,51 @@ def test_optimize_csv_header(runner):
     assert len(lines) == 6
 
 
+#: SHA-256 of stdout, taken from the candidate-by-candidate sweep that the
+#: tangent-walk optimizer replaced; the outputs must not move
+ENVELOPE_SHA256 = {
+    "optimize --format json --depth 12 --interval 13/15,1":
+        "be4ab56163a235e3b34096b2591f255365e0d8cc65273f8b95ab033e6c125375",
+    "optimize --format csv --depth 12 --interval 13/15,1":
+        "d1825edf6c14379f48a827792f899ee4c1d93a7971f278e463e574792afbc8dd",
+    "compare --format csv --depth 12 --interval 13/15,1":
+        "10defdcc63e5d49238e1dbf5e03daba34ff2272ac4db72462f52657326a91343",
+    "plot --depth 12 --interval 13/15,1":
+        "929bbd6573a294b9fba0005e872a4c3d3219f83a13b9fb1857faf494d70e6d5b",
+    "optimize --format json --depth 12 --interval 1/2,1":
+        "ff140b02ddadd20574cf5861197292baaee70e6c57b5d333cbe908d846266e29",
+    "optimize --format csv --depth 12 --interval 1/2,1":
+        "5ec6ae19731fd7ecacd48bb64c3ec40f49a38d1e87dd51389e3361bae70360e1",
+    "compare --format csv --depth 12 --interval 1/2,1":
+        "b469c8fff6d6d6ae1bbdf9d026d90022988bd6cce3b3de770712d0b2c0d8dd2b",
+    "plot --depth 12 --interval 1/2,1":
+        "1e613ba181473fa7d9ceb204e7fa57d9af6e29f1b8100abe8e899c6f492eb01a",
+    "optimize --format json --depth 14 --interval 13/15,1":
+        "79a68d8405b9338439247c1e1e5057893198fcfacedf9509df8c2088aca366d6",
+    "optimize --format csv --depth 14 --interval 13/15,1":
+        "aa8ff50815c94382d94a278eea8c5cec8e2691fbe3faed1371f204f128c20056",
+    "compare --format csv --depth 14 --interval 13/15,1":
+        "771e001c2155fe3ab4ba8f4bd5ea95cbfcbdb1a2f11bb76e18cfd88191ec3428",
+    "plot --depth 14 --interval 13/15,1":
+        "704fc8ee8a5eb9ea801d7c1116a15464e18de8ad3d6fe06a9ce6d995b322503d",
+    "optimize --format json --depth 14 --interval 1/2,1":
+        "ab585596f902ab5eb667a35b8a7af4a5b4dce5cfadac0493d83492f7b2d29a52",
+    "optimize --format csv --depth 14 --interval 1/2,1":
+        "d9f83ef61239b8475c3c969fd971bf5791ffccf735dd1864d941d136c4d98086",
+    "compare --format csv --depth 14 --interval 1/2,1":
+        "966418794c94f93691f764a92e878f8ef34373bd20084ca9ef9ea9e7bcdef753",
+    "plot --depth 14 --interval 1/2,1":
+        "e089b959178b67e52655e0326cfb0c55e7671e6382aa3a8029003b7df57f5f7b",
+}
+
+
+@pytest.mark.parametrize("argv", ENVELOPE_SHA256)
+def test_envelope_outputs_pinned(runner, argv):
+    res = invoke(runner, *argv.split())
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == ENVELOPE_SHA256[argv]
+
+
 @pytest.mark.parametrize("command", ["optimize", "compare", "plot"])
 @pytest.mark.parametrize("interval", ["0,1/4", "1/2,2", "2/5,1"])
 def test_interval_outside_domain_rejected(runner, command, interval):

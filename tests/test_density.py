@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zdx import density
+from zdx import density, hull
 from zdx.density import (
     BoundCurve,
     EmptyRegion,
     InadmissiblePair,
+    PiecewiseBound,
     Provenance,
+    Segment,
     audit_balance,
     baseline_crossovers,
     baseline_curves,
@@ -32,7 +35,7 @@ from zdx.exact import (
     quadratic_sign_on_interval,
     rat_str,
 )
-from zdx.pairs import ExponentPair, generate_pairs
+from zdx.pairs import ExponentPair, PairFamily, generate_pairs
 
 F = Fraction
 
@@ -535,6 +538,162 @@ def test_baseline_crossovers_stay_in_their_segment():
 
 # -- optimizer ----------------------------------------------------------------------
 
+def _sweep_oracle(family, interval, include_conjectural=False):
+    """The candidate-by-candidate sweep that optimize replaced, O(curves x segments).
+
+    A left-to-right sweep from x = interval.lo picks the candidate whose
+    region covers [x, x + eps) with the largest (g(x), slope), ties to the
+    earliest in ``candidate_curves`` order, and ends its segment at the
+    first of: its own region end, interval.hi, or the first point past x
+    where another candidate is strictly better.
+    """
+    density.validate_interval(interval)
+    if interval.is_empty:
+        return PiecewiseBound(interval, ())
+    curves = candidate_curves(family, include_conjectural)
+    lines = [density._reciprocal_line(c) for c in curves]
+    segments = []
+    x = interval.lo
+    while True:
+        at_end = x == interval.hi  # only for a one-point interval
+        live = [
+            i for i, c in enumerate(curves)
+            if c.region.lo <= x < c.region.hi or (at_end and c.region.contains(x))
+        ]
+        win = max(live, key=lambda i: (lines[i][0] * x + lines[i][1], lines[i][0], -i))
+        m_win, k_win = lines[win]
+        end = min(curves[win].region.hi, interval.hi)
+        for (m, k), c in zip(lines, curves):
+            lo, hi = max(x, c.region.lo), min(end, c.region.hi)
+            if lo >= hi:
+                continue
+            # g_c - g_win is affine; find where it first turns positive in [lo, hi)
+            dm, dk = m - m_win, k - k_win
+            if dm * lo + dk > 0:
+                end = lo
+            elif dm > 0 and -dk / dm < hi:
+                end = -dk / dm
+        segments.append(Segment(Interval(x, end), curves[win]))
+        if end == interval.hi:
+            return PiecewiseBound(interval, tuple(segments))
+        x = end
+
+
+def assert_matches_oracle(family, interval, include_conjectural=False):
+    got = optimize(family, interval, include_conjectural=include_conjectural)
+    want = _sweep_oracle(family, interval, include_conjectural)
+    assert [(s.region, s.curve.A, s.curve.provenance) for s in got] == [
+        (s.region, s.curve.A, s.curve.provenance) for s in want
+    ]
+    assert got == want
+    return got
+
+
+def pairs_of(bound):
+    return [(s.curve.provenance.pair.key if s.curve.provenance.pair else s.curve.provenance.label,
+             s.curve.provenance.region) for s in bound]
+
+
+# a quarter of the draws near 1, where region-1 starts are dense
+fractions_in_domain = st.fractions(
+    min_value=F(1, 2), max_value=F(1), max_denominator=240
+) | st.fractions(min_value=F(19, 20), max_value=F(1), max_denominator=2000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    keep=st.lists(st.booleans(), min_size=234, max_size=234),
+    shuffle_seed=st.none() | st.integers(0, 2**32 - 1),
+    ends=st.tuples(fractions_in_domain, fractions_in_domain),
+    include_conjectural=st.booleans(),
+)
+@example(keep=[True] * 234, shuffle_seed=None, ends=(F(13, 15), F(1)), include_conjectural=False)
+@example(keep=[True] * 234, shuffle_seed=None, ends=(F(1, 2), F(1)), include_conjectural=True)
+@example(keep=[True] * 234, shuffle_seed=7, ends=(F(21, 22), F(21, 22)), include_conjectural=True)
+@example(keep=[True] * 234, shuffle_seed=None, ends=(F(24, 25), F(1)), include_conjectural=False)
+def test_optimize_matches_sweep_oracle_on_subfamilies(
+    depth12, keep, shuffle_seed, ends, include_conjectural
+):
+    # subfamilies in family order or shuffled: the region-1 credit and the
+    # hull's tie rule both read the family order
+    assert len(depth12) == len(keep)
+    pairs = [p for p, k in zip(depth12, keep) if k]
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(pairs)
+    interval = Interval(min(ends), max(ends))
+    assert_matches_oracle(PairFamily(tuple(pairs), 12), interval, include_conjectural)
+
+
+def test_optimize_credits_region_1_to_first_pair_begun(depth12):
+    # from 24/25 on, region 1 is live for many pairs; the first in family
+    # order is credited, not the one whose region 1 begins earliest
+    (seg,) = optimize(depth12, Interval(F(24, 25), F(1)))
+    first = next(
+        p for p in admissible(depth12)
+        if not regions_for(p).region1.is_empty and regions_for(p).region1.lo <= F(24, 25)
+    )
+    assert (seg.curve.provenance.pair, seg.curve.provenance.region) == (first, 1)
+    assert first.key == (F(11, 278), F(118, 139))
+    earliest = min(admissible(depth12), key=lambda p: regions_for(p).sigma_star)
+    assert regions_for(earliest).region1.lo < regions_for(first).region1.lo
+
+
+def test_optimize_matches_sweep_oracle_with_repeated_pairs(depth12):
+    # a pair listed twice is credited to its first listing, here word None
+    pairs = [replace(p, word=None) for p in depth12] + list(depth12)
+    for interval in (WIDE, Interval(F(1, 2), F(1))):
+        bound = assert_matches_oracle(PairFamily(tuple(pairs), 12), interval)
+        assert all(s.curve.provenance.pair.word is None for s in bound if s.curve.provenance.pair)
+
+
+def test_optimize_collinear_pairs_tie_to_smaller_kappa():
+    # three pairs on the line lambda = 4/5 - kappa; the lower tangent from
+    # (0, 2 sigma - 1) lies along it at sigma = 9/10, where all three tie
+    mid, right, left = (ExponentPair(F(k, 20), F(16 - k, 20), None) for k in (2, 3, 1))
+    family = PairFamily((mid, right, left), 0)
+    bound = assert_matches_oracle(family, Interval(F(17, 20), F(1)))
+    assert [s.region for s in bound] == [
+        Interval(F(17, 20), F(9, 10)), Interval(F(9, 10), F(31, 34)), Interval(F(31, 34), F(1))
+    ]
+    assert pairs_of(bound) == [(right.key, 2), (left.key, 2), (left.key, 1)]
+
+
+def test_optimize_uses_hull_of_admissible_pairs():
+    # (2/5, 1/2) has kappa >= 1/3 and lies below the line from (1/20, 3/4),
+    # so (3/10, 3/5) is no vertex of the full family's lower hull; it is one
+    # of the admissible hull's, and it wins on [23/28, 89/100]
+    a, b, c = (
+        ExponentPair(F(k), F(l)) for k, l in (("1/20", "3/4"), ("3/10", "3/5"), ("2/5", "1/2"))
+    )
+    assert hull._cross((1, 15, 20), (8, 10, 20), (6, 12, 20)) > 0  # b above a-c
+    bound = assert_matches_oracle(PairFamily((a, b, c), 0), Interval(F(1, 2), F(1)))
+    assert [s.region.hi for s in bound] == [F(23, 28), F(89, 100), F(31, 34), F(1)]
+    assert pairs_of(bound) == [("ivic-8/3", None), (b.key, 2), (a.key, 2), (a.key, 1)]
+    assert_matches_oracle(PairFamily((a, b, c), 0), Interval(F(17, 20), F(9, 10)))
+
+
+def test_optimize_baseline_overtaking_a_pair_wins_on_slope():
+    # ivic-1992 (slope 2 in g = 1/A) meets the region-2 line of (1/4, 13/25)
+    # (slope 3/2) at 24/25 from below: tied there, it wins just right of it
+    pair = ExponentPair(F(1, 4), F(13, 25))
+    bound = assert_matches_oracle(PairFamily((pair,), 0), Interval(F(9, 10), F(1)))
+    assert [s.region.hi for s in bound] == [F(24, 25), F(1)]
+    assert pairs_of(bound) == [(pair.key, 2), ("ivic-1992", None)]
+
+
+@pytest.mark.parametrize("include_conjectural", [False, True])
+@pytest.mark.parametrize(
+    "sigma", [F(1, 2), F(5, 8), F(13, 15), F(11, 12), F(17, 18), F(21, 22), F(1)]
+)
+def test_optimize_point_interval_matches_oracle(sigma, include_conjectural):
+    # on a point, closed regions compete: at 21/22 the region-2 branch of
+    # (1/14, 11/14) ends where its region 1 begins, ties it and wins on slope
+    bound = assert_matches_oracle(generate_pairs(6), Interval.point(sigma), include_conjectural)
+    assert [s.region for s in bound] == [Interval.point(sigma)]
+    if sigma == F(21, 22):
+        assert pairs_of(bound) == [(PAIR_114.key, 2)]
+
+
 def test_optimize_headline_reproduction():
     fam = generate_pairs(3)
     bound = optimize(fam, Interval(F(17, 18), F(1)))
@@ -656,6 +815,17 @@ def test_bound_table_rows():
     assert rows[-1]["sigma"] == "1"
     assert rows[-1]["E_decimal"] == "0"
     assert rows[-1]["region"] == "1"
+
+
+def test_segments_along_matches_segment_at(depth12):
+    # every boundary is on the grid: the jump down to ivic-1992 at 11/12
+    # goes right, a continuous boundary stays left
+    bound = optimize(depth12, Interval(F(1, 2), F(1)))
+    grid = sorted({*bound.interval.grid(97), *(s.region.lo for s in bound)})
+    assert F(11, 12) in grid
+    assert [seg for _, seg in bound.segments_along(grid)] == [bound.segment_at(x) for x in grid]
+    with pytest.raises(KeyError):
+        list(bound.segments_along([F(3, 4), F(1, 3)]))
 
 
 def test_piecewise_json():
