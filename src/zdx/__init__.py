@@ -13,6 +13,12 @@ __version__ = "0.1.0"
 #: ``zdx.probes``; kept here so the CLI can show it without importing numpy.
 HM_REL_TOLERANCE = 1e-10
 
+#: Default pair-generation depth and tau-table size, re-exported by
+#: ``zdx.pairs`` and ``zdx.hecke``; kept here so the CLI can show them
+#: without importing those modules.
+DEFAULT_DEPTH = 12
+DEFAULT_LIMIT = 10_000
+
 
 class Inadmissible(ValueError):
     """Input outside what the library supports: a pair, region, interval,

@@ -7,6 +7,10 @@ before any work),
 3 inadmissible input (``zdx.Inadmissible``: pairs, regions, intervals,
 budgets, probe parameters), 4 internal error.  The ``zdx`` group maps
 exceptions to codes in one place; subcommands only raise.
+
+Each command imports the library modules it uses when it runs, so a call
+loads only what its output needs: ``--help`` loads none of them, and only
+``hm-test`` and ``zeta-probe`` load numpy.
 """
 
 from __future__ import annotations
@@ -18,31 +22,18 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import click
 
-from . import HM_REL_TOLERANCE, Inadmissible
-from .density import (
-    KAPPA_LIMIT,
-    BoundCurve,
-    EmptyRegion,
-    Provenance,
-    audit_balance,
-    baseline_crossovers,
-    baseline_curves,
-    bound_table_rows,
-    continuity_check,
-    exponent_curve,
-    optimize,
-    piecewise_to_json_obj,
-    regions_for,
-    validate_interval,
-)
-from .exact import Interval, LinFrac, RootBracket, dec_str, rat, rat_str
-from .hecke import DEFAULT_LIMIT, verify_table
-from .pairs import DEFAULT_DEPTH, ExponentPair, generate_pairs
-from .svg import render_curves_svg
+from . import DEFAULT_DEPTH, DEFAULT_LIMIT, HM_REL_TOLERANCE, Inadmissible
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .density import BoundCurve
+    from .exact import Interval
+    from .pairs import ExponentPair
 
 EXIT_CHECK_FAILURE = 1
 EXIT_INADMISSIBLE = 3
@@ -55,6 +46,8 @@ def _fail(code: int, message: str) -> None:
 
 
 def _parse_rat(text: str, label: str) -> Fraction:
+    from .exact import rat
+
     try:
         return rat(text)
     except (ValueError, ZeroDivisionError):
@@ -62,6 +55,8 @@ def _parse_rat(text: str, label: str) -> Fraction:
 
 
 def _parse_pair(text: str) -> ExponentPair:
+    from .pairs import ExponentPair
+
     parts = text.split(",")
     if len(parts) != 2:
         raise click.UsageError(f"--pair expects 'kappa,lambda', got {text!r}")
@@ -71,6 +66,9 @@ def _parse_pair(text: str) -> ExponentPair:
 
 
 def _parse_interval(text: str) -> Interval:
+    from .density import validate_interval
+    from .exact import Interval
+
     parts = text.split(",")
     if len(parts) != 2:
         raise click.UsageError(f"--interval expects 'lo,hi', got {text!r}")
@@ -84,6 +82,9 @@ def _parse_interval(text: str) -> Interval:
 
 
 def _parse_baselines(texts: tuple[str, ...], region: Interval) -> tuple[BoundCurve, ...]:
+    from .density import BoundCurve, Provenance
+    from .exact import LinFrac
+
     extra = []
     for text in texts:
         try:
@@ -137,12 +138,16 @@ def _json_text(obj) -> str:
 
 
 def _root_str(root) -> str:
+    from .exact import RootBracket, rat_str
+
     if isinstance(root, RootBracket):
         return f"[{rat_str(root.lo)}, {rat_str(root.hi)}]"
     return rat_str(root)
 
 
 def _root_decimal(root) -> str:
+    from .exact import RootBracket, dec_str
+
     x = root.midpoint() if isinstance(root, RootBracket) else root
     return dec_str(x)
 
@@ -184,6 +189,8 @@ def cli() -> None:
 @out_option
 def cmd_pairs(depth: int, prune: bool, out: str) -> None:
     """Generate the exponent-pair family as JSON."""
+    from .pairs import generate_pairs
+
     _write_out(generate_pairs(depth, prune=prune).to_json(), out)
 
 
@@ -197,6 +204,9 @@ def cmd_pairs(depth: int, prune: bool, out: str) -> None:
 @out_option
 def cmd_bound(pair_text: str, sigma_text: str, out: str) -> None:
     """One-line report of A(sigma) and E(sigma) for a pair."""
+    from .density import exponent_curve, regions_for
+    from .exact import dec_str, rat_str
+
     pair = _parse_pair(pair_text)
     sigma = _parse_rat(sigma_text, "--sigma")
     regions = regions_for(pair)
@@ -236,6 +246,9 @@ def cmd_bound(pair_text: str, sigma_text: str, out: str) -> None:
 def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str,
                  include_conjectural: bool, out: str) -> None:
     """Minimize E(sigma) over a pair family plus baselines."""
+    from .density import bound_table_rows, optimize, piecewise_to_json_obj
+    from .pairs import generate_pairs
+
     interval = _parse_interval(interval_text)
     family = generate_pairs(depth)
     bound = optimize(family, interval, include_conjectural=include_conjectural)
@@ -262,6 +275,10 @@ def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str,
 def cmd_compare(depth: int, interval_text: str, baseline_texts: tuple[str, ...], fmt: str,
                 out: str) -> None:
     """Optimized bound vs baselines: segments and exact crossovers."""
+    from .density import baseline_crossovers, baseline_curves, optimize
+    from .exact import dec_str, rat_str
+    from .pairs import generate_pairs
+
     interval = _parse_interval(interval_text)
     family = generate_pairs(depth)
     bound = optimize(family, interval)
@@ -325,6 +342,8 @@ def cmd_compare(depth: int, interval_text: str, baseline_texts: tuple[str, ...],
 # ---------------------------------------------------------------------------
 
 def _audit_report_obj(report) -> dict:
+    from .exact import rat_str
+
     pair, terms = report.regions.pair, []
     for t in report.terms:
         terms.append({
@@ -357,6 +376,9 @@ def _audit_report_obj(report) -> dict:
 @out_option
 def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
     """Certify the exponent balance of both branches for one pair."""
+    from .density import EmptyRegion, audit_balance, continuity_check, regions_for
+    from .exact import rat_str
+
     spec = regions_for(_parse_pair(pair_text))
     regions = (1, 2) if region_text == "both" else (int(region_text),)
     reports = []
@@ -411,6 +433,10 @@ def cmd_audit_family(depth: int, verbose: bool) -> None:
 
     Every pair with 0 < kappa < 1/3 is audited; exits 1 if any check fails.
     """
+    from .density import KAPPA_LIMIT, audit_balance, continuity_check, regions_for
+    from .exact import rat_str
+    from .pairs import generate_pairs
+
     family = generate_pairs(depth)
     start = time.perf_counter()
     audited = failed = skipped = 0
@@ -460,6 +486,8 @@ def cmd_audit_family(depth: int, verbose: bool) -> None:
 @out_option
 def cmd_hecke(limit: int, out: str) -> None:
     """Tau table checks; CSV of n, tau, m, convolution value."""
+    from .hecke import verify_table
+
     rep = verify_table(limit)
     rows = (
         [str(n), str(rep.table[n]), str(rep.mollifier[n]), str(rep.convolution[n])]
@@ -591,6 +619,10 @@ def cmd_zeta(pair_text: str, t_max: float, samples: int, out: str) -> None:
 @out_option
 def cmd_plot(depth: int, interval_text: str, out: str) -> None:
     """SVG of the optimized E(sigma) against the baselines."""
+    from .density import baseline_curves, optimize
+    from .pairs import generate_pairs
+    from .svg import render_curves_svg
+
     interval = _parse_interval(interval_text)
     family = generate_pairs(depth)
     bound = optimize(family, interval)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import Inadmissible
+from . import DEFAULT_LIMIT, Inadmissible
 from .exact import dec_str
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "MAX_LIMIT",
 ]
 
-DEFAULT_LIMIT = 10_000
 #: Memory guard: the largest table ``compute_tau`` builds.
 MAX_LIMIT = 200_000
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import Inadmissible
+from . import DEFAULT_DEPTH, Inadmissible
 from .exact import rat, rat_str
 
 __all__ = [
@@ -32,9 +32,6 @@ __all__ = [
     "DEFAULT_DEPTH",
     "MAX_DEPTH",
 ]
-
-#: Generation depth used when none is requested explicitly.
-DEFAULT_DEPTH = 12
 
 #: Largest generation depth.  The family grows about x1.6 per level
 #: (10,947 pairs at depth 20, 28,658 at 22, 75,026 at 24); on a 2-vCPU

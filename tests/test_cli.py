@@ -290,10 +290,10 @@ def test_audit_certifying_nothing_exit3(runner, fmt):
 
 
 def test_audit_term_violation_exit1(runner, monkeypatch):
-    from zdx import cli as cli_module
+    from zdx import density
     from zdx.density import BalanceViolation
 
-    real = cli_module.audit_balance
+    real = density.audit_balance
 
     def audit(regions, region):
         report = real(regions, region)
@@ -301,7 +301,7 @@ def test_audit_term_violation_exit1(runner, monkeypatch):
             return replace(report, violation=BalanceViolation("class2_moment", Fraction(43, 45)))
         return report
 
-    monkeypatch.setattr(cli_module, "audit_balance", audit)
+    monkeypatch.setattr(density, "audit_balance", audit)
     res = runner.invoke(cli, ["audit", "--pair", "1/14,11/14"])
     assert res.exit_code == 1
     assert res.stdout == ""
@@ -311,10 +311,10 @@ def test_audit_term_violation_exit1(runner, monkeypatch):
 
 
 def test_audit_continuity_mismatch_exit1(runner, monkeypatch):
-    from zdx import cli as cli_module
+    from zdx import density
 
-    real = cli_module.continuity_check
-    monkeypatch.setattr(cli_module, "continuity_check", lambda regions: replace(
+    real = density.continuity_check
+    monkeypatch.setattr(density, "continuity_check", lambda regions: replace(
         real(regions), status="mismatch", note="branches disagree: 44/31 vs 45/31"))
     for fmt in ("text", "json"):
         res = runner.invoke(cli, ["audit", "--pair", "1/14,11/14", "--format", fmt])
@@ -328,18 +328,18 @@ def test_audit_continuity_mismatch_exit1(runner, monkeypatch):
 
 
 def test_audit_family_builds_one_region_spec_per_pair(runner, monkeypatch):
-    from zdx import cli as cli_module
+    from zdx import density
     from zdx.density import KAPPA_LIMIT
     from zdx.pairs import generate_pairs
 
     calls = []
-    real = cli_module.regions_for
+    real = density.regions_for
 
     def counting(pair):
         calls.append(pair)
         return real(pair)
 
-    monkeypatch.setattr(cli_module, "regions_for", counting)
+    monkeypatch.setattr(density, "regions_for", counting)
     res = invoke(runner, "audit-family", "--depth", "9")
     assert res.exit_code == 0
     admissible = [p for p in generate_pairs(9) if 0 < p.kappa < KAPPA_LIMIT]
@@ -351,7 +351,7 @@ def test_audit_family_internal_error_exits_4(runner, monkeypatch):
     def broken(regions, region):
         raise RuntimeError("broken audit")
 
-    monkeypatch.setattr("zdx.cli.audit_balance", broken)
+    monkeypatch.setattr("zdx.density.audit_balance", broken)
     res = runner.invoke(cli, ["audit-family", "--depth", "3"])
     assert res.exit_code == 4
     assert res.stdout == ""
@@ -383,14 +383,28 @@ def test_hm_test_cap_over_budget_exit3(runner, monkeypatch, flag, budget):
     from zdx import probes
 
     def never(*args):
-        raise AssertionError("a system was built before the caps were checked")
+        raise AssertionError("a system was drawn before the caps were checked")
 
-    monkeypatch.setattr(probes, "hm_random_system", never)
+    monkeypatch.setattr(probes, "_hm_draw", never)
     cap = getattr(probes, budget) + 1
     res = runner.invoke(cli, ["hm-test", flag, str(cap)])
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr == f"error: {flag[2:]} cap {cap} exceeds the probe budget of {cap - 1}\n"
+
+
+def test_mellin_probe_steps_over_budget_exit3(runner, monkeypatch):
+    from zdx import probes
+
+    def never(*args):
+        raise AssertionError("a gamma value was computed before the budget was checked")
+
+    monkeypatch.setattr(probes, "lanczos_gamma", never)
+    steps = probes.MAX_STEPS + 1
+    res = runner.invoke(cli, ["mellin-probe", "--steps", str(steps)])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: steps {steps} exceeds the probe budget of {steps - 1}\n"
 
 
 def test_mellin_probe_defaults(runner):
@@ -438,6 +452,63 @@ def test_exact_commands_do_not_import_numpy(runner, tmp_path):
     assert proc.stdout == "False\n"
     # the tolerance default still shows without numpy being loaded for it
     assert "[default: 1e-10]" in invoke(runner, "hm-test", "--help").output
+
+
+#: sha256 of (stdout, stderr) of each call, taken from the four-draw hm
+#: harness and the per-point gamma evaluation that the shared kernels
+#: replaced.  The default mellin-probe digest is also perfbench's pin.
+DESK_SHA256 = {
+    "--help": (
+        "c40331cbf4bc5f933802179b67124f953555a0643e39f831ee15bedccbcfbee5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "hm-test --trials 2000 --seed 7": (
+        "c2551a83bd1ecf73d6ea7339955c768b2990455a70f1a2620bc6304d0cf48944",
+        "58e72f3baeaf200143c8fde4d0b4ae05e7593a651a6d113de5cc7471509fa263",
+    ),
+    "mellin-probe": (
+        "cb120bfd7d32d856af86d887a295a548904352a7de30d382da08c35553e11f00",
+        "7b2650ff0a8660b68a2ac7990024d1a0ae234029cf4696d59b634e5bc381dfe9",
+    ),
+    "mellin-probe --x 3/7 --x 5 --steps 100": (
+        "1d1993c3d9ac34164007d8dd81f559595128a926d7a7441d892d95433bafb707",
+        "c5649b8a5dd6eae94f55bf97c0348a968be81de84bfdb3cfeb38ee151105ec33",
+    ),
+    "zeta-probe": (
+        "29c5b7129c2d137d24384ee69584baf2fb6475b3e63d8fea072627edca36f157",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DESK_SHA256))
+def test_desk_outputs_pinned(runner, argv):
+    # 78 columns is the help width of an 80-column terminal
+    res = runner.invoke(cli, argv.split(), prog_name="zdx", terminal_width=78)
+    assert res.exit_code == 0
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (res.stdout_bytes, res.stderr_bytes))
+    assert digests == DESK_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["--help"], ["numpy", "zdx.density", "zdx.hecke", "zdx.svg"]),
+    (["mellin-probe"], ["numpy"]),
+    (["hm-test", "--trials", "3"], ["zdx.density"]),
+])
+def test_commands_load_only_what_they_use(argv, unloaded):
+    code = (
+        "import sys\n"
+        "from zdx.cli import main\n"
+        f"sys.argv = ['zdx', *{argv!r}]\n"
+        "try:\n"
+        "    main()\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"print(sorted(set({unloaded!r}) & set(sys.modules)), file=sys.stderr)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[]"
 
 
 def test_zeta_probe_critical_line_pair_exit3(runner):
@@ -504,7 +575,7 @@ def test_unwritable_out_rejected_before_work(runner, monkeypatch):
     def never(limit):
         raise AssertionError("verify_table ran before --out was checked")
 
-    monkeypatch.setattr("zdx.cli.verify_table", never)
+    monkeypatch.setattr("zdx.hecke.verify_table", never)
     res = runner.invoke(cli, ["hecke-verify", "--limit", "200000", "--out", NO_DIR_OUT])
     assert res.exit_code == 2
     assert res.stdout == ""
@@ -515,7 +586,7 @@ def test_failed_run_leaves_out_untouched(runner, monkeypatch, tmp_path):
     def broken(limit):
         raise RuntimeError("broken table")
 
-    monkeypatch.setattr("zdx.cli.verify_table", broken)
+    monkeypatch.setattr("zdx.hecke.verify_table", broken)
     kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
     kept.write_text("n,tau\n1,1\n")
     for out in (kept, fresh):
@@ -544,7 +615,7 @@ def test_internal_error_exits_4_with_one_line(runner, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken pair generator")
 
-    monkeypatch.setattr("zdx.cli.generate_pairs", broken)
+    monkeypatch.setattr("zdx.pairs.generate_pairs", broken)
     res = runner.invoke(cli, ["pairs", "--depth", "1"])
     assert res.exit_code == 4
     assert res.stdout == ""

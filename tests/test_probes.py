@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from zdx import probes
 from zdx.probes import (
     DimensionMismatch,
+    HMResult,
     VectorSystem,
     hm_inequality_check,
     hm_random_system,
@@ -84,6 +86,43 @@ def test_hm_trials_report_each_trial():
     assert rep.max_rel_slack == max(slacks) == slacks[rep.worst_trial]
 
 
+def _hm_random_system_oracle(seed: int, dim_cap: int = 64, r_cap: int = 16) -> VectorSystem:
+    """The four-draw ``hm_random_system`` that ``hm_random_trials`` must match."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, dim_cap + 1))
+    r = int(rng.integers(1, r_cap + 1))
+    xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    phis = rng.standard_normal((r, dim)) + 1j * rng.standard_normal((r, dim))
+    return VectorSystem(xi, phis)
+
+
+def _hm_inequality_check_oracle(system: VectorSystem) -> HMResult:
+    """The ``hm_inequality_check`` that ``hm_random_trials`` must match."""
+    inner = system.phis.conj() @ system.xi  # (xi, phi_r) entries
+    lhs = float(np.abs(inner).sum())
+    gram = system.phis @ system.phis.conj().T
+    rhs = float(np.linalg.norm(system.xi) * math.sqrt(np.abs(gram).sum()))
+    return HMResult(lhs, rhs)
+
+
+@pytest.mark.parametrize("dim_cap, r_cap, trials", [
+    (64, 16, 300), (1, 1, 50), (1, 16, 100), (64, 1, 100), (9, 3, 200), (1024, 1024, 3),
+])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 2, 2**32, 2**64 + 12345])
+def test_hm_trials_match_four_draw_oracle_bit_for_bit(dim_cap, r_cap, trials, seed):
+    rep = hm_random_trials(trials, seed, dim_cap, r_cap)
+    for i, (dim, r, res) in enumerate(rep.results):
+        system = _hm_random_system_oracle(seed + i, dim_cap, r_cap)
+        want = _hm_inequality_check_oracle(system)
+        assert (dim, r) == system.phis.shape[::-1], (seed, i)
+        assert (res.lhs, res.rhs) == (want.lhs, want.rhs), (seed, i)
+        if i < 3:  # the public wrappers draw and measure the same system
+            drawn = hm_random_system(seed + i, dim_cap, r_cap)
+            assert drawn.xi.tobytes() == system.xi.tobytes()
+            assert drawn.phis.tobytes() == system.phis.tobytes()
+            assert hm_inequality_check(drawn) == want
+
+
 def test_hm_random_system_caps():
     for i in range(50):
         sys_i = hm_random_system(1000 + i, dim_cap=64, r_cap=16)
@@ -109,6 +148,15 @@ def test_mellin_simpson_convergence():
         e80 = mellin_probe(x, steps=80).abs_error
         assert e20 >= 4 * e40
         assert e40 >= 4 * e80
+
+
+def test_mellin_points_share_one_gamma_grid():
+    probes._gamma_grid.cache_clear()
+    for x in (0.5, 1.0, 2.0):
+        mellin_probe(x, steps=50)
+    assert probes._gamma_grid.cache_info()[:2] == (2, 1)  # (hits, misses)
+    mellin_probe(1.0, line=3.0, steps=50)  # another grid replaces it
+    assert probes._gamma_grid.cache_info().currsize == 1
 
 
 def test_mellin_domain_errors():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zdx import cli as cli_module
+from zdx import density
 from zdx.density import BalanceViolation
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -21,7 +21,7 @@ def run_script(monkeypatch, capsys, name, *args):
 
 
 def test_audit_family_reports_violations(monkeypatch, capsys):
-    real = cli_module.audit_balance
+    real = density.audit_balance
 
     def audit(regions, region):
         report = real(regions, region)
@@ -29,7 +29,7 @@ def test_audit_family_reports_violations(monkeypatch, capsys):
             return replace(report, violation=BalanceViolation("class2_moment", Fraction(43, 45)))
         return report
 
-    monkeypatch.setattr(cli_module, "audit_balance", audit)
+    monkeypatch.setattr(density, "audit_balance", audit)
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "audit_family.py", "--depth", "3")
     assert exc.value.code == 1
@@ -44,7 +44,7 @@ def test_audit_family_reports_violations(monkeypatch, capsys):
 
 
 def test_audit_family_fails_on_continuity_mismatch(monkeypatch, capsys):
-    real = cli_module.continuity_check
+    real = density.continuity_check
 
     def check(regions):
         report = real(regions)
@@ -52,7 +52,7 @@ def test_audit_family_fails_on_continuity_mismatch(monkeypatch, capsys):
             return replace(report, status="mismatch", note="branches disagree: 4/3 vs 5/4")
         return report
 
-    monkeypatch.setattr(cli_module, "continuity_check", check)
+    monkeypatch.setattr(density, "continuity_check", check)
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "audit_family.py", "--depth", "6")
     assert exc.value.code == 1
@@ -91,7 +91,7 @@ def test_audit_family_internal_error_exits_4(monkeypatch, capsys):
     def broken(regions, region):
         raise RuntimeError("broken audit")
 
-    monkeypatch.setattr(cli_module, "audit_balance", broken)
+    monkeypatch.setattr(density, "audit_balance", broken)
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "audit_family.py", "--depth", "3")
     assert exc.value.code == 4
