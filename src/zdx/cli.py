@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import DEFAULT_DEPTH, DEFAULT_LIMIT, HM_REL_TOLERANCE, Inadmissible
+from . import DEFAULT_DEPTH, DEFAULT_LIMIT, HM_REL_TOLERANCE, Inadmissible, __version__
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -173,7 +173,7 @@ class _Zdx(click.Group):
 
 
 @click.group(cls=_Zdx)
-@click.version_option(package_name="zdx", prog_name="zdx")
+@click.version_option(version=__version__, prog_name="zdx")
 def cli() -> None:
     """Exact workbench for exponent-pair zero-density bounds."""
 
@@ -185,13 +185,13 @@ def cli() -> None:
 @cli.command("pairs")
 @click.option("--depth", type=click.IntRange(min=0), default=DEFAULT_DEPTH,
               show_default=True, help="Maximum A/B word length.")
-@click.option("--prune", is_flag=True, help="Drop Pareto-dominated pairs.")
+@click.option("--prune", is_flag=True, help="No effect: the family is already Pareto-minimal.")
 @out_option
 def cmd_pairs(depth: int, prune: bool, out: str) -> None:
     """Generate the exponent-pair family as JSON."""
     from .pairs import generate_pairs
 
-    _write_out(generate_pairs(depth, prune=prune).to_json(), out)
+    _write_out(generate_pairs(depth).to_json(), out)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .exact import (
     SignCertificate,
     dec_str,
     quadratic_roots_in_interval,
+    quadratic_sign_on_interval,
     rat_str,
 )
 from .pairs import ExponentPair, PairFamily
@@ -111,6 +112,11 @@ class RegionSpec:
         raise ValueError(f"region index must be 1 or 2, got {index!r}")
 
 
+def _sigma_star(p: int, r: int, q: int) -> tuple[int, int]:
+    """sigma_star as n/d, with d > 0 when kappa = p/q < 1/3 and lambda = r/q."""
+    return q + r - 4 * p, 2 * q - 6 * p
+
+
 def regions_for(pair: ExponentPair) -> RegionSpec:
     """Exact region endpoints for a pair; kappa >= 1/3 is rejected."""
     p, r, q = pair.triple
@@ -119,7 +125,7 @@ def regions_for(pair: ExponentPair) -> RegionSpec:
             f"pair {pair} has kappa >= 1/3; the region construction needs kappa < 1/3"
         )
     # sigma_star and left2 over positive denominators, compared as integers
-    star_n, star_d = q + r - 4 * p, 2 * q - 6 * p
+    star_n, star_d = _sigma_star(p, r, q)
     left_n, left_d = q + r + p, 2 * (q + p)
     sigma_star, left2 = Fraction(star_n, star_d), Fraction(left_n, left_d)
     if star_n <= star_d:
@@ -285,11 +291,11 @@ class AuditReport:
     The report keeps the integers the audit decided on: ``y_ints`` =
     (n, c, d) with y = n/(c sigma + d) in lowest terms; ``term_ints``, the
     terms' numerators in ``_TERM_LABELS`` order, each (a, b) for
-    (a sigma + b) / (``scale`` (c sigma + d)), the first also E's; and
-    ``term_ends``, each term-minus-E numerator at the region's lo and hi
-    times their positive denominators.  ``y``, ``t0_exponent``,
-    ``denominator``, ``e_num`` and ``terms`` are built from these integers
-    on first read, so an audit that is only gated on pays for none of them.
+    (a sigma + b) / (``scale`` (c sigma + d)), the first also E's.  ``y``,
+    ``t0_exponent``, ``denominator``, ``e_num`` and ``terms`` are built from
+    these integers on first read, so an audit that is only gated on pays
+    for none of them; each term's SignCertificate is
+    ``quadratic_sign_on_interval`` of its term-minus-E numerator.
     """
 
     regions: RegionSpec
@@ -298,7 +304,6 @@ class AuditReport:
     y_ints: tuple[int, int, int]
     scale: int
     term_ints: tuple[tuple[int, int], ...]
-    term_ends: tuple[tuple[int, int], ...]
     violation: BalanceViolation | None
 
     @property
@@ -329,10 +334,10 @@ class AuditReport:
             TermCertificate(
                 label,
                 self._numerator(a, b),
-                _linear_certificate(a - e_a, b - e_b, at_lo, at_hi, self.region),
+                quadratic_sign_on_interval(Quadratic.linear(a - e_a, b - e_b), self.region),
                 achieves=(a, b) == (e_a, e_b),
             )
-            for label, (a, b), (at_lo, at_hi) in zip(_TERM_LABELS, self.term_ints, self.term_ends)
+            for label, (a, b) in zip(_TERM_LABELS, self.term_ints)
         )
 
     def _numerator(self, a: int, b: int) -> Quadratic:
@@ -352,27 +357,6 @@ class AuditReport:
 _TERM_LABELS = ("class1_main", "class1_subdivision", "class2_moment")
 
 
-def _linear_certificate(
-    a: int, b: int, at_lo: int, at_hi: int, region: Interval
-) -> SignCertificate:
-    """Sign of a s + b on the region, read from its values at the two ends.
-
-    ``at_lo`` and ``at_hi`` are those values times positive denominators, as
-    the audit decided on them; the certificate is the one
-    ``quadratic_sign_on_interval`` gives for a linear input.
-    """
-    if a == b == 0:
-        return SignCertificate("zero")
-    if region.is_point:
-        return SignCertificate("nonneg" if at_lo > 0 else "nonpos" if at_lo < 0 else "zero")
-    zeros = tuple(x for x, v in ((region.lo, at_lo), (region.hi, at_hi)) if v == 0)
-    if min(at_lo, at_hi) >= 0:
-        return SignCertificate("nonneg", zeros)
-    if max(at_lo, at_hi) <= 0:
-        return SignCertificate("nonpos", zeros)
-    return SignCertificate("mixed", (Fraction(-b, a),))
-
-
 def audit_balance(regions: RegionSpec, region: int) -> AuditReport:
     """Certify that the three balanced term exponents stay below E on a region.
 
@@ -383,11 +367,10 @@ def audit_balance(regions: RegionSpec, region: int) -> AuditReport:
     numerator whose coefficients are integers in the RegionSpec's (p, r, q),
     kappa = p/q and lambda = r/q.  Every decision is integer
     cross-multiplication at the region's ends: a term passes when its
-    numerator is <= 0 at both, and its SignCertificate is read from those
-    same two values.  A failed audit is a report whose ``violation`` names
-    a witness sigma: the first term that pokes above E, at an end where it
-    does, or (term "exponent_curve", checked first) the A of
-    ``exponent_curve`` when it is not 2y, so that E is not the curve's
+    numerator is <= 0 at both.  A failed audit is a report whose
+    ``violation`` names a witness sigma: the first term that pokes above E,
+    at an end where it does, or (term "exponent_curve", checked first) the
+    A of ``exponent_curve`` when it is not 2y, so that E is not the curve's
     exponent.
     """
     pair, reg = regions.pair, regions.region(region)
@@ -436,16 +419,12 @@ def audit_balance(regions: RegionSpec, region: int) -> AuditReport:
         (scale * (2 * c - 6 * n), scale * (2 * d + 3 * n)),
     )
     e_a, e_b = term_ints[0]
-    term_ends = []
     for label, (a, b) in zip(_TERM_LABELS, term_ints):
         a, b = a - e_a, b - e_b
         at_lo, at_hi = a * lo_n + b * lo_d, a * hi_n + b * hi_d
-        term_ends.append((at_lo, at_hi))
         if violation is None and (at_lo > 0 or at_hi > 0):
             violation = BalanceViolation(label, reg.lo if at_lo > 0 else reg.hi)
-    return AuditReport(
-        regions, region, reg, (n, c, d), scale, term_ints, tuple(term_ends), violation
-    )
+    return AuditReport(regions, region, reg, (n, c, d), scale, term_ints, violation)
 
 
 # ---------------------------------------------------------------------------
@@ -670,15 +649,16 @@ def optimize(
     pairs are closed under convex combination).  The tangent vertex moves
     to the next smaller kappa where a crosses a hull edge's kappa = 0
     intercept; on an edge's collinear pairs the smaller kappa has the
-    larger slope and wins.  The hull comes from Andrew's monotone chain on
-    the integer triples, and the baselines are merged in by exact line
-    crossings.  The cost is O(n + V) for n pairs and V hull vertices, plus
-    O(baselines) per segment (the sort is linear on a sorted family).  On
-    a 2-vCPU Xeon (CPython 3.11.7) it takes about 5 ms at depth 12 (80
-    vertices), 20 ms at depth 16 (298) and 0.1-0.25 s at depth 22
-    (2,008), where the candidate-by-candidate sweep it replaced took
-    0.08-0.13 s, 1.6-4.6 s and, end to end, 7.5 minutes, for the same
-    segments.  A one-point interval is decided over every candidate whose
+    larger slope and wins.  One pass over the family collects the
+    admissible pairs and the pairs whose sigma_star falls below every
+    earlier one's, ``hull.lower_hull`` builds the hull on the integer
+    triples, and the baselines are merged in by exact line crossings.  The
+    cost is O(n + V) for n pairs and V hull vertices, plus O(baselines) per
+    segment (the sort is linear on a sorted family).  On a 2-vCPU Xeon
+    (CPython 3.11.7) it takes about 5 ms at depth 12 (80 vertices), 20 ms
+    at depth 16 (298) and 0.1-0.25 s at depth 22 (2,008), where the
+    candidate-by-candidate sweep it replaced took 0.08-0.13 s, 1.6-4.6 s
+    and, end to end, 7.5 minutes, for the same segments.  A one-point interval is decided over every candidate whose
     closed region holds it.
 
     The interval must lie within [1/2, 1] (Inadmissible otherwise).
@@ -706,9 +686,23 @@ def optimize(
         line(c, c.region.lo, c.region.hi) for c in baseline_curves()
         if include_conjectural or not c.provenance.conjectural
     ]
+    # in one pass: the admissible points to hull and the records, the pairs
+    # whose sigma_star is below every earlier pair's, as (n, d, pair); on
+    # [1/2, 1] region 1 holds sigma iff sigma_star <= sigma <= 1, so the
+    # records need no clipping at 1/2
+    points, records = [], []
+    for pair in family:
+        p, r, q = pair.triple
+        if 3 * p >= q:
+            continue
+        if p:
+            points.append((p, r, q, pair))
+        n, d = _sigma_star(p, r, q)
+        if n <= d and (not records or n * records[-1][1] < records[-1][0] * d):
+            records.append((n, d, pair))
+    vertices = hull.lower_hull(points)
     # the best pair curve just right of each sigma: the region-1 line from
-    # the least region-1 start sigma1 on, the tangent vertex's region 2 before
-    vertices, records = hull.admissible_hull(family)
+    # the least sigma_star sigma1 on, the tangent vertex's region 2 before
     sigma1 = Fraction(*records[-1][:2]) if records else interval.hi
     pair_lines = []
     for a, b, vertex in hull.tangent_ranges(vertices, interval.lo, min(sigma1, interval.hi)):

@@ -1,24 +1,24 @@
 """Exact geometry behind ``density.optimize``: a lower hull and a line envelope.
 
-Points are exponent pairs given as tuples (p, r, q, pair) with
-kappa = p/q, lambda = r/q and q > 0.  ``admissible_hull`` builds the
-lower convex hull of the pairs with 0 < kappa < 1/3 by Andrew's monotone
-chain (Inf. Process. Lett. 9, 1979) on integer cross products, and
-``tangent_ranges`` walks the vertex that the lower tangent from
-(0, 2 sigma - 1) touches as sigma grows.  ``upper_envelope`` merges
-affine lines g = m sigma + k, each live on a half-open sigma-range, into
-the segments of their upper envelope.
+A point is a tuple whose first three entries (p, r, q), q > 0, stand for
+(p/q, r/q); later entries are carried along.  ``lower_hull`` builds a
+lower convex hull by Andrew's monotone chain (Inf. Process. Lett. 9,
+1979) on integer cross products, and ``tangent_ranges`` walks the vertex
+that the lower tangent from (0, 2 sigma - 1) touches as sigma grows.
+``upper_envelope`` merges affine lines g = m sigma + k, each live on a
+half-open sigma-range, into the segments of their upper envelope.
+``density.optimize`` picks the points and the lines.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import Any, NamedTuple
 
-from .pairs import ExponentPair
+from .pairs import sorted_triples
 
-__all__ = ["Line", "admissible_hull", "lower_hull", "tangent_ranges", "upper_envelope"]
+__all__ = ["Line", "lower_hull", "tangent_ranges", "upper_envelope"]
 
 
 class Line(NamedTuple):
@@ -31,33 +31,6 @@ class Line(NamedTuple):
     item: Any
 
 
-def admissible_hull(family: Iterable[ExponentPair]) -> tuple[list[tuple], list[tuple]]:
-    """The lower hull of the pairs with 0 < kappa < 1/3, and the region-1 records.
-
-    Hull vertices are (p, r, q, pair), by increasing kappa.  The records
-    are the pairs with kappa < 1/3, in family order, whose region-1 start
-    n/d = max(sigma_star, 1/2) is below every earlier one, as (n, d, pair);
-    sigma_star = (1 + lambda - 4 kappa)/(2 - 6 kappa), and region 1 is
-    empty when it exceeds 1 (``density.regions_for``).
-    """
-    points, records = [], []
-    start_n, start_d = 1, 0  # least region-1 start so far; 1/0 = none yet
-    for pair in family:
-        p, r, q = pair.triple
-        if 3 * p >= q:
-            continue
-        if p:
-            points.append((p, r, q, pair))
-        n, d = q + r - 4 * p, 2 * q - 6 * p
-        if n <= d:
-            if 2 * n < d:
-                n, d = 1, 2
-            if n * start_d < start_n * d:
-                start_n, start_d = n, d
-                records.append((n, d, pair))
-    return lower_hull(points), records
-
-
 def _cross(o: tuple, a: tuple, b: tuple) -> int:
     """Sign of (a - o) x (b - o), times a positive integer."""
     (po, ro, qo), (pa, ra, qa), (pb, rb, qb) = o[:3], a[:3], b[:3]
@@ -67,16 +40,12 @@ def _cross(o: tuple, a: tuple, b: tuple) -> int:
 def lower_hull(points: list[tuple]) -> list[tuple]:
     """The lower hull's vertices, by increasing kappa.
 
-    A stable sort on exact integer keys keeps the given order among equal
-    points.  Of several points with one kappa only the first of least
-    lambda is kept, and points inside an edge are dropped.
+    ``pairs.sorted_triples`` orders the points exactly and keeps the given
+    order among equal ones.  Of several points with one kappa only the
+    first of least lambda is kept, and points inside an edge are dropped.
     """
-    if not points:
-        return []
-    # floor(2^shift x) orders the coordinates exactly, as in generate_pairs
-    shift = 2 * max(t[2] for t in points).bit_length() + 1
     hull: list[tuple] = []
-    for pt in sorted(points, key=lambda t: ((t[0] << shift) // t[2], (t[1] << shift) // t[2])):
+    for pt in sorted_triples(points):
         if hull and pt[0] * hull[-1][2] == hull[-1][0] * pt[2]:
             continue
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) <= 0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,13 +30,14 @@ __all__ = [
     "b_process",
     "replay_word",
     "generate_pairs",
+    "sorted_triples",
     "DEFAULT_DEPTH",
     "MAX_DEPTH",
 ]
 
 #: Largest generation depth.  The family grows about x1.6 per level
 #: (10,947 pairs at depth 20, 28,658 at 22, 75,026 at 24); on a 2-vCPU
-#: Xeon (CPython 3.11.7) ``pairs --depth 22 --prune`` takes about 0.5-0.8 s
+#: Xeon (CPython 3.11.7) ``pairs --depth 22`` takes about 0.5-0.8 s
 #: and 63 MB peak RSS, depth 24 about 1.4-2 s and 135 MB.  The balance audit
 #: of the depth-22 family, ``zdx audit-family --depth 22`` (41,396 region
 #: audits), takes about 1-1.7 s end to end.
@@ -143,26 +145,23 @@ class PairFamily:
         return json.dumps(rows, indent=2) + "\n"
 
 
-def _pareto_prune(pairs: list[ExponentPair]) -> list[ExponentPair]:
-    """Drop Pareto-dominated pairs from a list sorted by distinct (kappa, lam).
+def sorted_triples(triples: Collection[tuple]) -> list[tuple]:
+    """Tuples led by (p, r, q), q > 0, stably sorted by (p/q, r/q), exactly.
 
-    Every pair that could dominate p sorts before it, and an earlier pair
-    dominates p iff its lam is <= p.lam; so p is kept iff p.lam is below
-    every earlier lam, whose minimum is the lam of the last pair kept.
+    floor(2^shift x) orders rationals exactly: two distinct ones with
+    denominators below 2^B differ by more than 2^-2B, and shift > 2B.
     """
-    kept: list[ExponentPair] = []
-    for p in pairs:
-        if not kept or p.lam < kept[-1].lam:
-            kept.append(p)
-    return kept
+    shift = 2 * max((t[2] for t in triples), default=1).bit_length() + 1
+    return sorted(triples, key=lambda t: ((t[0] << shift) // t[2], (t[1] << shift) // t[2]))
 
 
-def generate_pairs(depth: int, prune: bool = False) -> PairFamily:
+def generate_pairs(depth: int) -> PairFamily:
     """Closure of the seed under A/B words of length <= depth.
 
     Deduplicates by (kappa, lambda), keeping the first (shortest) word in
-    breadth-first order.  With ``prune`` set, Pareto-dominated pairs are
-    dropped afterwards.  Depths above ``MAX_DEPTH`` raise DepthLimitError.
+    breadth-first order.  The family comes out with kappa strictly rising
+    and lambda strictly falling, so no pair dominates another.  Depths
+    above ``MAX_DEPTH`` raise DepthLimitError.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -188,14 +187,9 @@ def generate_pairs(depth: int, prune: bool = False) -> PairFamily:
                     seen[child] = letter + word
                     nxt.append(child)
         frontier = nxt
-    # floor(2^shift x) orders rationals exactly: two distinct ones with
-    # denominators below 2^B differ by more than 2^-2B, and shift > 2B
-    shift = 2 * max(q for _, _, q in seen).bit_length() + 1
     pairs = []
-    for p, r, q in sorted(seen, key=lambda t: ((t[0] << shift) // t[2], (t[1] << shift) // t[2])):
+    for p, r, q in sorted_triples(seen):
         word = seen[p, r, q]
         # the empty word is the seed itself
         pairs.append(ExponentPair(Fraction(p, q), Fraction(r, q), word) if word else SEED)
-    if prune:
-        pairs = _pareto_prune(pairs)
     return PairFamily(tuple(pairs), depth)

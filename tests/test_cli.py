@@ -53,6 +53,19 @@ def test_depth_over_budget_exit3(runner, command):
     )
 
 
+def test_pairs_prune_prints_the_family_unchanged(runner):
+    # the family is already Pareto-minimal, so --prune has nothing to drop
+    pruned = invoke(runner, "pairs", "--depth", "16", "--prune")
+    assert pruned.exit_code == 0
+    assert pruned.stdout_bytes == invoke(runner, "pairs", "--depth", "16").stdout_bytes
+
+
+def test_version_from_source_checkout():
+    # no installed package metadata is needed: the version is zdx.__version__
+    res = run_python("-m", "zdx.cli", "--version")
+    assert (res.returncode, res.stdout, res.stderr) == (0, f"zdx, version {zdx.__version__}\n", "")
+
+
 def test_pairs_depth0_seed_only(runner):
     res = invoke(runner, "pairs", "--depth", "0")
     rows = json.loads(res.output)

@@ -12,11 +12,11 @@ from zdx.pairs import (
     DepthLimitError,
     ExponentPair,
     InvalidPair,
-    _pareto_prune,
     a_process,
     b_process,
     generate_pairs,
     replay_word,
+    sorted_triples,
 )
 
 F = Fraction
@@ -157,7 +157,7 @@ def test_depth_budget():
     with pytest.raises(DepthLimitError, match=f"budget of {MAX_DEPTH}"):
         generate_pairs(MAX_DEPTH + 1)
     with pytest.raises(ValueError):
-        generate_pairs(10**6, prune=True)
+        generate_pairs(10**6)
 
 
 def test_depth_budget_is_inclusive(monkeypatch):
@@ -190,50 +190,39 @@ def test_b_is_involution_on_family(depth12):
         assert b_process(b_process(p)).key == p.key
 
 
-def test_pareto_prune_removes_dominated():
-    fam = generate_pairs(3, prune=True)
-    keys = {p.key for p in fam}
-    # (1/2, 1/2) is not dominated by anything in the closure; (0, 1) neither
-    assert (F(1, 2), F(1, 2)) in keys
-    assert (F(0), F(1)) in keys
-    full = generate_pairs(3)
-    for p in fam:
-        for q in full:
-            assert not (
-                q.kappa <= p.kappa
-                and q.lam <= p.lam
-                and (q.kappa < p.kappa or q.lam < p.lam)
-            )
+@pytest.mark.parametrize("depth", range(MAX_DEPTH + 1))
+def test_family_is_a_pareto_chain(depth):
+    # kappa strictly rising and lambda strictly falling: no pair dominates
+    # another, which is why the family needs no Pareto prune
+    fam = generate_pairs(depth).pairs
+    assert all(p.kappa < q.kappa and p.lam > q.lam for p, q in zip(fam, fam[1:]))
 
 
-def brute_force_prune(pairs):
-    return [
-        p for p in pairs
-        if not any(
-            q.kappa <= p.kappa and q.lam <= p.lam and (q.kappa < p.kappa or q.lam < p.lam)
-            for q in pairs
-        )
-    ]
+@st.composite
+def _near_triples(draw):
+    """Triples (p, r, q, i) whose p/q, and some r/q, lie within about 1/q of
+    one rational a/b with b below 2^24: neighbours a key that is too coarse
+    would tie or swap.  Some repeat an earlier point with a new tag."""
+    b = draw(st.integers(1, 2**24))
+    a = draw(st.integers(0, b))
+    rows = []
+    for i in range(draw(st.integers(1, 12))):
+        if rows and draw(st.booleans()):
+            rows.append((*draw(st.sampled_from(rows))[:3], i))
+            continue
+        q = draw(st.integers(1, 2**24))
+        p = max(0, a * q // b + draw(st.integers(-1, 1)))
+        r = draw(st.one_of(st.just(p), st.integers(0, q)))
+        rows.append((p, r, q, i))
+    return rows
 
 
-def test_pareto_prune_matches_definition():
-    # equal kappas, equal lambdas and dominated pairs, which closure
-    # families never contain
-    keys = [(0, "3/4"), (0, 1), ("1/10", "3/4"), ("1/10", "7/10"), ("1/5", "7/10"),
-            ("1/5", "3/5"), ("1/4", "5/8"), ("1/3", "1/2"), ("1/2", "1/2")]
-    pairs = [ExponentPair(F(k), F(l), word=None) for k, l in keys]
-    kept = _pareto_prune(pairs)
-    assert kept == brute_force_prune(pairs)
-    assert [p.key for p in kept] == [
-        (F(0), F(3, 4)), (F(1, 10), F(7, 10)), (F(1, 5), F(3, 5)), (F(1, 3), F(1, 2))
-    ]
-
-
-@given(st.sets(st.tuples(st.integers(0, 6), st.integers(6, 12)).filter(lambda t: sum(t) <= 12)))
-@settings(max_examples=60, deadline=None)
-def test_pareto_prune_matches_definition_on_grids(cells):
-    pairs = sorted(ExponentPair(F(i, 12), F(j, 12), word=None) for i, j in cells)
-    assert _pareto_prune(pairs) == brute_force_prune(pairs)
+@given(_near_triples())
+@settings(max_examples=300, deadline=None)
+def test_sorted_triples_is_the_exact_stable_rational_sort(rows):
+    want = sorted(rows, key=lambda t: (F(t[0], t[2]), F(t[1], t[2])))
+    assert sorted_triples(rows) == want
+    assert sorted_triples([]) == []
 
 
 @given(st.integers(0, 5))
