@@ -20,6 +20,21 @@ DEFAULT_DEPTH = 12
 DEFAULT_LIMIT = 10_000
 
 
+def dec_str(q, digits: int = 20) -> str:
+    """Decimal rendering of a Fraction (or int) with ``digits`` significant
+    digits (deterministic).  Kept here, with its imports inside, so
+    ``hecke-verify`` need not load ``zdx.exact``."""
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
+
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        d = Decimal(q.numerator) / Decimal(q.denominator)
+    return str(d)
+
+
 class Inadmissible(ValueError):
     """Input outside what the library supports: a pair, region, interval,
     size or probe parameter it rejects.  The ``zdx`` CLI exits 3 on it."""

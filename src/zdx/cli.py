@@ -26,9 +26,10 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import DEFAULT_DEPTH, DEFAULT_LIMIT, HM_REL_TOLERANCE, Inadmissible, __version__
+from . import DEFAULT_DEPTH, DEFAULT_LIMIT, HM_REL_TOLERANCE, Inadmissible, __version__, dec_str
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from fractions import Fraction
 
     from .density import BoundCurve
@@ -125,7 +126,7 @@ def _write_out(text: str, out: str) -> None:
         raise click.UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}")
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Iterable[object]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -146,7 +147,7 @@ def _root_str(root) -> str:
 
 
 def _root_decimal(root) -> str:
-    from .exact import RootBracket, dec_str
+    from .exact import RootBracket
 
     x = root.midpoint() if isinstance(root, RootBracket) else root
     return dec_str(x)
@@ -205,7 +206,7 @@ def cmd_pairs(depth: int, prune: bool, out: str) -> None:
 def cmd_bound(pair_text: str, sigma_text: str, out: str) -> None:
     """One-line report of A(sigma) and E(sigma) for a pair."""
     from .density import exponent_curve, regions_for
-    from .exact import dec_str, rat_str
+    from .exact import rat_str
 
     pair = _parse_pair(pair_text)
     sigma = _parse_rat(sigma_text, "--sigma")
@@ -276,7 +277,7 @@ def cmd_compare(depth: int, interval_text: str, baseline_texts: tuple[str, ...],
                 out: str) -> None:
     """Optimized bound vs baselines: segments and exact crossovers."""
     from .density import baseline_crossovers, baseline_curves, optimize
-    from .exact import dec_str, rat_str
+    from .exact import rat_str
     from .pairs import generate_pairs
 
     interval = _parse_interval(interval_text)
@@ -489,10 +490,8 @@ def cmd_hecke(limit: int, out: str) -> None:
     from .hecke import verify_table
 
     rep = verify_table(limit)
-    rows = (
-        [str(n), str(rep.table[n]), str(rep.mollifier[n]), str(rep.convolution[n])]
-        for n in range(1, limit + 1)
-    )
+    # csv.writer renders an int as str() does
+    rows = zip(range(1, limit + 1), rep.table.tau[1:], rep.mollifier.m[1:], rep.convolution[1:])
     _write_out(_csv_text(["n", "tau", "m", "convolution_value"], rows), out)
     click.echo(
         f"limit={limit} convolution_failures={len(rep.convolution_failures)} "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import Inadmissible
+from . import Inadmissible, dec_str
 from .exact import (
     Interval,
     LinFrac,
@@ -26,7 +26,6 @@ from .exact import (
     Root,
     RootBracket,
     SignCertificate,
-    dec_str,
     quadratic_roots_in_interval,
     quadratic_sign_on_interval,
     rat_str,

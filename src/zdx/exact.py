@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
+
+# dec_str is defined in the package root; it stays public API here too
+from . import dec_str
 
 __all__ = [
     "BRACKET_WIDTH",
@@ -77,16 +79,6 @@ def rat_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def dec_str(q: Fraction, digits: int = 20) -> str:
-    """Decimal rendering with ``digits`` significant digits (deterministic)."""
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        d = Decimal(q.numerator) / Decimal(q.denominator)
-    return str(d)
 
 
 def _sign(q: Fraction) -> int:

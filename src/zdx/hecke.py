@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import DEFAULT_LIMIT, Inadmissible
-from .exact import dec_str
+from . import DEFAULT_LIMIT, Inadmissible, dec_str
 
 __all__ = [
     "TableLimitError",
@@ -40,7 +39,11 @@ __all__ = [
     "MAX_LIMIT",
 ]
 
-#: Memory guard: the largest table ``compute_tau`` builds.
+#: Time and memory budget: the largest table ``compute_tau`` builds.
+#: ``hecke-verify --limit 200000`` takes 3.3-4.1 s at 91.5 MB peak RSS, and
+#: ``--limit 20000`` 0.44-0.49 s at 24.2 MB (2 vCPU Xeon, CPython 3.11.7,
+#: libmpdec 2.5.1; wall time and max RSS of the call alone, spawned from a
+#: small launcher).  The time grows about 8x per 10x of limit.
 MAX_LIMIT = 200_000
 
 
@@ -74,23 +77,45 @@ def _series_square(f: list[int], n: int) -> list[int]:
     d = len(str(2 * n * m * m))
     h = 5 * 10 ** (d - 1)
     offset = decimal.Decimal(f"{h}" * n)
-    packed = "".join(f"{c + h:0{d}d}" for c in reversed(f))
+    # c + 10^d + h has d + 1 digits, a leading 1 then the zero-padded block
+    lead = 10 ** d + h
+    packed = "".join([str(c + lead)[1:] for c in reversed(f)])
     p = exact.subtract(decimal.Decimal(packed), offset)
     digits = str(exact.add(exact.multiply(p, p), offset))[-d * n:].zfill(d * n)
     return [int(digits[i - d:i]) - h for i in range(d * n, 0, -d)]
 
 
-def _eta_cubed(n: int) -> list[int]:
-    """prod_{m>=1} (1 - q^m)^3 truncated to n coefficients.
+def _sparse_square(terms: list[tuple[int, int]], n: int) -> list[int]:
+    """Square, truncated to n coefficients, of sum c q^i over ``terms``.
+
+    ``terms`` lists the pairs (i, c) in increasing i.  One product per pair
+    of terms whose exponents sum below n, so it beats the packed multiply
+    on a series as sparse as Jacobi's, whose terms number about sqrt(2 n).
+    """
+    out = [0] * n
+    for a, (i, c) in enumerate(terms):
+        if 2 * i >= n:
+            break
+        out[2 * i] += c * c
+        c2 = 2 * c
+        for j, e in terms[a + 1:]:
+            if i + j >= n:
+                break
+            out[i + j] += c2 * e
+    return out
+
+
+def _eta_cubed(n: int) -> list[tuple[int, int]]:
+    """The terms (exponent, coefficient) of prod_{m>=1} (1 - q^m)^3 below q^n.
 
     Jacobi's identity: the series is sum_k (-1)^k (2k+1) q^{k(k+1)/2}.
     """
-    coeffs = [0] * n
+    terms = []
     k = 0
     while (idx := k * (k + 1) // 2) < n:
-        coeffs[idx] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        terms.append((idx, -(2 * k + 1) if k % 2 else 2 * k + 1))
         k += 1
-    return coeffs
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +128,10 @@ class TauTable:
 
     limit: int
     tau: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.tau) != self.limit + 1:
+            raise ValueError(f"tau table of limit {self.limit} has {len(self.tau)} entries")
 
     def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.limit:
@@ -121,6 +150,10 @@ class MollifierTable:
     limit: int
     m: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.m) != self.limit + 1:
+            raise ValueError(f"mollifier table of limit {self.limit} has {len(self.m)} entries")
+
     def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.limit:
             raise IndexError(f"m({n}) outside table limit {self.limit}")
@@ -130,18 +163,21 @@ class MollifierTable:
 def compute_tau(limit: int) -> TauTable:
     """Exact tau table: Jacobi's eta^3 squared three times, then shifted by q.
 
-    eta^24 = (((eta^3)^2)^2)^2 takes three exact truncated squarings
-    (``_series_square``); the coefficient of q^{n-1} in eta^24 is tau(n).
-    At MAX_LIMIT = 200000 (2 vCPU Xeon, CPython 3.11.7, libmpdec 2.5.1)
-    this takes about 2 s; ``hecke-verify`` with every identity check takes
-    3.4-4.9 s end to end at 91 MB peak RSS.
+    eta^24 = (((eta^3)^2)^2)^2 takes three exact truncated squarings.  The
+    first is term by term on integers (``_sparse_square``): eta^3 has only
+    about sqrt(2 limit) nonzero terms, about 200 at limit 20000.  The other
+    two are dense and go through packed decimals (``_series_square``).  The
+    coefficient of q^{n-1} in eta^24 is tau(n).  At MAX_LIMIT = 200000 this
+    takes 1.5-1.8 s, and 0.11-0.13 s at 20000 (2 vCPU Xeon, CPython 3.11.7,
+    libmpdec 2.5.1); ``hecke-verify`` with every identity check takes
+    3.3-4.1 s end to end at 91.5 MB peak RSS (see ``MAX_LIMIT``).
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > MAX_LIMIT:
         raise TableLimitError(f"limit {limit} exceeds the table budget of {MAX_LIMIT}")
-    series = _eta_cubed(limit)
-    for _ in range(3):
+    series = _sparse_square(_eta_cubed(limit), limit)
+    for _ in range(2):
         series = _series_square(series, limit)
     return TauTable(limit, (0, *series))
 
@@ -158,7 +194,7 @@ def _smallest_prime_factors(limit: int) -> list[int]:
 
 def mollifier_from(table: TauTable) -> MollifierTable:
     """Build m(1..limit) multiplicatively from the tau table."""
-    limit = table.limit
+    limit, tau = table.limit, table.tau
     spf = _smallest_prime_factors(limit)
     m = [0] * (limit + 1)
     m[1] = 1
@@ -169,7 +205,7 @@ def mollifier_from(table: TauTable) -> MollifierTable:
             rest //= p
             a += 1
         if a == 1:
-            local = -table[p]
+            local = -tau[p]
         elif a == 2:
             local = p ** 11
         else:
@@ -195,13 +231,14 @@ def convolution_values(table: TauTable, moll: MollifierTable, upto: int) -> list
     """sum_{d | n} m(d) tau(n/d) for n = 1..upto (index 0 unused)."""
     if upto > table.limit:
         raise ValueError("upto exceeds the table limit")
+    if upto > moll.limit:
+        raise ValueError("upto exceeds the mollifier limit")
+    tau = table.tau
     vals = [0] * (upto + 1)
-    for d in range(1, upto + 1):
-        md = moll[d]
-        if md == 0:
-            continue
-        for n in range(d, upto + 1, d):
-            vals[n] += md * table[n // d]
+    for d, md in enumerate(moll.m[1:upto + 1], 1):
+        if md:
+            # vals[d k] += m(d) tau(k) for k = 1..upto // d
+            vals[d::d] = [v + md * t for v, t in zip(vals[d::d], tau[1:upto // d + 1])]
     return vals
 
 
@@ -282,9 +319,9 @@ def deligne_check(table: TauTable) -> DeligneReport:
     d = divisor_counts(table.limit)
     best_num, best_den, argmax = 0, 1, 1
     violations = []
-    for n in range(1, table.limit + 1):
-        num = table[n] ** 2
-        den = d[n] ** 2 * n ** 11
+    for n, t, dn in zip(range(1, table.limit + 1), table.tau[1:], d[1:]):
+        num = t * t
+        den = dn * dn * n ** 11
         if num > den:
             violations.append(n)
         if num * best_den > best_num * den:
@@ -294,7 +331,7 @@ def deligne_check(table: TauTable) -> DeligneReport:
 
 def hecke_recursion_failures(table: TauTable) -> list[tuple[int, int]]:
     """Prime powers (p, a) with tau(p^{a+1}) != tau(p) tau(p^a) - p^11 tau(p^{a-1})."""
-    limit = table.limit
+    limit, tau = table.limit, table.tau
     spf = _smallest_prime_factors(limit)
     primes = [p for p in range(2, limit + 1) if spf[p] == p]
     failures = []
@@ -302,8 +339,8 @@ def hecke_recursion_failures(table: TauTable) -> list[tuple[int, int]]:
         pa = p  # p^a, starting at a = 1
         a = 1
         while pa * p <= limit:
-            lhs = table[pa * p]
-            rhs = table[p] * table[pa] - p ** 11 * table[pa // p]
+            lhs = tau[pa * p]
+            rhs = tau[p] * tau[pa] - p ** 11 * tau[pa // p]
             if lhs != rhs:
                 failures.append((p, a))
             pa *= p
@@ -313,13 +350,14 @@ def hecke_recursion_failures(table: TauTable) -> list[tuple[int, int]]:
 
 def multiplicativity_failures(table: TauTable) -> list[tuple[int, int]]:
     """Coprime pairs (m, n), m < n, m n <= limit, with tau(mn) != tau(m) tau(n)."""
-    limit = table.limit
+    limit, tau = table.limit, table.tau
     failures = []
     for m in range(2, math.isqrt(limit) + 1):
-        for n in range(m + 1, limit // m + 1):
-            if math.gcd(m, n) != 1:
-                continue
-            if table[m * n] != table[m] * table[n]:
+        tm, top = tau[m], limit // m
+        # (n, tau(m n), tau(n)) for n = m+1..top; a correct table matches at
+        # every coprime n, so the coprimality test runs only on a mismatch
+        for n, tmn, tn in zip(range(m + 1, top + 1), tau[m * (m + 1)::m], tau[m + 1:top + 1]):
+            if tmn != tm * tn and math.gcd(m, n) == 1:
                 failures.append((m, n))
     return failures
 

@@ -504,9 +504,10 @@ def test_desk_outputs_pinned(runner, argv):
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    (["--help"], ["numpy", "zdx.density", "zdx.hecke", "zdx.svg"]),
+    (["--help"], ["decimal", "fractions", "numpy", "zdx.density", "zdx.hecke", "zdx.svg"]),
     (["mellin-probe"], ["numpy"]),
     (["hm-test", "--trials", "3"], ["zdx.density"]),
+    (["hecke-verify", "--limit", "50"], ["numpy", "zdx.density", "zdx.exact", "zdx.pairs"]),
 ])
 def test_commands_load_only_what_they_use(argv, unloaded):
     code = (

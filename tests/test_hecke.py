@@ -1,17 +1,21 @@
 import hashlib
+import math
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zdx import hecke
 from zdx.cli import main
 from zdx.hecke import (
     ConvolutionWitness,
+    DeligneReport,
     DxValue,
+    MollifierTable,
     TableLimitError,
+    TauTable,
     compute_tau,
     convolution_identity_check,
     convolution_values,
@@ -47,6 +51,112 @@ def naive_tau(limit):
             for i in range(limit - 1, n - 1, -1):
                 series[i] -= series[i - n]
     return [0] + series  # tau(k) = series[k-1], shifted by q
+
+
+# The check loops as they read before they took the tuples directly: every
+# read goes through the bounds-checked ``__getitem__``.
+
+def _oracle_mollifier(table):
+    limit = table.limit
+    spf = hecke._smallest_prime_factors(limit)
+    m = [0] * (limit + 1)
+    m[1] = 1
+    for n in range(2, limit + 1):
+        p = spf[n]
+        rest, a = n, 0
+        while rest % p == 0:
+            rest //= p
+            a += 1
+        local = -table[p] if a == 1 else p ** 11 if a == 2 else 0
+        m[n] = m[rest] * local
+    return MollifierTable(limit, tuple(m))
+
+
+def _oracle_convolution(table, moll, upto):
+    vals = [0] * (upto + 1)
+    for d in range(1, upto + 1):
+        for n in range(d, upto + 1, d):
+            vals[n] += moll[d] * table[n // d]
+    return vals
+
+
+def _oracle_multiplicativity(table):
+    limit = table.limit
+    return [
+        (m, n)
+        for m in range(2, math.isqrt(limit) + 1)
+        for n in range(m + 1, limit // m + 1)
+        if math.gcd(m, n) == 1 and table[m * n] != table[m] * table[n]
+    ]
+
+
+def _oracle_recursion(table):
+    limit = table.limit
+    failures = []
+    for p in range(2, limit + 1):
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        a = 1
+        while p ** (a + 1) <= limit:
+            if table[p ** (a + 1)] != table[p] * table[p ** a] - p ** 11 * table[p ** (a - 1)]:
+                failures.append((p, a))
+            a += 1
+    return failures
+
+
+def _oracle_deligne(table):
+    d = divisor_counts(table.limit)
+    best, argmax, violations = Fraction(0), 1, []
+    for n in range(1, table.limit + 1):
+        ratio = Fraction(table[n] ** 2, d[n] ** 2 * n ** 11)
+        if ratio > 1:
+            violations.append(n)
+        if ratio > best:
+            best, argmax = ratio, n
+    return DeligneReport(table.limit, best, argmax, tuple(violations))
+
+
+@given(
+    st.integers(1, 400),
+    st.lists(st.tuples(st.integers(1, 400), st.integers(-(10 ** 30), 10 ** 30).filter(bool)),
+             max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_check_loops_match_their_oracles(table, limit, perturbations):
+    tau = list(table.tau[: limit + 1])
+    for n, delta in perturbations:
+        tau[(n - 1) % limit + 1] += delta
+    bent = TauTable(limit, tuple(tau))
+    moll = mollifier_from(bent)
+    assert moll == _oracle_mollifier(bent)
+    assert convolution_values(bent, moll, limit) == _oracle_convolution(bent, moll, limit)
+    assert multiplicativity_failures(bent) == _oracle_multiplicativity(bent)
+    assert hecke_recursion_failures(bent) == _oracle_recursion(bent)
+    assert deligne_check(bent) == _oracle_deligne(bent)
+
+
+@given(st.data())
+@example(None)
+@settings(max_examples=80, deadline=None)
+def test_sparse_square_matches_packed_square(data):
+    if data is None:  # n = 1, a negative constant term
+        n, terms = 1, [(0, -7)]
+    else:
+        n = data.draw(st.integers(1, 80))
+        # a few terms anywhere in [0, n + 10), so the support may run past
+        # n / 2 and past the truncation
+        terms = sorted(data.draw(st.dictionaries(
+            st.integers(0, n + 9), st.integers(-(10 ** 12), 10 ** 12), max_size=12)).items())
+    f = [dict(terms).get(i, 0) for i in range(n)]
+    expected = [sum(f[i] * f[k - i] for i in range(k + 1)) for k in range(n)]
+    assert hecke._sparse_square(terms, n) == hecke._series_square(f, n) == expected
+
+
+def test_tables_reject_a_wrong_length():
+    with pytest.raises(ValueError, match="has 10 entries"):
+        TauTable(10, (0,) * 10)
+    with pytest.raises(ValueError, match="has 12 entries"):
+        MollifierTable(10, (0,) * 12)
 
 
 def test_tau_against_naive_oracle(table):
@@ -128,6 +238,11 @@ def test_mollifier_supported_on_cubefree(moll):
 
 def test_convolution_identity_no_failures(table, moll):
     assert convolution_identity_check(table, LIMIT, moll) == []
+
+
+def test_convolution_rejects_a_short_mollifier():
+    with pytest.raises(ValueError, match="mollifier limit"):
+        convolution_identity_check(compute_tau(100), 100, mollifier_from(compute_tau(50)))
 
 
 def test_convolution_unit_and_spot_values(table, moll):
