@@ -138,11 +138,21 @@ class PairFamily:
         return len(self.pairs)
 
     def to_json(self) -> str:
-        rows = [
-            {"kappa": rat_str(p.kappa), "lambda": rat_str(p.lam), "word": p.word}
+        """``json.dumps(rows, indent=2) + "\\n"`` of the rows {kappa, lambda, word}.
+
+        The text is written directly, each scalar encoded by ``json.dumps``:
+        an indented ``json.dumps`` runs the pure-Python encoder.
+        """
+        if not self.pairs:
+            return "[]\n"
+        dumps = json.dumps
+        rows = ",\n".join(
+            f'  {{\n    "kappa": {dumps(rat_str(p.kappa))},'
+            f'\n    "lambda": {dumps(rat_str(p.lam))},'
+            f'\n    "word": {dumps(p.word)}\n  }}'
             for p in self.pairs
-        ]
-        return json.dumps(rows, indent=2) + "\n"
+        )
+        return f"[\n{rows}\n]\n"
 
 
 def sorted_triples(triples: Collection[tuple]) -> list[tuple]:

@@ -2,7 +2,9 @@
 
 Curves are sampled on a fixed rational grid and emitted as polylines with
 deterministic coordinate formatting; axis ticks carry the exact rational
-endpoints of the plotted interval.
+endpoints of the plotted interval.  Each grid point's E is computed
+exactly and rounded once: one integer true division, equal to
+``float(curve.eval_E(sigma))``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .density import BoundCurve, PiecewiseBound
-from .exact import Interval, rat_str
+from .exact import Interval, LinFrac, rat_str
 
 __all__ = ["render_curves_svg", "PLOT_SAMPLES"]
 
@@ -25,14 +27,23 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _sample_envelope(bound: PiecewiseBound, grid: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    return [(sigma, seg.curve.eval_E(sigma)) for sigma, seg in bound.segments_along(grid)]
+def _point(A: LinFrac, sigma: Fraction) -> tuple[float, float]:
+    """(sigma, E) as floats for E = A(sigma)(1 - sigma), each rounded once.
+
+    With sigma = x/w, E = (a x + b w)(w - x) / ((c x + d w) w), and the
+    true division of two ints is correctly rounded, so the pair equals
+    ``(float(sigma), float(E))``.
+    """
+    x, w = sigma.numerator, sigma.denominator
+    return x / w, (A.a * x + A.b * w) * (w - x) / ((A.c * x + A.d * w) * w)
 
 
-def _sample_curve(curve: BoundCurve, grid: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    return [
-        (sigma, curve.eval_E(sigma)) for sigma in grid if curve.region.contains(sigma)
-    ]
+def _sample_envelope(bound: PiecewiseBound, grid: list[Fraction]) -> list[tuple[float, float]]:
+    return [_point(seg.curve.A, sigma) for sigma, seg in bound.segments_along(grid)]
+
+
+def _sample_curve(curve: BoundCurve, grid: list[Fraction]) -> list[tuple[float, float]]:
+    return [_point(curve.A, sigma) for sigma in grid if curve.region.contains(sigma)]
 
 
 def render_curves_svg(
@@ -43,13 +54,13 @@ def render_curves_svg(
 ) -> str:
     """E(sigma) of the optimized bound plus baselines as a standalone SVG."""
     grid = interval.grid(samples - 1)
-    series: list[tuple[str, bool, list[tuple[Fraction, Fraction]]]] = []
+    series: list[tuple[str, bool, list[tuple[float, float]]]] = []
     series.append(("optimized", False, _sample_envelope(bound, grid)))
     for base in baselines:
         series.append((base.provenance.label, base.provenance.conjectural, _sample_curve(base, grid)))
     series = [(label, dashed, pts) for label, dashed, pts in series if pts]
 
-    y_max = max((float(y) for _, _, pts in series for _, y in pts), default=1.0) or 1.0
+    y_max = max((y for _, _, pts in series for _, y in pts), default=1.0) or 1.0
     x_lo, x_hi = float(interval.lo), float(interval.hi)
     x_span = (x_hi - x_lo) or 1.0
 
@@ -83,7 +94,7 @@ def render_curves_svg(
     ]
     for idx, (label, dashed, pts) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{_fmt(px(float(x)))},{_fmt(py(float(y)))}" for x, y in pts)
+        coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} '

@@ -171,6 +171,23 @@ def test_envelope_outputs_pinned(runner, argv):
     assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == ENVELOPE_SHA256[argv]
 
 
+#: SHA-256 of stdout on edge intervals, taken from the plot that sampled
+#: every E as a Fraction: a point interval plots one point per curve
+PLOT_EDGE_SHA256 = {
+    "plot --depth 12 --interval 7/10,7/10":
+        "40441e0126e2d8cf79ae5e3b0d923efc6790c65d03833b3467989a9c1ba336c2",
+    "plot --depth 0 --interval 1/2,1":
+        "47da5858b5e4dc719ef760ee3c70e2dbb6d98fcddddd62514e60358620cb09db",
+}
+
+
+@pytest.mark.parametrize("argv", PLOT_EDGE_SHA256)
+def test_plot_edge_outputs_pinned(runner, argv):
+    res = invoke(runner, *argv.split())
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == PLOT_EDGE_SHA256[argv]
+
+
 @pytest.mark.parametrize("command", ["optimize", "compare", "plot"])
 @pytest.mark.parametrize("interval", ["0,1/4", "1/2,2", "2/5,1"])
 def test_interval_outside_domain_rejected(runner, command, interval):
@@ -418,6 +435,23 @@ def test_mellin_probe_steps_over_budget_exit3(runner, monkeypatch):
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr == f"error: steps {steps} exceeds the probe budget of {steps - 1}\n"
+
+
+def test_optimize_resolution_over_budget_exit3(runner, monkeypatch):
+    from zdx import density
+    from zdx.exact import Interval
+
+    def never(*args):
+        raise AssertionError("a grid point was built before the budget was checked")
+
+    monkeypatch.setattr(Interval, "grid", never)
+    resolution = density.MAX_RESOLUTION + 1
+    res = runner.invoke(cli, ["optimize", "--resolution", str(resolution)])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"error: resolution {resolution} exceeds the table budget of {resolution - 1}\n"
+    )
 
 
 def test_mellin_probe_defaults(runner):

@@ -828,6 +828,48 @@ def test_segments_along_matches_segment_at(depth12):
         list(bound.segments_along([F(3, 4), F(1, 3)]))
 
 
+def _oracle_lowest_at(segments, sigma):
+    """``density._lowest_at`` as it was, evaluating E at every segment holding sigma."""
+    hits = [seg for seg in segments if seg.region.contains(sigma)]
+    if not hits:
+        raise KeyError(f"sigma = {rat_str(sigma)} outside the optimized interval")
+    return min(hits, key=lambda seg: seg.curve.eval_E(sigma))
+
+
+def assert_lowest_at_matches_oracle(bound, sigmas):
+    want = [_oracle_lowest_at(bound.segments, x) for x in sigmas]
+    assert all(bound.segment_at(x) is seg for x, seg in zip(sigmas, want))
+    assert all(got is seg for (_, got), seg in zip(bound.segments_along(sigmas), want))
+
+
+@pytest.mark.parametrize("depth", [12, 14])
+@pytest.mark.parametrize("interval", [WIDE, Interval(F(1, 2), F(1))], ids=["13/15,1", "1/2,1"])
+def test_lowest_at_matches_oracle_at_every_endpoint(depth, interval):
+    bound = optimize(generate_pairs(depth), interval)
+    ends = sorted({x for seg in bound for x in (seg.region.lo, seg.region.hi)})
+    assert_lowest_at_matches_oracle(bound, ends)
+
+
+@pytest.mark.parametrize("left, right, winner", [
+    (LinFrac.constant(F(8, 3)), LinFrac.constant(2), "right"),  # jump down
+    (LinFrac.constant(2), LinFrac.constant(F(8, 3)), "left"),  # jump up
+    (LinFrac.constant(2), LinFrac(0, 4, 4, -1), "left"),  # exact tie: 4/(4s-1) = 2 at 3/4
+    (LinFrac(0, 4, 4, -1), LinFrac.constant(2), "left"),
+])
+def test_lowest_at_matches_oracle_at_a_shared_endpoint(left, right, winner):
+    half, mid = Interval(F(1, 2), F(3, 4)), Interval(F(3, 4), F(1))
+    segments = (Segment(half, BoundCurve(left, half, Provenance("left"))),
+                Segment(mid, BoundCurve(right, mid, Provenance("right"))))
+    bound = PiecewiseBound(Interval(F(1, 2), F(1)), segments)
+    assert bound.segment_at(F(3, 4)).curve.provenance.label == winner
+    assert_lowest_at_matches_oracle(bound, [F(1, 2), F(5, 8), F(3, 4), F(7, 8), F(1)])
+    for outside in (F(1, 3), F(5, 4)):
+        with pytest.raises(KeyError):
+            _oracle_lowest_at(segments, outside)
+        with pytest.raises(KeyError):
+            bound.segment_at(outside)
+
+
 def test_piecewise_json():
     fam = generate_pairs(3)
     bound = optimize(fam, Interval(F(17, 18), F(1)))

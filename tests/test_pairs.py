@@ -18,6 +18,7 @@ from zdx.pairs import (
     replay_word,
     sorted_triples,
 )
+from zdx.exact import rat_str
 
 F = Fraction
 
@@ -121,6 +122,23 @@ def test_family_json_export():
     for row in rows:
         assert set(row) == {"kappa", "lambda", "word"}
         assert "." not in row["kappa"] and "." not in row["lambda"]
+
+
+def assert_indented_json_dumps(family):
+    rows = [{"kappa": rat_str(p.kappa), "lambda": rat_str(p.lam), "word": p.word} for p in family]
+    assert family.to_json() == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("depth", range(MAX_DEPTH + 1))
+def test_family_json_is_indented_json_dumps(depth):
+    assert_indented_json_dumps(generate_pairs(depth))
+
+
+def test_family_json_of_injected_and_empty_families():
+    injected = ExponentPair(F(1, 14), F(11, 14), word=None)
+    assert_indented_json_dumps(pairs.PairFamily((injected, SEED), 0))
+    assert_indented_json_dumps(pairs.PairFamily((), 0))
+    assert pairs.PairFamily((), 0).to_json() == "[]\n"
 
 
 def test_family_growth_and_size_bound():
