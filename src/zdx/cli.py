@@ -247,10 +247,12 @@ def cmd_bound(pair_text: str, sigma_text: str, out: str) -> None:
 def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str,
                  include_conjectural: bool, out: str) -> None:
     """Minimize E(sigma) over a pair family plus baselines."""
-    from .density import bound_table_rows, optimize, piecewise_to_json_obj
+    from .density import bound_table_rows, optimize, piecewise_to_json_obj, validate_resolution
     from .pairs import generate_pairs
 
     interval = _parse_interval(interval_text)
+    # in both formats, before the family is generated
+    validate_resolution(resolution)
     family = generate_pairs(depth)
     bound = optimize(family, interval, include_conjectural=include_conjectural)
     if fmt == "json":
@@ -434,47 +436,19 @@ def cmd_audit_family(depth: int, verbose: bool) -> None:
 
     Every pair with 0 < kappa < 1/3 is audited; exits 1 if any check fails.
     """
-    from .density import KAPPA_LIMIT, audit_balance, continuity_check, regions_for
-    from .exact import rat_str
+    from .density import audit_family
     from .pairs import generate_pairs
 
     family = generate_pairs(depth)
     start = time.perf_counter()
-    audited = failed = skipped = 0
-    for pair in family:
-        if not 0 < pair.kappa < KAPPA_LIMIT:
-            skipped += 1
-            continue
-        regions = regions_for(pair)
-        statuses = []
-        for region in (1, 2):
-            if regions.region(region).is_empty:
-                statuses.append(f"r{region}:empty")
-                continue
-            rep = audit_balance(regions, region)
-            statuses.append(f"r{region}:{'pass' if rep.passed else 'FAIL'}")
-            if rep.passed:
-                audited += 1
-            else:
-                failed += 1
-                click.echo(f"FAIL {pair} region {region}: {rep.violation}")
-        cont = continuity_check(regions)
-        if cont.status == "mismatch":
-            failed += 1
-            click.echo(
-                f"FAIL {pair} continuity at sigma = {rat_str(cont.sigma_star)}: {cont.note}"
-            )
-        if verbose:
-            click.echo(
-                f"({rat_str(pair.kappa)}, {rat_str(pair.lam)})  word={pair.word or '-'}  "
-                f"{' '.join(statuses)}  continuity:{cont.status}"
-            )
+    result = audit_family(family, verbose=verbose)
     elapsed = time.perf_counter() - start
-    click.echo(
-        f"depth {depth}: {len(family)} pairs, {audited} region audits passed, "
-        f"{skipped} pairs outside (0, 1/3), {elapsed:.2f}s"
+    summary = (
+        f"depth {depth}: {len(family)} pairs, {result.audited} region audits passed, "
+        f"{result.skipped} pairs outside (0, 1/3), {elapsed:.2f}s"
     )
-    if failed:
+    click.echo("\n".join([*result.lines, summary]))
+    if result.failed:
         sys.exit(EXIT_CHECK_FAILURE)
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import Inadmissible, dec_str
 from .exact import (
@@ -44,6 +45,7 @@ __all__ = [
     "ContinuityReport",
     "TermCertificate",
     "AuditReport",
+    "FamilyAudit",
     "Crossover",
     "Segment",
     "PiecewiseBound",
@@ -51,10 +53,12 @@ __all__ = [
     "exponent_curve",
     "continuity_check",
     "audit_balance",
+    "audit_family",
     "baseline_curves",
     "crossover",
     "baseline_crossovers",
     "validate_interval",
+    "validate_resolution",
     "optimize",
     "candidate_curves",
     "provenance_fields",
@@ -117,6 +121,27 @@ def _sigma_star(p: int, r: int, q: int) -> tuple[int, int]:
     return q + r - 4 * p, 2 * q - 6 * p
 
 
+_End = tuple[int, int]  # a rational n/d with d > 0, not necessarily in lowest terms
+
+
+def _region_ends(p: int, r: int, q: int) -> tuple[_End, _End, tuple[_End, _End] | None,
+                                                  tuple[_End, _End] | None]:
+    """sigma_star, left2 and the (lo, hi) ends of regions 1 and 2, None if empty.
+
+    kappa = p/q < 1/3 and lambda = r/q; every end is sigma_star, left2,
+    1/2 or 1, and every comparison is integer cross-multiplication.
+    """
+    star = star_n, star_d = _sigma_star(p, r, q)
+    left = left_n, left_d = q + r + p, 2 * (q + p)
+    if star_n <= star_d:
+        region1 = (star if 2 * star_n >= star_d else (1, 2), (1, 1))
+        hi2 = star
+    else:
+        region1, hi2 = None, (1, 1)
+    region2 = (left, hi2) if left_n * hi2[1] <= hi2[0] * left_d else None
+    return star, left, region1, region2
+
+
 def regions_for(pair: ExponentPair) -> RegionSpec:
     """Exact region endpoints for a pair; kappa >= 1/3 is rejected."""
     p, r, q = pair.triple
@@ -124,18 +149,13 @@ def regions_for(pair: ExponentPair) -> RegionSpec:
         raise InadmissiblePair(
             f"pair {pair} has kappa >= 1/3; the region construction needs kappa < 1/3"
         )
-    # sigma_star and left2 over positive denominators, compared as integers
-    star_n, star_d = _sigma_star(p, r, q)
-    left_n, left_d = q + r + p, 2 * (q + p)
-    sigma_star, left2 = Fraction(star_n, star_d), Fraction(left_n, left_d)
-    if star_n <= star_d:
-        region1 = Interval(sigma_star if 2 * star_n >= star_d else _HALF, _ONE)
-        hi2, hi_n, hi_d = sigma_star, star_n, star_d
-    else:
-        region1 = Interval.empty()
-        hi2, hi_n, hi_d = _ONE, 1, 1
-    region2 = Interval(left2, hi2) if left_n * hi_d <= hi_n * left_d else Interval.empty()
-    return RegionSpec(pair, p, r, q, sigma_star, left2, region1, region2)
+    star, left, ends1, ends2 = _region_ends(p, r, q)
+
+    def interval(ends: tuple[_End, _End] | None) -> Interval:
+        return Interval(Fraction(*ends[0]), Fraction(*ends[1])) if ends else Interval.empty()
+
+    return RegionSpec(pair, p, r, q, Fraction(*star), Fraction(*left),
+                      interval(ends1), interval(ends2))
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +213,19 @@ def _branch_A(regions: RegionSpec, region: int) -> LinFrac:
     """The A of ``exponent_curve(regions.pair, region)``, from its RegionSpec."""
     if regions.region(region).is_empty:
         raise EmptyRegion(f"region {region} of pair {regions.pair} is empty")
-    if region == 1:
-        return LinFrac(0, 4, 4, -1)
-    p, r, q = regions.p, regions.r, regions.q
-    if p == 0:
+    if region == 2 and regions.p == 0:
         raise InadmissiblePair(
             f"pair {regions.pair}: the region-2 branch degenerates for kappa = 0"
         )
+    return LinFrac(*_branch_ints(regions.p, regions.r, regions.q, region))
+
+
+def _branch_ints(p: int, r: int, q: int, region: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d) of a branch's A = (a s + b) / (c s + d), not normalized."""
+    if region == 1:
+        return 0, 4, 4, -1
     # 4k / ((2-2k) s + (3k-l-1)) with numerator and denominator times q
-    return LinFrac(0, 4 * p, 2 * q - 2 * p, 3 * p - r - q)
+    return 0, 4 * p, 2 * q - 2 * p, 3 * p - r - q
 
 
 @dataclass(frozen=True)
@@ -232,20 +256,32 @@ def continuity_check(regions: RegionSpec) -> ContinuityReport:
             "skipped", note="region-2 branch degenerate for kappa = 0"
         )
     star = regions.sigma_star
-    x, w = star.numerator, star.denominator
-    # each branch's A at sigma_star as an integer quotient, cross-multiplied
-    (n1, d1), (n2, d2) = (
-        (A.a * x + A.b * w, A.c * x + A.d * w)
-        for A in (_branch_A(regions, 1), _branch_A(regions, 2))
+    A1, A2 = _branch_A(regions, 1), _branch_A(regions, 2)
+    n1, d1, n2, d2, agree = _continuity_ints(
+        p, r, q, (star.numerator, star.denominator),
+        (A1.a, A1.b, A1.c, A1.d), (A2.a, A2.b, A2.c, A2.d),
     )
-    closed_n, closed_d = 4 * (2 * q - 6 * p), 2 * q + 4 * r - 10 * p
-    if n1 * d2 == n2 * d1 and n1 * closed_d == closed_n * d1:
+    if agree:
         return ContinuityReport("ok", star, Fraction(n1, d1))
     return ContinuityReport(
         "mismatch",
         star,
         note=f"branches disagree: {rat_str(Fraction(n1, d1))} vs {rat_str(Fraction(n2, d2))}",
     )
+
+
+def _continuity_ints(p: int, r: int, q: int, star: _End, A1: tuple[int, int, int, int],
+                     A2: tuple[int, int, int, int]) -> tuple[int, int, int, int, bool]:
+    """Each branch's A at sigma_star = x/w as n/d, and whether both equal the closed form.
+
+    A1 and A2 are the branches' (a, b, c, d).  The cross-multiplications
+    decide the same for any nonzero multiple of (x, w) or of either A.
+    """
+    x, w = star
+    # each branch's A at sigma_star as an integer quotient, cross-multiplied
+    (n1, d1), (n2, d2) = ((a * x + b * w, c * x + d * w) for a, b, c, d in (A1, A2))
+    closed_n, closed_d = 4 * (2 * q - 6 * p), 2 * q + 4 * r - 10 * p
+    return n1, d1, n2, d2, n1 * d2 == n2 * d1 and n1 * closed_d == closed_n * d1
 
 
 # ---------------------------------------------------------------------------
@@ -381,32 +417,45 @@ def audit_balance(regions: RegionSpec, region: int) -> AuditReport:
         raise InadmissiblePair(
             f"pair {pair}: the block length T0 = N^((2s-1-(l-k))/k) is undefined for kappa = 0"
         )
+    A = _branch_A(regions, region)
+    y_ints, scale, term_ints, failure = _audit_ints(
+        p, r, q, region,
+        ((reg.lo.numerator, reg.lo.denominator), (reg.hi.numerator, reg.hi.denominator)),
+        (A.a, A.b, A.c, A.d),
+    )
+    violation = None
+    if failure is not None:
+        term, (x, w) = failure
+        witness = Fraction(x, w)
+        message = ""
+        if term == "exponent_curve":
+            message = (
+                f"exponent_curve's A = {A} is not 2y = 2({LinFrac(0, *y_ints)}); they differ at "
+                f"sigma = {rat_str(witness)}"
+            )
+        violation = BalanceViolation(term, witness, message)
+    return AuditReport(regions, region, reg, y_ints, scale, term_ints, violation)
+
+
+def _audit_ints(
+    p: int, r: int, q: int, region: int, ends: tuple[_End, _End], A: tuple[int, int, int, int]
+) -> tuple[tuple[int, int, int], int, tuple[tuple[int, int], ...], tuple[str, _End] | None]:
+    """The audit's decisions on integers: y, the term numerators and the failure.
+
+    ``ends`` are the region's (lo, hi) and ``A`` the branch's (a, b, c, d).
+    Returns y = (n, c, d) in lowest terms, the scale, the term numerators
+    in ``_TERM_LABELS`` order and the failure: None, or (term, (x, w)) with
+    a witness sigma = x/w.  Every test is a sign of a form homogeneous in
+    each end and in A, so it decides the same for positive multiples of them.
+    """
     # y = n / (c s + d) in lowest terms, the form LinFrac gives it
     if region == 1:
         n, c, d = 2, 4, -1
     else:
         g = math.gcd(2 * p, 2 * q - 2 * p, 3 * p - r - q)
         n, c, d = 2 * p // g, (2 * q - 2 * p) // g, (3 * p - r - q) // g
-    lo_n, lo_d = reg.lo.numerator, reg.lo.denominator
-    hi_n, hi_d = reg.hi.numerator, reg.hi.denominator
+    (lo_n, lo_d), (hi_n, hi_d) = lo, hi = ends
     assert c * lo_n + d * lo_d > 0 and c * hi_n + d * hi_d > 0, "y denominator must be positive"
-
-    # E = A (1 - s) for the A of exponent_curve, which must be 2 y: it is
-    # exactly when (A.a s + A.b)(c s + d) - 2n (A.c s + A.d) vanishes identically
-    violation = None
-    A = _branch_A(regions, region)
-    gap = (A.a * c, A.a * d + A.b * c - 2 * n * A.c, A.b * d - 2 * n * A.d)
-    if any(gap):
-        points = ((lo_n, lo_d), (lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d), (hi_n, hi_d))
-        witness = next(
-            (Fraction(x, w) for x, w in points if (gap[0] * x + gap[1] * w) * x + gap[2] * w * w),
-            reg.lo,
-        )
-        violation = BalanceViolation(
-            "exponent_curve", witness,
-            f"exponent_curve's A = {A} is not 2y = 2({LinFrac(0, n, c, d)}); they differ at "
-            f"sigma = {rat_str(witness)}",
-        )
 
     # Exponent numerators (a s + b) over scale * (c s + d):
     #   E = A (1 - s) = 2 y (1 - s), which is also e1 = (2 - 2s) y
@@ -418,13 +467,88 @@ def audit_balance(regions: RegionSpec, region: int) -> AuditReport:
         (scale * c - 2 * n * (q + p), scale * d + n * (q + r + p)),
         (scale * (2 * c - 6 * n), scale * (2 * d + 3 * n)),
     )
+
+    # E = A (1 - s) for the A of exponent_curve, which must be 2 y: it is
+    # exactly when (A.a s + A.b)(c s + d) - 2n (A.c s + A.d) vanishes identically
+    a_a, a_b, a_c, a_d = A
+    gap = (a_a * c, a_a * d + a_b * c - 2 * n * a_c, a_b * d - 2 * n * a_d)
+    if any(gap):
+        points = (lo, (lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d), hi)
+        witness = next(
+            ((x, w) for x, w in points if (gap[0] * x + gap[1] * w) * x + gap[2] * w * w), lo
+        )
+        return (n, c, d), scale, term_ints, ("exponent_curve", witness)
     e_a, e_b = term_ints[0]
     for label, (a, b) in zip(_TERM_LABELS, term_ints):
         a, b = a - e_a, b - e_b
         at_lo, at_hi = a * lo_n + b * lo_d, a * hi_n + b * hi_d
-        if violation is None and (at_lo > 0 or at_hi > 0):
-            violation = BalanceViolation(label, reg.lo if at_lo > 0 else reg.hi)
-    return AuditReport(regions, region, reg, (n, c, d), scale, term_ints, violation)
+        if at_lo > 0 or at_hi > 0:
+            return (n, c, d), scale, term_ints, (label, lo if at_lo > 0 else hi)
+    return (n, c, d), scale, term_ints, None
+
+
+class FamilyAudit(NamedTuple):
+    """Outcome of ``audit_family``.
+
+    ``lines`` holds, in family order, a FAIL line per failed region audit
+    or continuity check and, when verbose, one status line per audited pair.
+    """
+
+    audited: int  # region audits that passed
+    failed: int  # region audits and continuity checks that failed
+    skipped: int  # pairs outside 0 < kappa < 1/3
+    lines: tuple[str, ...]
+
+
+def audit_family(family: Iterable[ExponentPair], verbose: bool = False) -> FamilyAudit:
+    """Balance audit of every nonempty region and continuity check of every
+    pair with 0 < kappa < 1/3, the family-wide ``audit_balance`` and
+    ``continuity_check``.
+
+    Each pair is decided on its triple (p, r, q) by the integer kernels
+    those two and ``regions_for`` call, over ends and branch coefficients
+    not brought to lowest terms.  Only a failed decision builds the pair's
+    RegionSpec and the full report, whose text the FAIL line carries.
+    """
+    lines: list[str] = []
+    audited = failed = skipped = 0
+    for pair in family:
+        p, r, q = pair.triple
+        if not 0 < 3 * p < q:
+            skipped += 1
+            continue
+        regions = None  # the pair's RegionSpec, built only for a report
+        star, _, *ends = _region_ends(p, r, q)
+        status = []
+        for region, region_ends in zip((1, 2), ends):
+            if region_ends is None:
+                status.append("empty")
+            elif _audit_ints(p, r, q, region, region_ends, _branch_ints(p, r, q, region))[3]:
+                regions = regions or regions_for(pair)
+                violation = audit_balance(regions, region).violation
+                lines.append(f"FAIL {pair} region {region}: {violation}")
+                failed += 1
+                status.append("FAIL")
+            else:
+                audited += 1
+                status.append("pass")
+        continuity = "skipped"
+        if None not in ends:
+            continuity = "ok"
+            branches = _branch_ints(p, r, q, 1), _branch_ints(p, r, q, 2)
+            if not _continuity_ints(p, r, q, star, *branches)[4]:
+                report = continuity_check(regions or regions_for(pair))
+                lines.append(
+                    f"FAIL {pair} continuity at sigma = {rat_str(report.sigma_star)}: {report.note}"
+                )
+                failed += 1
+                continuity = report.status
+        if verbose:
+            lines.append(
+                f"{pair}  word={pair.word or '-'}  r1:{status[0]} r2:{status[1]}  "
+                f"continuity:{continuity}"
+            )
+    return FamilyAudit(audited, failed, skipped, tuple(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -752,16 +876,21 @@ def provenance_fields(prov: Provenance) -> dict[str, str]:
 MAX_RESOLUTION = 100_000
 
 
+def validate_resolution(resolution: int) -> None:
+    """Raise Inadmissible if a table ``resolution`` exceeds ``MAX_RESOLUTION``."""
+    if resolution > MAX_RESOLUTION:
+        raise Inadmissible(
+            f"resolution {resolution} exceeds the table budget of {MAX_RESOLUTION}"
+        )
+
+
 def bound_table_rows(bound: PiecewiseBound, resolution: int) -> list[dict[str, str]]:
     """Exact + decimal rows of the optimized bound on its grid.
 
     A ``resolution`` above ``MAX_RESOLUTION`` raises Inadmissible before
     any grid point is built.
     """
-    if resolution > MAX_RESOLUTION:
-        raise Inadmissible(
-            f"resolution {resolution} exceeds the table budget of {MAX_RESOLUTION}"
-        )
+    validate_resolution(resolution)
     rows = []
     for sigma, seg in bound.segments_along(bound.interval.grid(resolution)):
         a = seg.curve.eval_A(sigma)

@@ -23,14 +23,12 @@ __all__ = [
     "TauTable",
     "MollifierTable",
     "ConvolutionWitness",
-    "DxValue",
     "DeligneReport",
     "HeckeReport",
     "compute_tau",
     "mollifier_from",
     "convolution_identity_check",
     "verify_table",
-    "d_x",
     "deligne_check",
     "hecke_recursion_failures",
     "multiplicativity_failures",
@@ -260,32 +258,6 @@ def _convolution_witnesses(vals: list[int]) -> list[ConvolutionWitness]:
         if vals[n] != expected:
             failures.append(ConvolutionWitness(n, vals[n], expected))
     return failures
-
-
-@dataclass(frozen=True)
-class DxValue:
-    """Truncated-divisor convolution U_X(n) = sum_{d | n, d <= X} m(d) tau(n/d).
-
-    The normalized quantity is U_X(n) / n^{11/2}; the integer is exact.
-    """
-
-    n: int
-    x: int
-    value: int
-
-
-def d_x(n: int, x: int, table: TauTable, moll: MollifierTable | None = None) -> DxValue:
-    if n > table.limit:
-        raise ValueError(f"n = {n} exceeds the table limit {table.limit}")
-    moll = moll or mollifier_from(table)
-    total = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d:
-            continue
-        for div in {d, n // d}:
-            if div <= x:
-                total += moll[div] * table[n // div]
-    return DxValue(n, x, total)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ __all__ = [
 #: Xeon (CPython 3.11.7) ``pairs --depth 22`` takes about 0.5-0.8 s
 #: and 63 MB peak RSS, depth 24 about 1.4-2 s and 135 MB.  The balance audit
 #: of the depth-22 family, ``zdx audit-family --depth 22`` (41,396 region
-#: audits), takes about 1-1.7 s end to end.
+#: audits), takes about 0.6-0.8 s end to end.
 MAX_DEPTH = 22
 
 

@@ -109,11 +109,18 @@ def _hm_draw(
 
     The draw is laid out as the real and imaginary parts of xi, then those
     of phis, which is the stream of four consecutive draws of those sizes.
+    The parts are copied into place, the same values as ``re + 1j * im``
+    without its temporaries.
     """
+    import numpy as np
+
     dim = int(rng.integers(1, dim_cap + 1))
     r = int(rng.integers(1, r_cap + 1))
-    z = rng.standard_normal(2 * dim * (r + 1)).reshape(2 * (r + 1), dim)
-    return z[0] + 1j * z[1], z[2:r + 2] + 1j * z[r + 2:]
+    z = rng.standard_normal((2 * (r + 1), dim))
+    xi, phis = np.empty(dim, complex), np.empty((r, dim), complex)
+    xi.real, xi.imag = z[0], z[1]
+    phis.real, phis.imag = z[2:r + 2], z[r + 2:]
+    return xi, phis
 
 
 def hm_random_system(seed: int, dim_cap: int = 64, r_cap: int = 16) -> VectorSystem:

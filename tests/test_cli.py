@@ -358,9 +358,8 @@ def test_audit_continuity_mismatch_exit1(runner, monkeypatch):
 
 
 def test_audit_family_builds_one_region_spec_per_pair(runner, monkeypatch):
+    # none for a pair whose decisions all pass, one for both reports of a failing pair
     from zdx import density
-    from zdx.density import KAPPA_LIMIT
-    from zdx.pairs import generate_pairs
 
     calls = []
     real = density.regions_for
@@ -372,16 +371,54 @@ def test_audit_family_builds_one_region_spec_per_pair(runner, monkeypatch):
     monkeypatch.setattr(density, "regions_for", counting)
     res = invoke(runner, "audit-family", "--depth", "9")
     assert res.exit_code == 0
-    admissible = [p for p in generate_pairs(9) if 0 < p.kappa < KAPPA_LIMIT]
-    assert calls == admissible
+    assert calls == []
+
+    # region 2 of (1/14, 11/14) perturbed: its audit and its continuity check fail
+    real_ints = density._branch_ints
+
+    def perturbed(p, r, q, region):
+        a, b, c, d = real_ints(p, r, q, region)
+        return (a, b + 1, c, d) if (p, r, q, region) == (1, 11, 14, 2) else (a, b, c, d)
+
+    monkeypatch.setattr(density, "_branch_ints", perturbed)
+    res = runner.invoke(cli, ["audit-family", "--depth", "9"])
+    assert res.exit_code == 1
+    assert [line[:24] for line in res.stdout.splitlines()[:2]] == [
+        "FAIL (1/14, 11/14) regio", "FAIL (1/14, 11/14) conti",
+    ]
+    assert [(p.kappa, p.lam) for p in calls] == [(Fraction(1, 14), Fraction(11, 14))]
+
+
+def test_audit_family_forced_failure_lines(runner, monkeypatch):
+    # the FAIL lines are the full reports' text, and the exit is 1
+    from zdx import density
+    from zdx.pairs import generate_pairs
+
+    real = density._region_ends
+
+    def moved(p, r, q):
+        star, left, ends1, ends2 = real(p, r, q)
+        if (p, r, q) == (1, 11, 14):  # region 2 = [13/15, 21/22] widened to [13/15, 22/22]
+            ends2 = (ends2[0], (22, 22))
+        return star, left, ends1, ends2
+
+    monkeypatch.setattr(density, "_region_ends", moved)
+    res = runner.invoke(cli, ["audit-family", "--depth", "9"])
+    assert res.exit_code == 1
+    lines = res.stdout.splitlines()
+    assert lines[0] == (
+        "FAIL (1/14, 11/14) region 2: term class2_moment exceeds the exponent at sigma = 1"
+    )
+    assert lines[1].startswith("depth 9: 56 pairs, 78 region audits passed, ")
+    assert tuple(lines[:-1]) == density.audit_family(generate_pairs(9)).lines
 
 
 def test_audit_family_internal_error_exits_4(runner, monkeypatch):
     # a crash inside the audit is exit 4, never the check-failure exit 1
-    def broken(regions, region):
+    def broken(*args):
         raise RuntimeError("broken audit")
 
-    monkeypatch.setattr("zdx.density.audit_balance", broken)
+    monkeypatch.setattr("zdx.density._audit_ints", broken)
     res = runner.invoke(cli, ["audit-family", "--depth", "3"])
     assert res.exit_code == 4
     assert res.stdout == ""
@@ -438,20 +475,23 @@ def test_mellin_probe_steps_over_budget_exit3(runner, monkeypatch):
 
 
 def test_optimize_resolution_over_budget_exit3(runner, monkeypatch):
-    from zdx import density
+    # both formats check the budget before the family is generated
+    from zdx import density, pairs
     from zdx.exact import Interval
 
     def never(*args):
-        raise AssertionError("a grid point was built before the budget was checked")
+        raise AssertionError("work was done before the budget was checked")
 
     monkeypatch.setattr(Interval, "grid", never)
+    monkeypatch.setattr(pairs, "generate_pairs", never)
     resolution = density.MAX_RESOLUTION + 1
-    res = runner.invoke(cli, ["optimize", "--resolution", str(resolution)])
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == (
-        f"error: resolution {resolution} exceeds the table budget of {resolution - 1}\n"
-    )
+    for fmt in ("csv", "json"):
+        res = runner.invoke(cli, ["optimize", "--resolution", str(resolution), "--format", fmt])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr == (
+            f"error: resolution {resolution} exceeds the table budget of {resolution - 1}\n"
+        )
 
 
 def test_mellin_probe_defaults(runner):

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from zdx import density, hull
 from zdx.density import (
+    KAPPA_LIMIT,
     BoundCurve,
     EmptyRegion,
+    FamilyAudit,
     InadmissiblePair,
     PiecewiseBound,
     Provenance,
     Segment,
     audit_balance,
+    audit_family,
     baseline_crossovers,
     baseline_curves,
     bound_table_rows,
@@ -479,6 +482,107 @@ def test_audit_kernel_matches_reference_on_failures(pair, widen):
 ], ids=["b+1", "a+1", "constant"])
 def test_audit_kernel_matches_reference_when_curve_is_not_two_y(monkeypatch, pair, perturb):
     assert_kernel_matches_reference(pair, monkeypatch, perturb=perturb)
+
+
+# -- audit_family against the report path --------------------------------------------
+# The reference is audit-family's loop as it was written over the reports: every pair's
+# RegionSpec, audits and continuity check built in full.  audit_family decides on the
+# pair's integers and builds reports only for failures; both must print the same.
+
+def _reference_family_audit(family):
+    lines, audited, failed, skipped = [], 0, 0, 0
+    for pair in family:
+        if not 0 < pair.kappa < KAPPA_LIMIT:
+            skipped += 1
+            continue
+        regions = regions_for(pair)
+        statuses = []
+        for region in (1, 2):
+            if regions.region(region).is_empty:
+                statuses.append(f"r{region}:empty")
+                continue
+            rep = audit_balance(regions, region)
+            statuses.append(f"r{region}:{'pass' if rep.passed else 'FAIL'}")
+            if rep.passed:
+                audited += 1
+            else:
+                failed += 1
+                lines.append(f"FAIL {pair} region {region}: {rep.violation}")
+        cont = continuity_check(regions)
+        if cont.status == "mismatch":
+            failed += 1
+            lines.append(
+                f"FAIL {pair} continuity at sigma = {rat_str(cont.sigma_star)}: {cont.note}"
+            )
+        lines.append(
+            f"({rat_str(pair.kappa)}, {rat_str(pair.lam)})  word={pair.word or '-'}  "
+            f"{' '.join(statuses)}  continuity:{cont.status}"
+        )
+    return FamilyAudit(audited, failed, skipped, tuple(lines))
+
+
+def assert_family_audit_matches_reference(family):
+    expected = _reference_family_audit(family)
+    assert audit_family(family, verbose=True) == expected
+    quiet = audit_family(family)
+    assert quiet == expected._replace(lines=tuple(x for x in expected.lines if x[:5] == "FAIL "))
+    return quiet
+
+
+def test_audit_family_matches_reports_on_family():
+    family = generate_pairs(14)
+    result = assert_family_audit_matches_reference(family)
+    assert (result.audited, result.failed, result.lines) == (881, 0, ())
+
+
+@given(pair=admissible_pairs())
+@settings(max_examples=300, deadline=None)
+@example(pair=PAIR_16)  # region 1 = [1, 1]
+@example(pair=ExponentPair(F(2, 7), F(4, 7)))  # region 1 empty
+@example(pair=ExponentPair(F(1, 3), F(1, 2)))  # kappa = 1/3: skipped
+@example(pair=ExponentPair(F(0), F(1)))  # kappa = 0: skipped
+def test_audit_family_matches_reports_off_family(pair):
+    assert_family_audit_matches_reference([pair])
+
+
+def _perturb_branch(monkeypatch, perturb):
+    real = density._branch_ints
+    monkeypatch.setattr(density, "_branch_ints", lambda *args: perturb(args[3], *real(*args)))
+
+
+def _move_region_ends(monkeypatch, move):
+    real = density._region_ends
+
+    def moved(p, r, q):
+        star, left, ends1, ends2 = real(p, r, q)
+        return star, left, *move(ends1, ends2)
+
+    monkeypatch.setattr(density, "_region_ends", moved)
+
+
+def _shift(end, num, den):
+    """The rational end + num/den, as integers not in lowest terms."""
+    return end[0] * den + num * end[1], end[1] * den
+
+
+#: Ways to make audits and continuity checks fail, through the helpers that
+#: audit_family shares with regions_for, audit_balance and continuity_check.
+FORCED_FAILURES = {
+    "b+1": lambda mp: _perturb_branch(mp, lambda region, a, b, c, d: (a, b + 1, c, d)),
+    "region2-a+1": lambda mp: _perturb_branch(
+        mp, lambda region, a, b, c, d: (a + (region == 2), b, c, d)),
+    "region1-moved-left": lambda mp: _move_region_ends(mp, lambda e1, e2: (
+        e1 and (_shift(e1[0], -1, 50), e1[1]), e2)),
+    "region2-moved-right": lambda mp: _move_region_ends(mp, lambda e1, e2: (
+        e1, e2 and (e2[0], _shift(e2[1], 1, 50)))),
+}
+
+
+@pytest.mark.parametrize("force", FORCED_FAILURES.values(), ids=FORCED_FAILURES.keys())
+def test_audit_family_forced_failures_match_reports(monkeypatch, force):
+    force(monkeypatch)
+    result = assert_family_audit_matches_reference(generate_pairs(9))
+    assert result.failed > 0 and len(result.lines) == result.failed
 
 
 def test_audit_asserts_positive_y_denominator():

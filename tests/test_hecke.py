@@ -12,14 +12,12 @@ from zdx.cli import main
 from zdx.hecke import (
     ConvolutionWitness,
     DeligneReport,
-    DxValue,
     MollifierTable,
     TableLimitError,
     TauTable,
     compute_tau,
     convolution_identity_check,
     convolution_values,
-    d_x,
     deligne_check,
     divisor_counts,
     hecke_recursion_failures,
@@ -252,23 +250,6 @@ def test_convolution_unit_and_spot_values(table, moll):
     assert moll[1] * table[4] + moll[2] * table[2] + moll[4] * table[1] == 0
     assert vals[4] == 0
     assert vals[12] == 0
-
-
-def test_dx_full_inverse_below_x(table, moll):
-    for n in range(2, 40):
-        assert d_x(n, 40, table, moll).value == 0
-    assert d_x(1, 10, table, moll).value == 1
-
-
-def test_dx_prime_above_x(table, moll):
-    # only d = 1 contributes
-    assert d_x(101, 10, table, moll) == DxValue(101, 10, table[101])
-
-
-def test_dx_two_term_cancellation(table, moll):
-    # n = 2p, p prime > X >= 2: contributions of d = 1 and d = 2 cancel
-    for p in (101, 499, 997):
-        assert d_x(2 * p, 2, table, moll).value == 0
 
 
 def test_deligne_bound_holds(table):

@@ -123,6 +123,29 @@ def test_hm_trials_match_four_draw_oracle_bit_for_bit(dim_cap, r_cap, trials, se
             assert hm_inequality_check(drawn) == want
 
 
+def _hm_draw_sum_oracle(rng: np.random.Generator, dim_cap: int, r_cap: int):
+    """The one-draw ``_hm_draw`` as ``re + 1j * im``, which its in-place fill must match."""
+    dim = int(rng.integers(1, dim_cap + 1))
+    r = int(rng.integers(1, r_cap + 1))
+    z = rng.standard_normal(2 * dim * (r + 1)).reshape(2 * (r + 1), dim)
+    return z[0] + 1j * z[1], z[2:r + 2] + 1j * z[r + 2:]
+
+
+@pytest.mark.parametrize("dim_cap, r_cap, trials", [
+    (64, 16, 500), (1, 1, 50), (9, 3, 200), (1024, 1024, 3),
+])
+@pytest.mark.parametrize("seed", [1, 7, 123456, 2**32])
+def test_hm_draw_matches_sum_draw_bit_for_bit(dim_cap, r_cap, trials, seed):
+    for i in range(trials):
+        xi, phis = probes._hm_draw(np.random.default_rng(seed + i), dim_cap, r_cap)
+        want_xi, want_phis = _hm_draw_sum_oracle(np.random.default_rng(seed + i), dim_cap, r_cap)
+        for got, want in ((xi, want_xi), (phis, want_phis)):
+            assert got.shape == want.shape and got.dtype == want.dtype, (seed, i)
+            assert got.flags.c_contiguous and want.flags.c_contiguous, (seed, i)
+            assert got.tobytes() == want.tobytes(), (seed, i)
+        assert probes._hm_sides(xi, phis) == probes._hm_sides(want_xi, want_phis), (seed, i)
+
+
 def test_hm_random_system_caps():
     for i in range(50):
         sys_i = hm_random_system(1000 + i, dim_cap=64, r_cap=16)

@@ -2,14 +2,11 @@
 
 import runpy
 import sys
-from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from zdx import density
-from zdx.density import BalanceViolation
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -21,15 +18,16 @@ def run_script(monkeypatch, capsys, name, *args):
 
 
 def test_audit_family_reports_violations(monkeypatch, capsys):
-    real = density.audit_balance
+    # the audit kernel fails region 2 of (1/14, 11/14) with a made-up witness
+    real = density._audit_ints
 
-    def audit(regions, region):
-        report = real(regions, region)
-        if (regions.pair.kappa, regions.pair.lam, region) == (Fraction(1, 14), Fraction(11, 14), 2):
-            return replace(report, violation=BalanceViolation("class2_moment", Fraction(43, 45)))
-        return report
+    def audit(p, r, q, region, ends, A):
+        y, scale, terms, failure = real(p, r, q, region, ends, A)
+        if (p, r, q, region) == (1, 11, 14, 2):
+            failure = ("class2_moment", (43, 45))
+        return y, scale, terms, failure
 
-    monkeypatch.setattr(density, "audit_balance", audit)
+    monkeypatch.setattr(density, "_audit_ints", audit)
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "audit_family.py", "--depth", "3")
     assert exc.value.code == 1
@@ -44,15 +42,15 @@ def test_audit_family_reports_violations(monkeypatch, capsys):
 
 
 def test_audit_family_fails_on_continuity_mismatch(monkeypatch, capsys):
-    real = density.continuity_check
+    # the continuity kernel finds the branches of (1/6, 2/3) at 4/3 and 5/4
+    real = density._continuity_ints
 
-    def check(regions):
-        report = real(regions)
-        if (regions.pair.kappa, regions.pair.lam) == (Fraction(1, 6), Fraction(2, 3)):
-            return replace(report, status="mismatch", note="branches disagree: 4/3 vs 5/4")
-        return report
+    def check(p, r, q, *args):
+        if (p, r, q) == (1, 4, 6):
+            return 4, 3, 5, 4, False
+        return real(p, r, q, *args)
 
-    monkeypatch.setattr(density, "continuity_check", check)
+    monkeypatch.setattr(density, "_continuity_ints", check)
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "audit_family.py", "--depth", "6")
     assert exc.value.code == 1
@@ -88,10 +86,10 @@ def test_audit_family_negative_depth_is_a_usage_error(monkeypatch, capsys):
 
 def test_audit_family_internal_error_exits_4(monkeypatch, capsys):
     # a crash inside the audit is exit 4, never the check-failure exit 1
-    def broken(regions, region):
+    def broken(*args):
         raise RuntimeError("broken audit")
 
-    monkeypatch.setattr(density, "audit_balance", broken)
+    monkeypatch.setattr(density, "_audit_ints", broken)
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "audit_family.py", "--depth", "3")
     assert exc.value.code == 4
