@@ -16,7 +16,6 @@ import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from . import Inadmissible, dec_str
@@ -204,20 +203,13 @@ def exponent_curve(pair: ExponentPair, region: int) -> BoundCurve:
 def _branch_curve(regions: RegionSpec, region: int) -> BoundCurve:
     """``exponent_curve(regions.pair, region)``, from the pair's RegionSpec."""
     pair = regions.pair
-    A = _branch_A(regions, region)
+    if regions.region(region).is_empty:
+        raise EmptyRegion(f"region {region} of pair {pair} is empty")
+    if region == 2 and regions.p == 0:
+        raise InadmissiblePair(f"pair {pair}: the region-2 branch degenerates for kappa = 0")
+    A = LinFrac(*_branch_ints(regions.p, regions.r, regions.q, region))
     label = f"pair {rat_str(pair.kappa)},{rat_str(pair.lam)} region {region}"
     return BoundCurve(A, regions.region(region), Provenance(label, pair, region))
-
-
-def _branch_A(regions: RegionSpec, region: int) -> LinFrac:
-    """The A of ``exponent_curve(regions.pair, region)``, from its RegionSpec."""
-    if regions.region(region).is_empty:
-        raise EmptyRegion(f"region {region} of pair {regions.pair} is empty")
-    if region == 2 and regions.p == 0:
-        raise InadmissiblePair(
-            f"pair {regions.pair}: the region-2 branch degenerates for kappa = 0"
-        )
-    return LinFrac(*_branch_ints(regions.p, regions.r, regions.q, region))
 
 
 def _branch_ints(p: int, r: int, q: int, region: int) -> tuple[int, int, int, int]:
@@ -256,18 +248,13 @@ def continuity_check(regions: RegionSpec) -> ContinuityReport:
             "skipped", note="region-2 branch degenerate for kappa = 0"
         )
     star = regions.sigma_star
-    A1, A2 = _branch_A(regions, 1), _branch_A(regions, 2)
     n1, d1, n2, d2, agree = _continuity_ints(
         p, r, q, (star.numerator, star.denominator),
-        (A1.a, A1.b, A1.c, A1.d), (A2.a, A2.b, A2.c, A2.d),
+        _branch_ints(p, r, q, 1), _branch_ints(p, r, q, 2),
     )
     if agree:
         return ContinuityReport("ok", star, Fraction(n1, d1))
-    return ContinuityReport(
-        "mismatch",
-        star,
-        note=f"branches disagree: {rat_str(Fraction(n1, d1))} vs {rat_str(Fraction(n2, d2))}",
-    )
+    return ContinuityReport("mismatch", star, note=_mismatch_note(n1, d1, n2, d2))
 
 
 def _continuity_ints(p: int, r: int, q: int, star: _End, A1: tuple[int, int, int, int],
@@ -282,6 +269,11 @@ def _continuity_ints(p: int, r: int, q: int, star: _End, A1: tuple[int, int, int
     (n1, d1), (n2, d2) = ((a * x + b * w, c * x + d * w) for a, b, c, d in (A1, A2))
     closed_n, closed_d = 4 * (2 * q - 6 * p), 2 * q + 4 * r - 10 * p
     return n1, d1, n2, d2, n1 * d2 == n2 * d1 and n1 * closed_d == closed_n * d1
+
+
+def _mismatch_note(n1: int, d1: int, n2: int, d2: int) -> str:
+    """A continuity mismatch's note: the branch values n1/d1 and n2/d2 at sigma_star."""
+    return f"branches disagree: {rat_str(Fraction(n1, d1))} vs {rat_str(Fraction(n2, d2))}"
 
 
 # ---------------------------------------------------------------------------
@@ -321,64 +313,30 @@ class AuditReport:
     e3: sixth-moment term             2 + (3 - 6 sigma) y
 
     with Y = T^{y(sigma)}, N of size Y, and T0 = N^{t0_exponent}; all
-    exponents share the positive linear denominator of y on the region.
-    ``violation`` is None exactly when the audit passed.
-
-    The report keeps the integers the audit decided on: ``y_ints`` =
-    (n, c, d) with y = n/(c sigma + d) in lowest terms; ``term_ints``, the
-    terms' numerators in ``_TERM_LABELS`` order, each (a, b) for
-    (a sigma + b) / (``scale`` (c sigma + d)), the first also E's.  ``y``,
-    ``t0_exponent``, ``denominator``, ``e_num`` and ``terms`` are built from
-    these integers on first read, so an audit that is only gated on pays
-    for none of them; each term's SignCertificate is
-    ``quadratic_sign_on_interval`` of its term-minus-E numerator.
+    exponents share the positive linear ``denominator`` of y on the region.
+    ``terms`` are in ``_TERM_LABELS`` order, each with its numerator over
+    that denominator and the ``quadratic_sign_on_interval`` certificate of
+    its term-minus-E numerator; E = e1, so ``e_num`` is the first term's.
+    ``audit_balance`` builds all of them from the integers the audit
+    decided on.  ``violation`` is None exactly when the audit passed.
     """
 
     regions: RegionSpec
     region_index: int
     region: Interval
-    y_ints: tuple[int, int, int]
-    scale: int
-    term_ints: tuple[tuple[int, int], ...]
+    y: LinFrac
+    t0_exponent: LinFrac
+    denominator: Quadratic
+    terms: tuple[TermCertificate, ...]
     violation: BalanceViolation | None
 
     @property
     def passed(self) -> bool:
         return self.violation is None
 
-    @cached_property
-    def y(self) -> LinFrac:
-        return LinFrac(0, *self.y_ints)
-
-    @cached_property
-    def t0_exponent(self) -> LinFrac:
-        p, r, q = self.regions.p, self.regions.r, self.regions.q
-        return LinFrac(2 * q, p - q - r, 0, p)
-
-    @cached_property
-    def denominator(self) -> Quadratic:
-        return Quadratic.linear(self.y_ints[1], self.y_ints[2])
-
-    @cached_property
+    @property
     def e_num(self) -> Quadratic:
-        return self._numerator(*self.term_ints[0])
-
-    @cached_property
-    def terms(self) -> tuple[TermCertificate, ...]:
-        e_a, e_b = self.term_ints[0]
-        return tuple(
-            TermCertificate(
-                label,
-                self._numerator(a, b),
-                quadratic_sign_on_interval(Quadratic.linear(a - e_a, b - e_b), self.region),
-                achieves=(a, b) == (e_a, e_b),
-            )
-            for label, (a, b) in zip(_TERM_LABELS, self.term_ints)
-        )
-
-    def _numerator(self, a: int, b: int) -> Quadratic:
-        """(a s + b) / scale, the numerator over the shared denominator."""
-        return Quadratic.linear(Fraction(a, self.scale), Fraction(b, self.scale))
+        return self.terms[0].num
 
     def term_value(self, label: str, sigma: Fraction) -> Fraction:
         for t in self.terms:
@@ -417,24 +375,44 @@ def audit_balance(regions: RegionSpec, region: int) -> AuditReport:
         raise InadmissiblePair(
             f"pair {pair}: the block length T0 = N^((2s-1-(l-k))/k) is undefined for kappa = 0"
         )
-    A = _branch_A(regions, region)
-    y_ints, scale, term_ints, failure = _audit_ints(
+    A = _branch_ints(p, r, q, region)
+    (n, c, d), scale, term_ints, failure = _audit_ints(
         p, r, q, region,
-        ((reg.lo.numerator, reg.lo.denominator), (reg.hi.numerator, reg.hi.denominator)),
-        (A.a, A.b, A.c, A.d),
+        ((reg.lo.numerator, reg.lo.denominator), (reg.hi.numerator, reg.hi.denominator)), A,
     )
-    violation = None
-    if failure is not None:
-        term, (x, w) = failure
-        witness = Fraction(x, w)
-        message = ""
-        if term == "exponent_curve":
-            message = (
-                f"exponent_curve's A = {A} is not 2y = 2({LinFrac(0, *y_ints)}); they differ at "
-                f"sigma = {rat_str(witness)}"
-            )
-        violation = BalanceViolation(term, witness, message)
-    return AuditReport(regions, region, reg, y_ints, scale, term_ints, violation)
+    e_a, e_b = term_ints[0]
+    terms = tuple(
+        TermCertificate(
+            label,
+            Quadratic.linear(Fraction(a, scale), Fraction(b, scale)),
+            quadratic_sign_on_interval(Quadratic.linear(a - e_a, b - e_b), reg),
+            achieves=(a, b) == (e_a, e_b),
+        )
+        for label, (a, b) in zip(_TERM_LABELS, term_ints)
+    )
+    return AuditReport(
+        regions, region, reg, LinFrac(0, n, c, d), LinFrac(2 * q, p - q - r, 0, p),
+        Quadratic.linear(c, d), terms,
+        None if failure is None else _violation(failure, A, (n, c, d)),
+    )
+
+
+def _violation(failure: tuple[str, _End], A: tuple[int, int, int, int],
+               y: tuple[int, int, int]) -> BalanceViolation:
+    """The BalanceViolation of an ``_audit_ints`` failure.
+
+    ``A`` is the (a, b, c, d) the audit was given and ``y`` the (n, c, d)
+    it returned; the exponent_curve message prints both as LinFrac.
+    """
+    term, (x, w) = failure
+    witness = Fraction(x, w)
+    message = ""
+    if term == "exponent_curve":
+        message = (
+            f"exponent_curve's A = {LinFrac(*A)} is not 2y = 2({LinFrac(0, *y)}); they differ at "
+            f"sigma = {rat_str(witness)}"
+        )
+    return BalanceViolation(term, witness, message)
 
 
 def _audit_ints(
@@ -506,9 +484,9 @@ def audit_family(family: Iterable[ExponentPair], verbose: bool = False) -> Famil
     ``continuity_check``.
 
     Each pair is decided on its triple (p, r, q) by the integer kernels
-    those two and ``regions_for`` call, over ends and branch coefficients
-    not brought to lowest terms.  Only a failed decision builds the pair's
-    RegionSpec and the full report, whose text the FAIL line carries.
+    those two call, over ends and branch coefficients not brought to
+    lowest terms.  A FAIL line is written from the kernel's result by the
+    helpers the reports use, so no RegionSpec or report is built.
     """
     lines: list[str] = []
     audited = failed = skipped = 0
@@ -517,16 +495,16 @@ def audit_family(family: Iterable[ExponentPair], verbose: bool = False) -> Famil
         if not 0 < 3 * p < q:
             skipped += 1
             continue
-        regions = None  # the pair's RegionSpec, built only for a report
         star, _, *ends = _region_ends(p, r, q)
+        branches = _branch_ints(p, r, q, 1), _branch_ints(p, r, q, 2)
         status = []
-        for region, region_ends in zip((1, 2), ends):
+        for region, region_ends, A in zip((1, 2), ends, branches):
             if region_ends is None:
                 status.append("empty")
-            elif _audit_ints(p, r, q, region, region_ends, _branch_ints(p, r, q, region))[3]:
-                regions = regions or regions_for(pair)
-                violation = audit_balance(regions, region).violation
-                lines.append(f"FAIL {pair} region {region}: {violation}")
+                continue
+            y, _, _, failure = _audit_ints(p, r, q, region, region_ends, A)
+            if failure:
+                lines.append(f"FAIL {pair} region {region}: {_violation(failure, A, y)}")
                 failed += 1
                 status.append("FAIL")
             else:
@@ -534,15 +512,14 @@ def audit_family(family: Iterable[ExponentPair], verbose: bool = False) -> Famil
                 status.append("pass")
         continuity = "skipped"
         if None not in ends:
-            continuity = "ok"
-            branches = _branch_ints(p, r, q, 1), _branch_ints(p, r, q, 2)
-            if not _continuity_ints(p, r, q, star, *branches)[4]:
-                report = continuity_check(regions or regions_for(pair))
+            n1, d1, n2, d2, agree = _continuity_ints(p, r, q, star, *branches)
+            continuity = "ok" if agree else "mismatch"
+            if not agree:
                 lines.append(
-                    f"FAIL {pair} continuity at sigma = {rat_str(report.sigma_star)}: {report.note}"
+                    f"FAIL {pair} continuity at sigma = {rat_str(Fraction(*star))}: "
+                    f"{_mismatch_note(n1, d1, n2, d2)}"
                 )
                 failed += 1
-                continuity = report.status
         if verbose:
             lines.append(
                 f"{pair}  word={pair.word or '-'}  r1:{status[0]} r2:{status[1]}  "
@@ -788,8 +765,8 @@ def optimize(
     (CPython 3.11.7) it takes about 5 ms at depth 12 (80 vertices), 20 ms
     at depth 16 (298) and 0.1-0.25 s at depth 22 (2,008), where the
     candidate-by-candidate sweep it replaced took 0.08-0.13 s, 1.6-4.6 s
-    and, end to end, 7.5 minutes, for the same segments.  A one-point interval is decided over every candidate whose
-    closed region holds it.
+    and, end to end, 7.5 minutes, for the same segments.  A one-point
+    interval is decided over every candidate whose closed region holds it.
 
     The interval must lie within [1/2, 1] (Inadmissible otherwise).
     ``resolution`` is ignored, as nothing is sampled; it is accepted only

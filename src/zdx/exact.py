@@ -355,7 +355,8 @@ class Quadratic:
         for coeff, power in ((self.c2, "s^2"), (self.c1, "s"), (self.c0, "")):
             if coeff == 0:
                 continue
-            parts.append(f"{'+' if coeff > 0 and parts else ''}{rat_str(coeff)}{power and '*' + power}")
+            sign = "+" if coeff > 0 and parts else ""
+            parts.append(f"{sign}{rat_str(coeff)}{power and '*' + power}")
         return "".join(parts) or "0"
 
 

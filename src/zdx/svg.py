@@ -57,7 +57,8 @@ def render_curves_svg(
     series: list[tuple[str, bool, list[tuple[float, float]]]] = []
     series.append(("optimized", False, _sample_envelope(bound, grid)))
     for base in baselines:
-        series.append((base.provenance.label, base.provenance.conjectural, _sample_curve(base, grid)))
+        prov = base.provenance
+        series.append((prov.label, prov.conjectural, _sample_curve(base, grid)))
     series = [(label, dashed, pts) for label, dashed, pts in series if pts]
 
     y_max = max((y for _, _, pts in series for _, y in pts), default=1.0) or 1.0

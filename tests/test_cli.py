@@ -357,8 +357,8 @@ def test_audit_continuity_mismatch_exit1(runner, monkeypatch):
     assert runner.invoke(cli, ["audit", "--pair", "1/14,11/14", "--region", "2"]).exit_code == 0
 
 
-def test_audit_family_builds_one_region_spec_per_pair(runner, monkeypatch):
-    # none for a pair whose decisions all pass, one for both reports of a failing pair
+def test_audit_family_builds_no_region_spec(runner, monkeypatch):
+    # none for a pair whose decisions all pass, and none for a failing pair either
     from zdx import density
 
     calls = []
@@ -386,7 +386,7 @@ def test_audit_family_builds_one_region_spec_per_pair(runner, monkeypatch):
     assert [line[:24] for line in res.stdout.splitlines()[:2]] == [
         "FAIL (1/14, 11/14) regio", "FAIL (1/14, 11/14) conti",
     ]
-    assert [(p.kappa, p.lam) for p in calls] == [(Fraction(1, 14), Fraction(11, 14))]
+    assert calls == []
 
 
 def test_audit_family_forced_failure_lines(runner, monkeypatch):

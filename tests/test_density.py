@@ -282,13 +282,13 @@ def test_balance_violation_carries_witness():
 @pytest.mark.parametrize("pair, region", [(PAIR_114, 1), (PAIR_114, 2), (PAIR_16, 2)])
 def test_audit_fails_when_curve_is_not_two_y(monkeypatch, pair, region):
     # a branch A perturbed away from 2y: the report names the curve and a sigma
-    real = density._branch_A
+    real = density._branch_ints
 
-    def perturbed(regions, index):
-        A = real(regions, index)
-        return LinFrac(A.a, A.b + 1, A.c, A.d)
+    def perturbed(p, r, q, index):
+        A = LinFrac(*real(p, r, q, index))
+        return A.a, A.b + 1, A.c, A.d
 
-    monkeypatch.setattr(density, "_branch_A", perturbed)
+    monkeypatch.setattr(density, "_branch_ints", perturbed)
     regions = regions_for(pair)
     rep = audit_balance(regions, region)
     assert not rep.passed
@@ -298,7 +298,7 @@ def test_audit_fails_when_curve_is_not_two_y(monkeypatch, pair, region):
     assert str(rep.violation).startswith("exponent_curve's A = ")
     monkeypatch.undo()
     y = audit_balance(regions, region).y
-    assert perturbed(regions, region).eval(sigma) != 2 * y.eval(sigma)
+    assert LinFrac(*perturbed(*pair.triple, region)).eval(sigma) != 2 * y.eval(sigma)
 
 
 def test_audit_and_continuity_build_one_region_spec(monkeypatch):
@@ -416,11 +416,16 @@ def assert_kernel_matches_reference(pair, monkeypatch=None, widen=None, perturb=
     """Audit and continuity of one pair against the reference, optionally on
     regions changed by ``widen`` and with a branch A changed by ``perturb``."""
     widen = widen or (lambda spec: spec)
-    branch_A = density._branch_A
     if perturb is not None:
-        def branch_A(regions, index, real=branch_A):
-            return perturb(real(regions, index))
-        monkeypatch.setattr(density, "_branch_A", branch_A)
+        real = density._branch_ints
+
+        def perturbed(p, r, q, index):
+            A = perturb(LinFrac(*real(p, r, q, index)))
+            return A.a, A.b, A.c, A.d
+        monkeypatch.setattr(density, "_branch_ints", perturbed)
+
+    def branch_A(regions, index):
+        return LinFrac(*density._branch_ints(regions.p, regions.r, regions.q, index))
     regions = _reference_regions(pair)
     assert regions_for(pair) == regions, pair
     regions = widen(regions)
@@ -521,8 +526,9 @@ def _reference_family_audit(family):
     return FamilyAudit(audited, failed, skipped, tuple(lines))
 
 
-def assert_family_audit_matches_reference(family):
-    expected = _reference_family_audit(family)
+def assert_family_audit_matches_reference(family, expected=None):
+    if expected is None:
+        expected = _reference_family_audit(family)
     assert audit_family(family, verbose=True) == expected
     quiet = audit_family(family)
     assert quiet == expected._replace(lines=tuple(x for x in expected.lines if x[:5] == "FAIL "))
@@ -583,6 +589,33 @@ def test_audit_family_forced_failures_match_reports(monkeypatch, force):
     force(monkeypatch)
     result = assert_family_audit_matches_reference(generate_pairs(9))
     assert result.failed > 0 and len(result.lines) == result.failed
+
+
+def test_audit_family_failure_builds_no_region_spec_or_report(monkeypatch):
+    # region 2 of (1/14, 11/14) perturbed: its audit and its continuity check fail, and
+    # the FAIL lines come from the kernels' results, not from a RegionSpec or a report
+    real = density._branch_ints
+
+    def perturbed(p, r, q, region):
+        a, b, c, d = real(p, r, q, region)
+        return (a, b + 1, c, d) if (p, r, q, region) == (1, 11, 14, 2) else (a, b, c, d)
+
+    monkeypatch.setattr(density, "_branch_ints", perturbed)
+    family = generate_pairs(9)
+    expected = _reference_family_audit(family)
+    assert [x for x in expected.lines if x[:5] == "FAIL "] == [
+        "FAIL (1/14, 11/14) region 2: exponent_curve's A = 5/(26s-22) is not 2y = 2(1/(13s-11)); "
+        "they differ at sigma = 13/15",
+        "FAIL (1/14, 11/14) continuity at sigma = 21/22: branches disagree: 44/31 vs 55/31",
+    ]
+
+    def never(*args, **kwargs):
+        raise AssertionError("audit_family built a RegionSpec or a report")
+
+    for name in ("regions_for", "RegionSpec", "AuditReport", "ContinuityReport",
+                 "audit_balance", "continuity_check"):
+        monkeypatch.setattr(density, name, never)
+    assert_family_audit_matches_reference(family, expected)
 
 
 def test_audit_asserts_positive_y_denominator():
