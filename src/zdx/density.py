@@ -700,7 +700,8 @@ def candidate_curves(
     """
     curves: list[BoundCurve] = []
     for pair in family:
-        if pair.kappa >= KAPPA_LIMIT:
+        p, _, q = pair.triple
+        if 3 * p >= q:
             continue
         regions = regions_for(pair)
         for region in (1, 2):

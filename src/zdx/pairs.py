@@ -6,19 +6,21 @@ Pairs are generated from the seed (0, 1) by the two classical processes
     B: (k, l) -> (l - 1/2, k + 1/2)
 
 and carry the word that produced them (rightmost letter applied first).
-All coordinates are exact rationals.
+All coordinates are exact rationals: a pair is stored as its integer
+triple (p, r, q), kappa = p/q and lambda = r/q, on which both processes act.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from . import DEFAULT_DEPTH, Inadmissible
-from .exact import rat, rat_str
+from .exact import rat
 
 __all__ = [
     "InvalidPair",
@@ -37,10 +39,10 @@ __all__ = [
 
 #: Largest generation depth.  The family grows about x1.6 per level
 #: (10,947 pairs at depth 20, 28,658 at 22, 75,026 at 24); on a 2-vCPU
-#: Xeon (CPython 3.11.7) ``pairs --depth 22`` takes about 0.5-0.8 s
-#: and 63 MB peak RSS, depth 24 about 1.4-2 s and 135 MB.  The balance audit
-#: of the depth-22 family, ``zdx audit-family --depth 22`` (41,396 region
-#: audits), takes about 0.6-0.8 s end to end.
+#: Xeon (CPython 3.11.7) ``pairs --depth 22`` takes about 0.35-0.5 s
+#: and 33 MB peak RSS end to end; depth 24, in process, 0.9 s and 57 MB.
+#: The balance audit of the depth-22 family, ``zdx audit-family --depth 22``
+#: (41,396 region audits), takes about 0.6-0.7 s end to end.
 MAX_DEPTH = 22
 
 
@@ -52,47 +54,120 @@ class DepthLimitError(Inadmissible):
     """Requested generation depth exceeds ``MAX_DEPTH``."""
 
 
-@dataclass(frozen=True, order=True)
+def _ratio(n: int, q: int) -> str:
+    """``rat_str(Fraction(n, q))`` for q > 0, without building the Fraction."""
+    g = math.gcd(n, q)
+    return str(n // g) if g == q else f"{n // g}/{q // g}"
+
+
+def _check(p: int, r: int, q: int, word: str | None) -> None:
+    """Raise InvalidPair unless (p/q, r/q), q > 0, lies in the exponent-pair
+    triangle and word is None or a string over {A, B}."""
+    if not 0 <= 2 * p <= q:
+        raise InvalidPair(f"kappa = {_ratio(p, q)} outside [0, 1/2]")
+    if not q <= 2 * r <= 2 * q:
+        raise InvalidPair(f"lambda = {_ratio(r, q)} outside [1/2, 1]")
+    if p + r > q:
+        raise InvalidPair(f"kappa + lambda = {_ratio(p + r, q)} exceeds 1")
+    if word is not None and word.strip("AB"):
+        raise InvalidPair(f"derivation word {word!r} not over {{A, B}}")
+
+
+def _compare(op):
+    """A rich comparison of two pairs by (kappa, lambda), on cross products."""
+
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        (p, r, q), (p2, r2, q2) = self.triple, other.triple
+        return op((p * q2, r * q2), (p2 * q, r2 * q))
+
+    return compare
+
+
 class ExponentPair:
-    """An exponent pair (kappa, lambda) with its derivation word.
+    """An exponent pair (kappa, lambda) with its derivation word, immutable.
+
+    It is stored as ``triple`` = (p, r, q), with kappa = p/q, lambda = r/q
+    and q > 0 least, so equal pairs have equal triples; ``kappa`` and
+    ``lam`` are exact Fractions built from it on demand.  Pairs compare,
+    hash and order by (kappa, lambda); the word is ignored.
 
     ``word`` is a string over {A, B}; replaying it right-to-left from the
     seed (0, 1) reproduces the pair bit-exactly.  Manually injected pairs
     (outside the A/B closure) carry ``word=None``.
     """
 
-    kappa: Fraction
-    lam: Fraction
-    word: str | None = field(default="", compare=False)
+    __slots__ = ("triple", "word")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", rat(self.kappa))
-        object.__setattr__(self, "lam", rat(self.lam))
-        # kappa = a/b and lambda = c/d with b, d > 0: every test is on integers
-        k, l = self.kappa, self.lam
-        a, b, c, d = k.numerator, k.denominator, l.numerator, l.denominator
-        if not (0 <= a and 2 * a <= b):
-            raise InvalidPair(f"kappa = {rat_str(k)} outside [0, 1/2]")
-        if not (d <= 2 * c <= 2 * d):
-            raise InvalidPair(f"lambda = {rat_str(l)} outside [1/2, 1]")
-        if a * d + c * b > b * d:
-            raise InvalidPair(f"kappa + lambda = {rat_str(k + l)} exceeds 1")
-        if self.word is not None and self.word.strip("AB"):
-            raise InvalidPair(f"derivation word {self.word!r} not over {{A, B}}")
+    def __init__(self, kappa: Fraction, lam: Fraction, word: str | None = "") -> None:
+        k, l = rat(kappa), rat(lam)
+        q = math.lcm(k.denominator, l.denominator)
+        p, r = k.numerator * (q // k.denominator), l.numerator * (q // l.denominator)
+        _check(p, r, q, word)
+        _set_triple(self, (p, r, q))
+        _set_word(self, word)
+
+    @property
+    def kappa(self) -> Fraction:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def lam(self) -> Fraction:
+        return Fraction(self.triple[1], self.triple[2])
 
     @property
     def key(self) -> tuple[Fraction, Fraction]:
         return (self.kappa, self.lam)
 
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        """(p, r, q) with kappa = p/q, lambda = r/q and q > 0 least."""
-        k, l = self.kappa, self.lam
-        q = math.lcm(k.denominator, l.denominator)
-        return k.numerator * (q // k.denominator), l.numerator * (q // l.denominator), q
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(
+        _compare, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+    )
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ExponentPair, (self.kappa, self.lam, self.word)
+
+    def __repr__(self) -> str:
+        return f"ExponentPair(kappa={self.kappa!r}, lam={self.lam!r}, word={self.word!r})"
 
     def __str__(self) -> str:
-        return f"({rat_str(self.kappa)}, {rat_str(self.lam)})"
+        p, r, q = self.triple
+        return f"({_ratio(p, q)}, {_ratio(r, q)})"
+
+
+_set_triple, _set_word = ExponentPair.triple.__set__, ExponentPair.word.__set__
+
+
+def _pair(triple: tuple[int, int, int], word: str | None) -> ExponentPair:
+    """The pair of a triple in lowest terms with q > 0, checked on its integers."""
+    _check(*triple, word)
+    pair = object.__new__(ExponentPair)
+    _set_triple(pair, triple)
+    _set_word(pair, word)
+    return pair
+
+
+def _a(p: int, r: int, q: int) -> tuple[int, int, int]:
+    """The A-process on triples: (p, p + r + q, 2p + 2q) in lowest terms."""
+    r, q = p + r + q, 2 * p + 2 * q
+    g = math.gcd(p, r, q)
+    return p // g, r // g, q // g
+
+
+def _b(p: int, r: int, q: int) -> tuple[int, int, int]:
+    """The B-process on triples: (2r - q, 2p + q, 2q) in lowest terms."""
+    p, r, q = 2 * r - q, 2 * p + q, 2 * q
+    g = math.gcd(p, r, q)
+    return p // g, r // g, q // g
 
 
 SEED = ExponentPair(Fraction(0), Fraction(1), "")
@@ -100,28 +175,25 @@ SEED = ExponentPair(Fraction(0), Fraction(1), "")
 
 def a_process(p: ExponentPair) -> ExponentPair:
     """One van der Corput A-step applied to p."""
-    den = 2 * p.kappa + 2
-    word = None if p.word is None else "A" + p.word
-    return ExponentPair(p.kappa / den, (p.kappa + p.lam + 1) / den, word)
+    return _pair(_a(*p.triple), None if p.word is None else "A" + p.word)
 
 
 def b_process(p: ExponentPair) -> ExponentPair:
     """One van der Corput B-step applied to p (an involution)."""
-    word = None if p.word is None else "B" + p.word
-    return ExponentPair(p.lam - Fraction(1, 2), p.kappa + Fraction(1, 2), word)
+    return _pair(_b(*p.triple), None if p.word is None else "B" + p.word)
 
 
 def replay_word(word: str) -> ExponentPair:
     """Rebuild the pair a word denotes, applying letters right-to-left."""
-    p = SEED
+    t = SEED.triple
     for ch in reversed(word):
         if ch == "A":
-            p = a_process(p)
+            t = _a(*t)
         elif ch == "B":
-            p = b_process(p)
+            t = _b(*t)
         else:
             raise InvalidPair(f"letter {ch!r} not in {{A, B}}")
-    return p
+    return _pair(t, word) if word else SEED
 
 
 @dataclass(frozen=True)
@@ -140,17 +212,19 @@ class PairFamily:
     def to_json(self) -> str:
         """``json.dumps(rows, indent=2) + "\\n"`` of the rows {kappa, lambda, word}.
 
-        The text is written directly, each scalar encoded by ``json.dumps``:
-        an indented ``json.dumps`` runs the pure-Python encoder.
+        The text is written directly, kappa and lambda from each triple and
+        the word by ``json.dumps``: an indented ``json.dumps`` runs the
+        pure-Python encoder.
         """
         if not self.pairs:
             return "[]\n"
         dumps = json.dumps
         rows = ",\n".join(
-            f'  {{\n    "kappa": {dumps(rat_str(p.kappa))},'
-            f'\n    "lambda": {dumps(rat_str(p.lam))},'
-            f'\n    "word": {dumps(p.word)}\n  }}'
-            for p in self.pairs
+            f'  {{\n    "kappa": "{_ratio(p, q)}",'
+            f'\n    "lambda": "{_ratio(r, q)}",'
+            f'\n    "word": {dumps(pair.word)}\n  }}'
+            for pair in self.pairs
+            for p, r, q in (pair.triple,)
         )
         return f"[\n{rows}\n]\n"
 
@@ -179,27 +253,21 @@ def generate_pairs(depth: int) -> PairFamily:
         raise DepthLimitError(f"depth {depth} exceeds the pair-family budget of {MAX_DEPTH}")
     # a pair is the triple (p, r, q) with kappa = p/q, lambda = r/q and
     # gcd(p, r, q) = 1, so equal pairs are equal triples
-    seen = {(0, 1, 1): ""}
-    frontier = [(0, 1, 1)]
+    seen = {SEED.triple: ""}
+    frontier = [SEED.triple]
     for _ in range(depth):
         nxt = []
         for parent in frontier:
-            p, r, q = parent
             word = seen[parent]
-            steps = [("A", p, p + r + q, 2 * p + 2 * q)]
+            children = [("A", _a(*parent))]
             # B is an involution: B of a pair whose word starts with B is its seen parent
             if not word.startswith("B"):
-                steps.append(("B", 2 * r - q, 2 * p + q, 2 * q))
-            for letter, p2, r2, q2 in steps:
-                g = math.gcd(p2, r2, q2)
-                child = (p2 // g, r2 // g, q2 // g)
+                children.append(("B", _b(*parent)))
+            for letter, child in children:
                 if child not in seen:
                     seen[child] = letter + word
                     nxt.append(child)
         frontier = nxt
-    pairs = []
-    for p, r, q in sorted_triples(seen):
-        word = seen[p, r, q]
-        # the empty word is the seed itself
-        pairs.append(ExponentPair(Fraction(p, q), Fraction(r, q), word) if word else SEED)
-    return PairFamily(tuple(pairs), depth)
+    # the empty word is the seed itself
+    pairs = tuple(_pair(t, seen[t]) if seen[t] else SEED for t in sorted_triples(seen))
+    return PairFamily(pairs, depth)

@@ -777,7 +777,7 @@ def test_optimize_credits_region_1_to_first_pair_begun(depth12):
 
 def test_optimize_matches_sweep_oracle_with_repeated_pairs(depth12):
     # a pair listed twice is credited to its first listing, here word None
-    pairs = [replace(p, word=None) for p in depth12] + list(depth12)
+    pairs = [ExponentPair(p.kappa, p.lam, None) for p in depth12] + list(depth12)
     for interval in (WIDE, Interval(F(1, 2), F(1))):
         bound = assert_matches_oracle(PairFamily(tuple(pairs), 12), interval)
         assert all(s.curve.provenance.pair.word is None for s in bound if s.curve.provenance.pair)

@@ -1,4 +1,8 @@
+import copy
 import json
+import math
+import pickle
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -18,7 +22,7 @@ from zdx.pairs import (
     replay_word,
     sorted_triples,
 )
-from zdx.exact import rat_str
+from zdx.exact import rat, rat_str
 
 F = Fraction
 
@@ -94,6 +98,129 @@ def test_integer_checks_match_fraction_checks(data, word):
         assert str(caught.value) == want
 
 
+@dataclass(frozen=True, order=True)
+class DataclassPair:
+    """The frozen dataclass ``ExponentPair`` was before it stored its triple:
+    the oracle for the slotted one."""
+
+    kappa: Fraction
+    lam: Fraction
+    word: str | None = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kappa", rat(self.kappa))
+        object.__setattr__(self, "lam", rat(self.lam))
+        k, l = self.kappa, self.lam
+        a, b, c, d = k.numerator, k.denominator, l.numerator, l.denominator
+        if not (0 <= a and 2 * a <= b):
+            raise InvalidPair(f"kappa = {rat_str(k)} outside [0, 1/2]")
+        if not (d <= 2 * c <= 2 * d):
+            raise InvalidPair(f"lambda = {rat_str(l)} outside [1/2, 1]")
+        if a * d + c * b > b * d:
+            raise InvalidPair(f"kappa + lambda = {rat_str(k + l)} exceeds 1")
+        if self.word is not None and self.word.strip("AB"):
+            raise InvalidPair(f"derivation word {self.word!r} not over {{A, B}}")
+
+    @property
+    def key(self):
+        return (self.kappa, self.lam)
+
+    @property
+    def triple(self):
+        k, l = self.kappa, self.lam
+        q = math.lcm(k.denominator, l.denominator)
+        return k.numerator * (q // k.denominator), l.numerator * (q // l.denominator), q
+
+    def __str__(self) -> str:
+        return f"({rat_str(self.kappa)}, {rat_str(self.lam)})"
+
+
+def fraction_a(kappa, lam):
+    den = 2 * kappa + 2
+    return kappa / den, (kappa + lam + 1) / den
+
+
+def fraction_b(kappa, lam):
+    return lam - F(1, 2), kappa + F(1, 2)
+
+
+def _admissible(data):
+    kappa = data.draw(st.one_of(_EDGE.filter(lambda k: k <= F(1, 2)),
+                                st.fractions(F(0), F(1, 2), max_denominator=2**24)))
+    lam = data.draw(st.one_of(st.sampled_from([F(1, 2), 1 - kappa, F(1)]).filter(
+        lambda l: l <= 1 - kappa), st.fractions(F(1, 2), 1 - kappa, max_denominator=2**24)))
+    return kappa, lam
+
+
+_WORD = st.one_of(st.none(), st.sampled_from(["", "AXB"]), st.text("ABX ", max_size=4))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_pair_matches_dataclass_oracle(data):
+    built = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        if built and data.draw(st.booleans()):
+            # an equal pair under a new word
+            kappa, lam = data.draw(st.sampled_from(built))[1].key
+        elif data.draw(st.booleans()):
+            kappa, lam = _admissible(data)
+        else:
+            kappa = data.draw(_COORD)
+            lam = data.draw(st.one_of(_COORD, _NEAR.map(lambda e: 1 - kappa + e)))
+        word = data.draw(_WORD)
+        try:
+            want = DataclassPair(kappa, lam, word)
+        except InvalidPair as error:
+            with pytest.raises(InvalidPair) as caught:
+                ExponentPair(kappa, lam, word)
+            assert str(caught.value) == str(error)
+            continue
+        got = ExponentPair(kappa, lam, word)
+        assert (got.kappa, got.lam, got.key, got.triple, got.word, str(got)) == (
+            want.kappa, want.lam, want.key, want.triple, want.word, str(want))
+        assert type(got.kappa) is type(got.lam) is Fraction
+        assert repr(got) == repr(want).replace("DataclassPair", "ExponentPair")
+        assert hash(got) == hash(want)
+        for name in ("kappa", "lam", "word", "triple", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(got, name, F(0))
+            with pytest.raises(FrozenInstanceError):
+                delattr(got, name)
+        for clone in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+            assert (clone.triple, clone.word) == (got.triple, got.word)
+        built.append((got, want))
+    for got, want in built:
+        for got2, want2 in built:
+            assert [got == got2, got != got2, got < got2, got <= got2, got > got2,
+                    got >= got2] == [want == want2, want != want2, want < want2,
+                                     want <= want2, want > want2, want >= want2]
+        assert got != want and got.__eq__(want) is NotImplemented
+    order = sorted(range(len(built)), key=lambda i: built[i][0])
+    assert order == sorted(range(len(built)), key=lambda i: built[i][1])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_processes_on_triples_match_fraction_processes(data):
+    kappa, lam = _admissible(data)
+    word = data.draw(st.one_of(st.none(), st.text("AB", max_size=4)))
+    pair = ExponentPair(kappa, lam, word)
+    for step, letter, fraction_step in ((a_process, "A", fraction_a), (b_process, "B", fraction_b)):
+        got = step(pair)
+        assert got.key == fraction_step(kappa, lam)
+        assert got.triple == DataclassPair(*got.key).triple
+        assert got.word == (None if word is None else letter + word)
+
+
+@pytest.mark.parametrize("depth", range(MAX_DEPTH + 1))
+def test_family_equals_pairs_rebuilt_by_constructor(depth):
+    for pair in generate_pairs(depth):
+        rebuilt = ExponentPair(pair.kappa, pair.lam, pair.word)
+        assert (pair.triple, pair.word) == (rebuilt.triple, rebuilt.word)
+        assert pair == rebuilt and hash(pair) == hash(rebuilt)
+
+
 def test_generate_depth0():
     fam = generate_pairs(0)
     assert len(fam) == 1
@@ -149,18 +276,20 @@ def test_family_growth_and_size_bound():
 
 
 def bfs_reference(depth):
-    """Closure under both steps at every level, first word kept, sorted."""
-    seen = {SEED.key: SEED}
-    frontier = [SEED]
+    """Closure under both steps, taken in Fractions, at every level, first
+    word kept, sorted: the oracle pairs."""
+    seen = {(F(0), F(1)): ""}
+    frontier = [(F(0), F(1))]
     for _ in range(depth):
         nxt = []
-        for p in frontier:
-            for q in (a_process(p), b_process(p)):
-                if q.key not in seen:
-                    seen[q.key] = q
-                    nxt.append(q)
+        for key in frontier:
+            word = seen[key]
+            for letter, child in (("A", fraction_a(*key)), ("B", fraction_b(*key))):
+                if child not in seen:
+                    seen[child] = letter + word
+                    nxt.append(child)
         frontier = nxt
-    return sorted(seen.values(), key=lambda p: p.key)
+    return [DataclassPair(*key, seen[key]) for key in sorted(seen)]
 
 
 # the sort key's exactness depends on the largest denominator, 23 bits at MAX_DEPTH
