@@ -7,6 +7,13 @@ tau-table arithmetic checks (``hecke``), floating-point desk probes
 (``probes``), and the ``zdx`` command line (``cli``).
 """
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __version__ = "0.1.0"
 
 #: Relative slack allowed by the bilinear large-values harness of
@@ -33,6 +40,36 @@ def dec_str(q, digits: int = 20) -> str:
         ctx.prec = digits
         d = Decimal(q.numerator) / Decimal(q.denominator)
     return str(d)
+
+
+#: Most digits ``rat`` accepts in a numerator or denominator read from text:
+#: Python's own limit on an int read from a string, here for every notation.
+_TEXT_DIGITS = 4300
+
+
+def rat(x: Fraction | int | str) -> Fraction:
+    """Parse an exact rational from "p/q", integer, or decimal text.
+
+    Text whose value needs more than ``_TEXT_DIGITS`` digits raises
+    ValueError; the exponent is checked first, as "1e999999999" would
+    otherwise build 10**999999999 before anything could look at it.  Kept
+    here, like ``dec_str``, so ``zdx.pairs`` and the CLI's rational options
+    need not load ``zdx.exact``.
+    """
+    from fractions import Fraction
+
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    text = str(x).strip()
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > _TEXT_DIGITS:
+        raise ValueError(f"the exponent of {text!r} exceeds {_TEXT_DIGITS}")
+    q = Fraction(text)
+    if max(abs(q.numerator), q.denominator) >= 10**_TEXT_DIGITS:
+        raise ValueError(f"{text!r} needs more than {_TEXT_DIGITS} digits")
+    return q
 
 
 class Inadmissible(ValueError):

@@ -9,8 +9,10 @@ budgets, probe parameters), 4 internal error.  The ``zdx`` group maps
 exceptions to codes in one place; subcommands only raise.
 
 Each command imports the library modules it uses when it runs, so a call
-loads only what its output needs: ``--help`` loads none of them, and only
-``hm-test`` and ``zeta-probe`` load numpy.
+loads only what its output needs: ``--help`` loads none of them, only
+``hm-test`` and ``zeta-probe`` load numpy, and ``hecke-verify``,
+``hm-test``, ``mellin-probe``, ``zeta-probe`` and ``pairs`` do not load
+``zdx.exact`` (``rat`` and ``dec_str`` live in the package root).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _fail(code: int, message: str) -> None:
 
 
 def _parse_rat(text: str, label: str) -> Fraction:
-    from .exact import rat
+    from . import rat
 
     try:
         return rat(text)
@@ -494,11 +496,9 @@ def cmd_hm(seed: int, trials: int, dim: int, r_cap: int, tol: float, out: str) -
     from .probes import hm_random_trials
 
     rep = hm_random_trials(trials, seed, dim, r_cap)
-    rows = (
-        [str(i), str(d), str(r), f"{res.lhs:.17g}", f"{res.rhs:.17g}", f"{res.rel_slack:.17g}"]
-        for i, (d, r, res) in enumerate(rep.results)
-    )
-    _write_out(_csv_text(["trial", "dim", "r", "lhs", "rhs", "rel_slack"], rows), out)
+    lines = [f"{i},{d},{r},{lhs:.17g},{rhs:.17g},{rel:.17g}\n"
+             for i, (d, r, lhs, rhs, rel) in enumerate(rep.rows)]
+    _write_out("trial,dim,r,lhs,rhs,rel_slack\n" + "".join(lines), out)
     click.echo(
         f"trials={trials} seed={seed} max_rel_slack={rep.max_rel_slack:.3e} "
         f"worst_trial={rep.worst_trial}",

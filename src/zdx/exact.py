@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-# dec_str is defined in the package root; it stays public API here too
-from . import dec_str
+# dec_str and rat are defined in the package root; they stay public API here too
+from . import dec_str, rat
 
 __all__ = [
     "BRACKET_WIDTH",
@@ -44,32 +44,6 @@ class PoleError(ZeroDivisionError):
 
 class SignChangeDenominator(ValueError):
     """A denominator vanishes on the interval of a comparison."""
-
-
-#: Most digits ``rat`` accepts in a numerator or denominator read from text:
-#: Python's own limit on an int read from a string, here for every notation.
-_TEXT_DIGITS = 4300
-
-
-def rat(x: Fraction | int | str) -> Fraction:
-    """Parse an exact rational from "p/q", integer, or decimal text.
-
-    Text whose value needs more than ``_TEXT_DIGITS`` digits raises
-    ValueError; the exponent is checked first, as "1e999999999" would
-    otherwise build 10**999999999 before anything could look at it.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    text = str(x).strip()
-    _, e, exponent = text.lower().partition("e")
-    if e and abs(int(exponent)) > _TEXT_DIGITS:
-        raise ValueError(f"the exponent of {text!r} exceeds {_TEXT_DIGITS}")
-    q = Fraction(text)
-    if max(abs(q.numerator), q.denominator) >= 10**_TEXT_DIGITS:
-        raise ValueError(f"{text!r} needs more than {_TEXT_DIGITS} digits")
-    return q
 
 
 def rat_str(q: Fraction) -> str:

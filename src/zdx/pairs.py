@@ -19,8 +19,7 @@ from collections.abc import Collection
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from . import DEFAULT_DEPTH, Inadmissible
-from .exact import rat
+from . import DEFAULT_DEPTH, Inadmissible, rat
 
 __all__ = [
     "InvalidPair",

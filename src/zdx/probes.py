@@ -80,16 +80,24 @@ class HMResult:
 
     @property
     def rel_slack(self) -> float:
-        return self.slack / self.rhs if self.rhs else math.inf
+        return _rel_slack(self.lhs, self.rhs)
+
+
+def _rel_slack(lhs: float, rhs: float) -> float:
+    return (lhs - rhs) / rhs if rhs else math.inf
 
 
 def _hm_sides(xi: np.ndarray, phis: np.ndarray) -> tuple[float, float]:
     """(lhs, rhs) of the inequality; ``hm_inequality_check`` without the
-    system and result objects."""
+    system and result objects.  ``np.add.reduce(a, None)`` is the reduction
+    ``a.sum()`` makes, without the method's dispatch."""
+    import numpy as np
+
     conj = phis.conj()
-    lhs = float(abs(conj @ xi).sum())  # (xi, phi_r) entries
+    lhs = float(np.add.reduce(np.abs(conj @ xi), None))  # (xi, phi_r) entries
     re, im = xi.real, xi.imag  # ||xi||^2 by the two dots np.linalg.norm takes
-    rhs = math.sqrt(re.dot(re) + im.dot(im)) * math.sqrt(abs(phis @ conj.T).sum())
+    gram = np.add.reduce(np.abs(phis @ conj.T), None)
+    rhs = math.sqrt(re.dot(re) + im.dot(im)) * math.sqrt(gram)
     return lhs, rhs
 
 
@@ -140,17 +148,119 @@ MAX_R = 1024
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """A seeded batch; ``results[i]`` is trial i's (dim, r, HMResult)."""
+    """A seeded batch; ``rows[i]`` is trial i's (dim, r, lhs, rhs, rel_slack)."""
 
     trials: int
     seed: int
     max_rel_slack: float
     worst_trial: int
-    results: tuple[tuple[int, int, HMResult], ...]
+    rows: tuple[tuple[int, int, float, float, float], ...]
 
     @property
     def ok(self) -> bool:
         return self.max_rel_slack <= HM_REL_TOLERANCE
+
+    @property
+    def results(self) -> tuple[tuple[int, int, HMResult], ...]:
+        """``results[i]`` is trial i's (dim, r, HMResult), built from ``rows``."""
+        return tuple((dim, r, HMResult(lhs, rhs)) for dim, r, lhs, rhs, _ in self.rows)
+
+
+# The constants of NumPy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+#: Seeds hashed per vectorized pass of ``_seeded_rngs``; bounds its memory.
+_SEED_BLOCK = 4096
+
+
+def _seed_words(first: int, count: int) -> np.ndarray:
+    """Row j is ``SeedSequence(first + j).generate_state(4, np.uint64)``,
+    for seeds that share ``s >> 32``.
+
+    That is the state ``default_rng`` seeds PCG64 with.  The seeds have the
+    same number of 32-bit entropy words and differ only in the lowest, so
+    each word is one uint32 column and NumPy's hash runs on the columns.
+    Its multipliers depend only on how many words it has hashed, not on the
+    data, so they are carried along as Python ints.
+    """
+    import numpy as np
+
+    low = first & _MASK32
+    entropy = [np.arange(low, low + count, dtype=np.uint64).astype(np.uint32)]
+    high = first >> 32
+    while high:
+        entropy.append(np.full(count, high & _MASK32, np.uint32))
+        high >>= 32
+    # a pool word past the entropy hashes a zero
+    entropy += [np.zeros(count, np.uint32)] * (_POOL_SIZE - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight 32-bit words cycling over the pool
+    state = np.empty((count, 2 * _POOL_SIZE), np.uint32)
+    const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+def _seeded_rngs(seed: int, count: int):
+    """``np.random.default_rng(s)`` for s = seed ... seed + count - 1, in order.
+
+    The seed words come from ``_seed_words`` in blocks of at most
+    ``_SEED_BLOCK`` seeds, cut where the seeds gain an entropy word, and
+    reach PCG64 through NumPy's ``ISeedSequence`` interface, so PCG64 seeds
+    itself from them as ``default_rng`` does.  The first and last seed of
+    each block are checked against ``np.random.SeedSequence``.
+    """
+    import numpy as np
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A seed sequence whose ``generate_state(4, np.uint64)`` is known."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    first, stop = seed, seed + count
+    while first < stop:
+        end = min(stop, first + _SEED_BLOCK, ((first >> 32) + 1) << 32)
+        words = _seed_words(first, end - first)
+        for s, row in ((first, words[0]), (end - 1, words[-1])):
+            if not np.array_equal(row, SeedSequence(s).generate_state(4, np.uint64)):
+                raise RuntimeError(f"the seed words of {s} differ from numpy's SeedSequence")
+        for row in words:
+            yield Generator(PCG64(Words(row)))
+        first = end
 
 
 def hm_random_trials(
@@ -162,22 +272,26 @@ def hm_random_trials(
     """Seeded batch of random systems; per-trial seed is seed + index.
 
     Trial i is ``hm_inequality_check(hm_random_system(seed + i, dim_cap,
-    r_cap))``, bit for bit; the loop calls the two kernels behind those
-    functions directly, without building their system and result objects.
+    r_cap))``, bit for bit, so any trial replays alone from seed + i.  The
+    loop seeds each trial's generator from words hashed for a block of
+    seeds at once (``_seeded_rngs``) and calls the kernels behind those two
+    functions directly, keeping each trial as a plain row without building
+    the system and result objects.
     """
-    import numpy as np
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for name, cap, budget in (("dim", dim_cap, MAX_DIM), ("r", r_cap, MAX_R)):
         if cap > budget:
             raise Inadmissible(f"{name} cap {cap} exceeds the probe budget of {budget}")
-    results = []
-    for i in range(trials):
-        xi, phis = _hm_draw(np.random.default_rng(seed + i), dim_cap, r_cap)
-        results.append((xi.shape[0], phis.shape[0], HMResult(*_hm_sides(xi, phis))))
-    worst = max(range(trials), key=lambda i: results[i][2].rel_slack)
-    return ProbeReport(trials, seed, results[worst][2].rel_slack, worst, tuple(results))
+    if seed < 0:  # as SeedSequence rejects it; the seed words assume s >= 0
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rows = []
+    for rng in _seeded_rngs(seed, trials):
+        xi, phis = _hm_draw(rng, dim_cap, r_cap)
+        lhs, rhs = _hm_sides(xi, phis)
+        rows.append((len(xi), len(phis), lhs, rhs, _rel_slack(lhs, rhs)))
+    worst = max(range(trials), key=lambda i: rows[i][4])
+    return ProbeReport(trials, seed, rows[worst][4], worst, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +310,7 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C[1:], start=1))  # (i, c_i) for i >= 1
 
 
 def lanczos_gamma(z: complex) -> complex:
@@ -205,7 +320,7 @@ def lanczos_gamma(z: complex) -> complex:
         return math.pi / (cmath.sin(math.pi * z) * lanczos_gamma(1 - z))
     z -= 1
     acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
+    for i, c in _LANCZOS_TERMS:
         acc += c / (z + i)
     t = z + _LANCZOS_G + 0.5
     return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc

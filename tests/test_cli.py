@@ -549,6 +549,11 @@ DESK_SHA256 = {
         "c40331cbf4bc5f933802179b67124f953555a0643e39f831ee15bedccbcfbee5",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    # crosses 2**32 at trial 1000, where the seed gains an entropy word
+    "hm-test --trials 2000 --seed 4294966296": (
+        "0b9595c1fe0265ebd054aa84ede19f1c80054bc0cf52892ee5a22072b2c5cebd",
+        "171404ac985c85bd033108f4732b82e9fd321de3fbef64c4dfa796c9485e7a8a",
+    ),
     "hm-test --trials 2000 --seed 7": (
         "c2551a83bd1ecf73d6ea7339955c768b2990455a70f1a2620bc6304d0cf48944",
         "58e72f3baeaf200143c8fde4d0b4ae05e7593a651a6d113de5cc7471509fa263",
@@ -579,9 +584,11 @@ def test_desk_outputs_pinned(runner, argv):
 
 @pytest.mark.parametrize("argv, unloaded", [
     (["--help"], ["decimal", "fractions", "numpy", "zdx.density", "zdx.hecke", "zdx.svg"]),
-    (["mellin-probe"], ["numpy"]),
-    (["hm-test", "--trials", "3"], ["zdx.density"]),
+    (["mellin-probe"], ["numpy", "zdx.exact"]),
+    (["hm-test", "--trials", "3"], ["zdx.density", "zdx.exact", "zdx.pairs"]),
     (["hecke-verify", "--limit", "50"], ["numpy", "zdx.density", "zdx.exact", "zdx.pairs"]),
+    (["zeta-probe", "--samples", "3"], ["zdx.density", "zdx.exact"]),
+    (["pairs", "--depth", "3"], ["numpy", "zdx.density", "zdx.exact"]),
 ])
 def test_commands_load_only_what_they_use(argv, unloaded):
     code = (

@@ -146,6 +146,75 @@ def test_hm_draw_matches_sum_draw_bit_for_bit(dim_cap, r_cap, trials, seed):
         assert probes._hm_sides(xi, phis) == probes._hm_sides(want_xi, want_phis), (seed, i)
 
 
+SEED_WORD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7]
+
+
+@pytest.mark.parametrize("first, count", [
+    *((s, 1) for s in SEED_WORD_SEEDS),
+    (0, 4096), (2**32 - 5, 5), (2**32, 6), (2**64 - 5, 5), (2**64, 6),
+    (2**128 - 2, 2), (2**128, 3),  # four and five entropy words, past the pool
+])
+def test_seed_words_match_seed_sequence(first, count):
+    words = probes._seed_words(first, count)
+    assert words.shape == (count, 4) and words.dtype == np.uint64
+    for j, s in enumerate(range(first, first + count)):
+        assert words[j].tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("first, count", [
+    *((s, 1) for s in SEED_WORD_SEEDS),
+    (2**32 - 5, 11),  # one and two entropy words
+    (2**64 - 5, 11),  # two and three
+    (2**128 - 2, 5),  # four and five
+])
+def test_seeded_rngs_match_default_rng(first, count):
+    rngs = list(probes._seeded_rngs(first, count))
+    assert len(rngs) == count
+    for s, rng in zip(range(first, first + count), rngs):
+        assert rng.bit_generator.state == np.random.default_rng(s).bit_generator.state, s
+
+
+def test_seeded_rngs_across_blocks(monkeypatch):
+    monkeypatch.setattr(probes, "_SEED_BLOCK", 4)
+    first = 2**32 - 6  # blocks of 4, 2 (cut at 2**32), 4 and 1 seeds
+    rngs = list(probes._seeded_rngs(first, 11))
+    for s, rng in zip(range(first, first + 11), rngs, strict=True):
+        assert rng.bit_generator.state == np.random.default_rng(s).bit_generator.state, s
+    rep = hm_random_trials(11, first)
+    for i, (dim, r, res) in enumerate(rep.results):
+        system = hm_random_system(first + i)
+        assert (dim, r, res) == (*system.phis.shape[::-1], hm_inequality_check(system))
+
+
+@pytest.mark.parametrize("bad_row", [0, 4095, 4096, 4999])
+def test_seeded_rngs_refuse_wrong_words(monkeypatch, bad_row):
+    """A block whose first or last seed disagrees with SeedSequence raises."""
+    seed_words = probes._seed_words
+
+    def corrupt(first, count):
+        words = seed_words(first, count)
+        if first <= 1 + bad_row < first + count:
+            words[1 + bad_row - first, 2] ^= np.uint64(1)
+        return words
+
+    monkeypatch.setattr(probes, "_seed_words", corrupt)
+    with pytest.raises(RuntimeError, match=f"seed words of {1 + bad_row} "):
+        hm_random_trials(5000, seed=1, dim_cap=1, r_cap=1)
+
+
+def test_hm_trials_reject_negative_seed():
+    with pytest.raises(ValueError):
+        hm_random_trials(3, seed=-1)
+
+
+def test_hm_rows_carry_results():
+    rep = hm_random_trials(40, seed=5)
+    assert len(rep.rows) == len(rep.results) == 40
+    for (dim, r, lhs, rhs, rel), (d, rr, res) in zip(rep.rows, rep.results):
+        assert (dim, r, lhs, rhs, rel) == (d, rr, res.lhs, res.rhs, res.rel_slack)
+    assert rep.max_rel_slack == rep.rows[rep.worst_trial][4]
+
+
 def test_hm_random_system_caps():
     for i in range(50):
         sys_i = hm_random_system(1000 + i, dim_cap=64, r_cap=16)
