@@ -17,9 +17,7 @@ loads only what its output needs: ``--help`` loads none of them, only
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -117,18 +115,23 @@ def _check_out(ctx: click.Context, param: click.Parameter, out: str) -> str:
     return out
 
 
-def _write_out(text: str, out: str) -> None:
+def _write_out(text: str | Iterable[str], out: str) -> None:
+    """Write ``text``, or an iterable of chunks one after another, to ``out``."""
+    chunks = (text,) if isinstance(text, str) else text
     if out == "-":
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise click.UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}")
 
 
 def _csv_text(header: list[str], rows: Iterable[Iterable[object]]) -> str:
+    import csv  # here, like json below, so that commands which write neither do not load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -137,6 +140,8 @@ def _csv_text(header: list[str], rows: Iterable[Iterable[object]]) -> str:
 
 
 def _json_text(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -466,7 +471,7 @@ def cmd_hecke(limit: int, out: str) -> None:
     from .hecke import verify_table
 
     rep = verify_table(limit)
-    _write_out(rep.csv_text(), out)
+    _write_out(rep.csv_chunks(), out)
     click.echo(
         f"limit={limit} convolution_failures={len(rep.convolution_failures)} "
         f"recursion_failures={len(rep.recursion_failures)} "

@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import Inadmissible, dec_str
+from . import Inadmissible, Record, dec_str
 from .exact import (
     Interval,
     LinFrac,
@@ -80,8 +79,7 @@ class EmptyRegion(Inadmissible):
 # Regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegionSpec:
+class RegionSpec(Record):
     """Validity regions of the two A(sigma) branches for one pair.
 
     region1 = [max(sigma_star, 1/2), 1]    (empty iff lambda + 2*kappa > 1)
@@ -157,8 +155,7 @@ def regions_for(pair: ExponentPair) -> RegionSpec:
 # Bound curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     """Which candidate a curve came from."""
 
     label: str
@@ -167,8 +164,7 @@ class Provenance:
     conjectural: bool = False
 
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(Record):
     """One branch of a density bound: A(sigma) and E(sigma) = A(sigma)(1-sigma)."""
 
     A: LinFrac
@@ -216,8 +212,7 @@ def _branch_ints(p: int, r: int, q: int, region: int) -> tuple[int, int, int, in
     return 0, 4 * p, 2 * q - 2 * p, 3 * p - r - q
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(Record):
     """Do the two branches agree at the shared endpoint sigma_star?"""
 
     status: str  # "ok" | "skipped" | "mismatch"
@@ -276,8 +271,7 @@ def _mismatch_note(n1: int, d1: int, n2: int, d2: int) -> str:
 # Balance audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermCertificate:
+class TermCertificate(Record):
     """Exact comparison of one balanced term against E on the region."""
 
     label: str
@@ -286,8 +280,7 @@ class TermCertificate:
     achieves: bool  # term == E identically on the region
 
 
-@dataclass(frozen=True)
-class BalanceViolation:
+class BalanceViolation(Record):
     """Why an audit failed: the failing term and a sigma in the region where it fails."""
 
     term: str
@@ -300,8 +293,7 @@ class BalanceViolation:
         )
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Outcome of auditing max(e1, e2, e3) = E on one region.
 
     e1: dyadic main term              (2 - 2 sigma) y
@@ -558,8 +550,7 @@ def baseline_curves() -> tuple[BoundCurve, ...]:
 # Crossovers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Crossover:
+class Crossover(Record):
     """Where two A-curves agree inside the overlap of their regions."""
 
     kind: str  # "identical" | "none" | "points"
@@ -577,9 +568,7 @@ def crossover(f: BoundCurve, g: BoundCurve) -> Crossover:
         raise ValueError("crossover requires overlapping regions")
     if f.A == g.A:
         return Crossover("identical")
-    q = Quadratic.from_linear_product(f.A.a, f.A.b, g.A.c, g.A.d) - Quadratic.from_linear_product(
-        g.A.a, g.A.b, f.A.c, f.A.d
-    )
+    q = f.A.cross_difference(g.A)
     if q.is_zero:
         return Crossover("identical")
     roots = quadratic_roots_in_interval(q, overlap)
@@ -598,14 +587,12 @@ def crossover(f: BoundCurve, g: BoundCurve) -> Crossover:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     region: Interval
     curve: BoundCurve
 
 
-@dataclass(frozen=True)
-class PiecewiseBound:
+class PiecewiseBound(Record):
     """Ordered segments tiling the optimization interval.
 
     Adjacent segments share an endpoint; at a shared endpoint the bound
@@ -623,19 +610,26 @@ class PiecewiseBound:
         return iter(self.segments)
 
     def segment_at(self, sigma: Fraction) -> Segment:
-        return _lowest_at(self.segments, sigma)
+        sigma = Fraction(sigma)
+        spans = [_span(seg.region, sigma.denominator) for seg in self.segments]
+        return _lowest_at(self.segments, spans, sigma.numerator, sigma)
 
     def segments_along(self, grid: Sequence[Fraction]) -> Iterator[tuple[Fraction, Segment]]:
         """(sigma, segment_at(sigma)) for an ascending grid, in one pass.
 
         Only the first segment not ending before sigma, and the next, can
-        hold it, as segments tile the interval with positive lengths.
+        hold it, as segments tile the interval with positive lengths.  The
+        grid and the segment ends are compared as integer numerators over
+        the grid's common denominator.
         """
+        segments = self.segments
+        xs, w = _common_numerators(grid)
+        spans = [_span(seg.region, w) for seg in segments]
         i = 0
-        for sigma in grid:
-            while i < len(self.segments) and self.segments[i].region.hi < sigma:
+        for sigma, x in zip(grid, xs):
+            while i < len(spans) and spans[i][1] < x:
                 i += 1
-            yield sigma, _lowest_at(self.segments[i:i + 2], sigma)
+            yield sigma, _lowest_at(segments[i:i + 2], spans[i:i + 2], x, sigma)
 
     def eval_A(self, sigma: Fraction) -> Fraction:
         return self.segment_at(sigma).curve.eval_A(sigma)
@@ -644,13 +638,29 @@ class PiecewiseBound:
         return self.segment_at(sigma).curve.eval_E(sigma)
 
 
-def _lowest_at(segments: Sequence[Segment], sigma: Fraction) -> Segment:
-    """The segment holding sigma with the smallest E there, the first on a tie.
+def _common_numerators(grid: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(xs, w) with grid[i] = xs[i] / w, w > 0 the least common denominator."""
+    w = math.lcm(*(sigma.denominator for sigma in grid))
+    return [sigma.numerator * (w // sigma.denominator) for sigma in grid], w
 
-    E is evaluated only where more than one segment holds sigma, at a
-    shared endpoint.
+
+def _span(region: Interval, w: int) -> tuple[int, int]:
+    """(lo, hi) such that x / w lies in the region iff lo <= x <= hi, for w > 0."""
+    if region.is_empty:
+        return 1, 0
+    lo, hi = region.lo, region.hi
+    return -(-lo.numerator * w // lo.denominator), hi.numerator * w // hi.denominator
+
+
+def _lowest_at(segments: Sequence[Segment], spans: Sequence[tuple[int, int]], x: int,
+               sigma: Fraction) -> Segment:
+    """The segment holding sigma = x / w with the smallest E there, the first on a tie.
+
+    ``spans`` are the segments' ``_span`` over w, so holding is decided on
+    integers.  E is evaluated only where more than one segment holds sigma,
+    at a shared endpoint.
     """
-    hits = [seg for seg in segments if seg.region.contains(sigma)]
+    hits = [seg for seg, (lo, hi) in zip(segments, spans) if lo <= x <= hi]
     if not hits:
         raise KeyError(f"sigma = {rat_str(sigma)} outside the optimized interval")
     if len(hits) == 1:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 # dec_str and rat are defined in the package root; they stay public API here too
-from . import dec_str, rat
+from . import Record, dec_str, rat
 
 __all__ = [
     "BRACKET_WIDTH",
@@ -63,8 +62,7 @@ def _sign(q: Fraction) -> int:
 # Intervals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval [lo, hi] with rational endpoints.
 
     The empty interval is an explicit value (``Interval.empty()``); it is
@@ -162,8 +160,7 @@ def _linear_str(p: int, q: int, var: str = "s") -> str:
     return f"{head}{'+' if q > 0 else '-'}{abs(q)}"
 
 
-@dataclass(frozen=True)
-class LinFrac:
+class LinFrac(Record):
     """f(s) = (a*s + b) / (c*s + d) with exact coefficients.
 
     Instances are canonicalized so that structural equality coincides with
@@ -210,6 +207,15 @@ class LinFrac:
     def denominator_at(self, sigma: Fraction) -> Fraction:
         return self.c * Fraction(sigma) + self.d
 
+    def cross_difference(self, other: "LinFrac") -> "Quadratic":
+        """(a s + b)(other.c s + other.d) - (other.a s + other.b)(c s + d), the
+        numerator of self - other over the product of the two denominators,
+        built once from the integer coefficients."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return Quadratic(a * other.c - other.a * c,
+                         a * other.d + b * other.c - other.a * d - other.b * c,
+                         b * other.d - other.b * d)
+
     def __str__(self) -> str:
         num = _linear_str(self.a, self.b)
         den = _linear_str(self.c, self.d)
@@ -230,10 +236,10 @@ class LinFrac:
         Whitespace is ignored.  Anything else raises ValueError.
         """
         s = "".join(text.split())
-        m = _QUOTIENT_RE.fullmatch(s)
+        m = re.fullmatch(_QUOTIENT, s)
         if m:
             num, den = m.group("num"), m.group("den") or "1"
-        elif _FORM_RE.fullmatch(s):
+        elif re.fullmatch(_FORM, s):
             num, den = s, "1"
         else:
             raise ValueError(f"not a curve like 4/(8s-5): {text!r}")
@@ -256,15 +262,17 @@ def _form(num: str) -> str:
 
 
 _SIDE = rf"\({_form(_RAT)}\)|[+-]?(?:{_term(_NUM)})"
-_QUOTIENT_RE = re.compile(rf"(?P<num>{_SIDE})(?:/(?P<den>{_SIDE}))?")
-_FORM_RE = re.compile(_form(_NUM))
-_TERM_RE = re.compile(rf"([+-]?)({_RAT})?\*?({_VAR})?")
+# patterns, not compiled ones: ``re`` compiles and caches each on its first
+# use, so importing this module compiles none
+_QUOTIENT = rf"(?P<num>{_SIDE})(?:/(?P<den>{_SIDE}))?"
+_FORM = _form(_NUM)
+_TERM = rf"([+-]?)({_RAT})?\*?({_VAR})?"
 
 
 def _linear_coeffs(form: str) -> tuple[Fraction, Fraction]:
     """(coefficient of the variable, constant) of a form the grammar matched."""
     coeffs = [Fraction(0), Fraction(0)]
-    for sign, num, var in _TERM_RE.findall(form.strip("()")):
+    for sign, num, var in re.findall(_TERM, form.strip("()")):
         if num or var:
             k = Fraction(num or 1)
             coeffs[0 if var else 1] += -k if sign == "-" else k
@@ -275,8 +283,7 @@ def _linear_coeffs(form: str) -> tuple[Fraction, Fraction]:
 # Quadratics and sign certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Quadratic:
+class Quadratic(Record):
     """q(s) = c2*s^2 + c1*s + c0 over exact rationals."""
 
     c2: Fraction
@@ -334,8 +341,7 @@ class Quadratic:
         return "".join(parts) or "0"
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(Record):
     """Isolating bracket (lo, hi) around an irrational root; width < 1e-9."""
 
     lo: Fraction
@@ -352,8 +358,7 @@ def _root_key(r: Root) -> Fraction:
     return r.midpoint() if isinstance(r, RootBracket) else r
 
 
-@dataclass(frozen=True)
-class SignCertificate:
+class SignCertificate(Record):
     """Exact sign determination of a quadratic on a closed interval.
 
     kind is one of:
@@ -490,8 +495,7 @@ def quadratic_sign_on_interval(q: Quadratic, interval: Interval) -> SignCertific
 # Ordering of linear-fractional functions on an interval
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderCertificate:
+class OrderCertificate(Record):
     """Exact ordering of two linear-fractional functions on an interval.
 
     relation is one of "le", "ge", "eq", "crosses".  For "le"/"ge" the
@@ -526,10 +530,7 @@ def linfrac_compare_on_interval(f: LinFrac, g: LinFrac, interval: Interval) -> O
     sf = _denominator_sign_on(f, interval)
     sg = _denominator_sign_on(g, interval)
     # (f - g) has the sign of num_f*den_g - num_g*den_f times sf*sg.
-    diff = Quadratic.from_linear_product(f.a, f.b, g.c, g.d) - Quadratic.from_linear_product(
-        g.a, g.b, f.c, f.d
-    )
-    cert = quadratic_sign_on_interval(diff.scale(sf * sg), interval)
+    cert = quadratic_sign_on_interval(f.cross_difference(g).scale(sf * sg), interval)
     if cert.kind == "zero":
         return OrderCertificate("eq")
     if cert.kind == "nonpos":

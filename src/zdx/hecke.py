@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 
-from . import DEFAULT_LIMIT, Inadmissible, dec_str
+from . import DEFAULT_LIMIT, Inadmissible, Record, dec_str
 
 __all__ = [
     "TableLimitError",
@@ -39,10 +39,11 @@ __all__ = [
 ]
 
 #: Time and memory budget: the largest table ``compute_tau`` builds.
-#: ``hecke-verify --limit 200000`` takes 2.1-2.6 s at 98.4 MB peak RSS, and
-#: ``--limit 20000`` 0.23-0.28 s at 25.0 MB (2 vCPU Xeon, CPython 3.11.7,
+#: ``hecke-verify --limit 200000`` takes 2.1-3.0 s at 92.5-92.7 MB peak RSS,
+#: and ``--limit 20000`` 0.27-0.38 s at 24.1 MB (2 vCPU Xeon, CPython 3.11.7,
 #: libmpdec 2.5.1; wall time and max RSS of the call alone, spawned from a
-#: small launcher).  The time grows about 9x per 10x of limit.
+#: small launcher).  The peak is ``compute_tau``'s packed squarings, as the
+#: CSV is written in blocks.  The time grows about 9x per 10x of limit.
 MAX_LIMIT = 200_000
 
 
@@ -121,8 +122,7 @@ def _eta_cubed(n: int) -> list[tuple[int, int]]:
 # Tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TauTable:
+class TauTable(Record):
     """tau(1..limit) as exact integers (index 0 unused)."""
 
     limit: int
@@ -142,9 +142,13 @@ class TauTable:
         """The smallest-prime-factor sieve to ``limit``, built once for every check."""
         return _smallest_prime_factors(self.limit)
 
+    @cached_property
+    def _spf_powers(self) -> tuple[list[int], list[int]]:
+        """``_prime_powers`` of the sieve, shared by the mollifier and the divisor counts."""
+        return _prime_powers(self._spf)
 
-@dataclass(frozen=True)
-class MollifierTable:
+
+class MollifierTable(Record):
     """Unnormalized mollifier coefficients m(1..limit).
 
     m is multiplicative with m(p) = -tau(p), m(p^2) = p^11, m(p^a) = 0 for
@@ -174,7 +178,8 @@ def compute_tau(limit: int) -> TauTable:
     coefficient of q^{n-1} in eta^24 is tau(n).  At MAX_LIMIT = 200000 this
     takes 1.1-1.5 s, and 0.08-0.10 s at 20000 (2 vCPU Xeon, CPython 3.11.7,
     libmpdec 2.5.1); ``hecke-verify`` with every identity check takes
-    2.1-2.6 s end to end at 98.4 MB peak RSS (see ``MAX_LIMIT``).
+    2.1-3.0 s end to end at 92.5-92.7 MB peak RSS, the peak being these
+    squarings (see ``MAX_LIMIT``).
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -203,24 +208,38 @@ def _smallest_prime_factors(limit: int) -> list[int]:
     return spf
 
 
-def mollifier_from(table: TauTable) -> MollifierTable:
-    """Build m(1..limit) multiplicatively from the tau table."""
-    limit, tau, spf = table.limit, table.tau, table._spf
-    m = [0] * (limit + 1)
-    m[1] = 1
+def _prime_powers(spf: list[int]) -> tuple[list[int], list[int]]:
+    """(a, rest) with n = p^a[n] rest[n], p = spf[n] not dividing rest[n], for n >= 2.
+
+    n / p is p^(a-1) rest, so both are read off n / p in O(1) per n;
+    a[1] = 0 and rest[1] = 1.
+    """
+    limit = len(spf) - 1
+    a, rest = [0] * (limit + 1), [0] * (limit + 1)
+    if limit:
+        rest[1] = 1
     for n in range(2, limit + 1):
         p = spf[n]
-        rest, a = n, 0
-        while rest % p == 0:
-            rest //= p
-            a += 1
-        if a == 1:
-            local = -tau[p]
-        elif a == 2:
-            local = p ** 11
+        q = n // p
+        if spf[q] == p:
+            a[n], rest[n] = a[q] + 1, rest[q]
         else:
-            local = 0
-        m[n] = m[rest] * local
+            a[n], rest[n] = 1, q
+    return a, rest
+
+
+def mollifier_from(table: TauTable) -> MollifierTable:
+    """Build m(1..limit) multiplicatively from the tau table: m(n) = m(rest) m(p^a)."""
+    limit, tau, spf = table.limit, table.tau, table._spf
+    a, rest = table._spf_powers
+    m = [0] * (limit + 1)
+    m[1] = 1
+    # m(p^a) = 0 for a >= 3, so those n keep their 0
+    for n, p, an, r in zip(range(2, limit + 1), spf[2:], a[2:], rest[2:]):
+        if an == 1:
+            m[n] = m[r] * -tau[p]
+        elif an == 2:
+            m[n] = m[r] * p ** 11
     return MollifierTable(limit, tuple(m))
 
 
@@ -228,8 +247,7 @@ def mollifier_from(table: TauTable) -> MollifierTable:
 # Identity checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvolutionWitness:
+class ConvolutionWitness(Record):
     """A value of sum_{d | n} m(d) tau(n/d) that missed its expectation."""
 
     n: int
@@ -283,8 +301,7 @@ def _convolution_witnesses(vals: list[int]) -> list[ConvolutionWitness]:
     return failures
 
 
-@dataclass(frozen=True)
-class DeligneReport:
+class DeligneReport(Record):
     """Worst case of tau(n)^2 against d(n)^2 n^11 over the table."""
 
     limit: int
@@ -303,29 +320,23 @@ class DeligneReport:
 
 def divisor_counts(limit: int) -> list[int]:
     """d(n), the number of divisors of n, for n = 0..limit (d(0) = 0)."""
-    return _divisor_counts(_smallest_prime_factors(limit))
+    return _divisor_counts(*_prime_powers(_smallest_prime_factors(limit)))
 
 
-def _divisor_counts(spf: list[int]) -> list[int]:
-    # n = p^a r with p = spf[n] not dividing r, so d(n) = d(r) (a + 1); n / p
-    # is p^(a-1) r, so d(n) = d(n / p) / a * (a + 1), with a read off n / p
-    limit = len(spf) - 1
+def _divisor_counts(a: list[int], rest: list[int]) -> list[int]:
+    # n = p^a rest with p not dividing rest, so d(n) = d(rest) (a + 1)
+    limit = len(a) - 1
     d = [0] * (limit + 1)
-    a = [0] * (limit + 1)  # the exponent of spf[n] in n
     if limit:
         d[1] = 1
-    for n in range(2, limit + 1):
-        p = spf[n]
-        q = n // p
-        an = a[q] + 1 if spf[q] == p else 1
-        a[n] = an
-        d[n] = d[q] // an * (an + 1)
+    for n, an, r in zip(range(2, limit + 1), a[2:], rest[2:]):
+        d[n] = d[r] * (an + 1)
     return d
 
 
 def deligne_check(table: TauTable) -> DeligneReport:
     """Exact check of tau(n)^2 <= d(n)^2 n^11 for every n in the table."""
-    d = _divisor_counts(table._spf)
+    d = _divisor_counts(*table._spf_powers)
     best_num, best_den, argmax = 0, 1, 1
     violations = []
     for n, t, dn in zip(range(1, table.limit + 1), table.tau[1:], d[1:]):
@@ -370,8 +381,11 @@ def multiplicativity_failures(table: TauTable) -> list[tuple[int, int]]:
     return failures
 
 
-@dataclass(frozen=True)
-class HeckeReport:
+#: Rows per block of ``HeckeReport.csv_chunks``: about 0.3 MB of text at ``MAX_LIMIT``.
+_CSV_ROWS = 4096
+
+
+class HeckeReport(Record):
     """Every identity check of one tau table, with the tables it checked.
 
     ``convolution`` holds sum_{d | n} m(d) tau(n/d) for n = 1..limit
@@ -393,12 +407,20 @@ class HeckeReport:
             or self.multiplicativity_failures
         )
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV of n, tau(n), m(n) and the convolution value, one row per n,
+        as the header and then blocks of ``_CSV_ROWS`` rows, so that a writer
+        never holds the whole text (12 MB at ``MAX_LIMIT``)."""
+        tau, m, conv = self.table.tau, self.mollifier.m, self.convolution
+        yield "n,tau,m,convolution_value\n"
+        for lo in range(1, self.table.limit + 1, _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, self.table.limit + 1)
+            yield "".join([f"{n},{t},{mn},{c}\n" for n, t, mn, c in
+                           zip(range(lo, hi), tau[lo:hi], m[lo:hi], conv[lo:hi])])
+
     def csv_text(self) -> str:
-        """The CSV of n, tau(n), m(n) and the convolution value, one row per n."""
-        rows = zip(range(1, self.table.limit + 1), self.table.tau[1:], self.mollifier.m[1:],
-                   self.convolution[1:])
-        lines = [f"{n},{t},{m},{c}\n" for n, t, m, c in rows]
-        return "n,tau,m,convolution_value\n" + "".join(lines)
+        """The whole CSV of ``csv_chunks`` as one string."""
+        return "".join(self.csv_chunks())
 
 
 def verify_table(limit: int) -> HeckeReport:

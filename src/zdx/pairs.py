@@ -12,14 +12,12 @@ triple (p, r, q), kappa = p/q and lambda = r/q, on which both processes act.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from collections.abc import Collection
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from . import DEFAULT_DEPTH, Inadmissible, rat
+from . import DEFAULT_DEPTH, Inadmissible, Record, rat
 
 __all__ = [
     "InvalidPair",
@@ -126,11 +124,7 @@ class ExponentPair:
     def __hash__(self) -> int:
         return hash(self.key)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
 
     def __reduce__(self):
         return ExponentPair, (self.kappa, self.lam, self.word)
@@ -195,8 +189,7 @@ def replay_word(word: str) -> ExponentPair:
     return _pair(t, word) if word else SEED
 
 
-@dataclass(frozen=True)
-class PairFamily:
+class PairFamily(Record):
     """Deduplicated set of exponent pairs up to a word-length bound."""
 
     pairs: tuple[ExponentPair, ...]
@@ -217,7 +210,8 @@ class PairFamily:
         """
         if not self.pairs:
             return "[]\n"
-        dumps = json.dumps
+        from json import dumps
+
         rows = ",\n".join(
             f'  {{\n    "kappa": "{_ratio(p, q)}",'
             f'\n    "lambda": "{_ratio(r, q)}",'

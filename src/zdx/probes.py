@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from . import HM_REL_TOLERANCE, Inadmissible
+from . import HM_REL_TOLERANCE, Inadmissible, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,18 +46,14 @@ class DimensionMismatch(ValueError):
 # Bilinear large-values inequality
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VectorSystem:
     """A target vector xi and R test vectors phi_1..phi_R of equal length."""
 
-    xi: np.ndarray
-    phis: np.ndarray  # shape (R, dim)
-
-    def __post_init__(self) -> None:
+    def __init__(self, xi: np.ndarray, phis: np.ndarray) -> None:
         import numpy as np
 
-        self.xi = np.asarray(self.xi, dtype=np.complex128)
-        self.phis = np.asarray(self.phis, dtype=np.complex128)
+        self.xi = np.asarray(xi, dtype=np.complex128)
+        self.phis = np.asarray(phis, dtype=np.complex128)  # shape (R, dim)
         if self.xi.ndim != 1 or self.phis.ndim != 2:
             raise DimensionMismatch("xi must be a vector and phis a matrix")
         if self.phis.shape[0] < 1:
@@ -69,8 +64,7 @@ class VectorSystem:
             )
 
 
-@dataclass(frozen=True)
-class HMResult:
+class HMResult(Record):
     lhs: float
     rhs: float
 
@@ -146,8 +140,7 @@ MAX_DIM = 1024
 MAX_R = 1024
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Record):
     """A seeded batch; ``rows[i]`` is trial i's (dim, r, lhs, rhs, rel_slack)."""
 
     trials: int
@@ -326,8 +319,7 @@ def lanczos_gamma(z: complex) -> complex:
     return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
-@dataclass(frozen=True)
-class MellinResult:
+class MellinResult(Record):
     x: float
     value: float
     imag_residual: float

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .density import BoundCurve, PiecewiseBound
+from .density import BoundCurve, PiecewiseBound, _common_numerators, _span
 from .exact import Interval, LinFrac, rat_str
 
 __all__ = ["render_curves_svg", "PLOT_SAMPLES"]
@@ -43,7 +43,10 @@ def _sample_envelope(bound: PiecewiseBound, grid: list[Fraction]) -> list[tuple[
 
 
 def _sample_curve(curve: BoundCurve, grid: list[Fraction]) -> list[tuple[float, float]]:
-    return [_point(curve.A, sigma) for sigma in grid if curve.region.contains(sigma)]
+    """The points of the grid in the curve's region, held or not decided on integers."""
+    xs, w = _common_numerators(grid)
+    lo, hi = _span(curve.region, w)
+    return [_point(curve.A, sigma) for sigma, x in zip(grid, xs) if lo <= x <= hi]
 
 
 def render_curves_svg(

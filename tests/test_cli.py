@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -328,7 +327,7 @@ def test_audit_term_violation_exit1(runner, monkeypatch):
     def audit(regions, region):
         report = real(regions, region)
         if region == 2:
-            return replace(report, violation=BalanceViolation("class2_moment", Fraction(43, 45)))
+            return report._replace(violation=BalanceViolation("class2_moment", Fraction(43, 45)))
         return report
 
     monkeypatch.setattr(density, "audit_balance", audit)
@@ -344,8 +343,8 @@ def test_audit_continuity_mismatch_exit1(runner, monkeypatch):
     from zdx import density
 
     real = density.continuity_check
-    monkeypatch.setattr(density, "continuity_check", lambda regions: replace(
-        real(regions), status="mismatch", note="branches disagree: 44/31 vs 45/31"))
+    monkeypatch.setattr(density, "continuity_check", lambda regions: real(regions)._replace(
+        status="mismatch", note="branches disagree: 44/31 vs 45/31"))
     for fmt in ("text", "json"):
         res = runner.invoke(cli, ["audit", "--pair", "1/14,11/14", "--format", fmt])
         assert res.exit_code == 1
@@ -436,6 +435,19 @@ def test_hecke_verify_small(runner, tmp_path):
     assert lines[1] == "1,1,1,1"
     assert lines[2] == "2,-24,24,0"
     assert len(lines) == 301
+
+
+def test_hecke_verify_streams_the_whole_csv(runner, tmp_path):
+    # 9000 rows are three blocks of the streamed CSV, the last one short
+    from zdx.hecke import _CSV_ROWS, verify_table
+
+    want = verify_table(9000).csv_text()
+    assert want.count("\n") == 9001 and 2 * _CSV_ROWS < 9000 < 3 * _CSV_ROWS
+    assert f"\n{_CSV_ROWS},".encode() in want.encode()
+    out = tmp_path / "hecke.csv"
+    assert invoke(runner, "hecke-verify", "--limit", "9000", "--out", str(out)).exit_code == 0
+    assert out.read_text() == want
+    assert invoke(runner, "hecke-verify", "--limit", "9000").stdout == want
 
 
 def test_hm_test_small(runner, tmp_path):
@@ -583,7 +595,10 @@ def test_desk_outputs_pinned(runner, argv):
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    (["--help"], ["decimal", "fractions", "numpy", "zdx.density", "zdx.hecke", "zdx.svg"]),
+    (["--help"], ["csv", "decimal", "fractions", "json", "numpy", "zdx.density", "zdx.hecke",
+                  "zdx.svg"]),
+    (["compare", "--depth", "3", "--format", "csv"], ["json", "numpy"]),
+    (["plot", "--depth", "3"], ["csv", "json", "numpy"]),
     (["mellin-probe"], ["numpy", "zdx.exact"]),
     (["hm-test", "--trials", "3"], ["zdx.density", "zdx.exact", "zdx.pairs"]),
     (["hecke-verify", "--limit", "50"], ["numpy", "zdx.density", "zdx.exact", "zdx.pairs"]),

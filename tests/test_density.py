@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -268,7 +267,7 @@ def test_balance_violation_carries_witness():
     # Force a violation by auditing region 2 extended beyond sigma_star:
     # the sixth-moment term exceeds E to the right of sigma_star.
     spec = regions_for(PAIR_114)
-    rep = audit_balance(replace(spec, region2=Interval(spec.left2, spec.sigma_star + F(1, 50))), 2)
+    rep = audit_balance(spec._replace(region2=Interval(spec.left2, spec.sigma_star + F(1, 50))), 2)
     assert rep.region.hi == F(21, 22) + F(1, 50)
     assert [t.diff_cert.kind for t in rep.terms] == ["zero", "zero", "mixed"]
     assert not rep.passed and rep.violation.term == "class2_moment"
@@ -471,9 +470,9 @@ def test_audit_kernel_matches_reference_off_family(pair):
 
 @pytest.mark.parametrize("pair", [PAIR_114, PAIR_16, ExponentPair(F(1, 30), F(13, 15))])
 @pytest.mark.parametrize("widen", [
-    lambda s: replace(s, region1=Interval(s.sigma_star - F(1, 50), F(1))),
-    lambda s: replace(s, region2=Interval(s.left2, s.sigma_star + F(1, 50))),
-    lambda s: replace(s, region2=Interval(s.left2 - F(1, 200), s.left2)),
+    lambda s: s._replace(region1=Interval(s.sigma_star - F(1, 50), F(1))),
+    lambda s: s._replace(region2=Interval(s.left2, s.sigma_star + F(1, 50))),
+    lambda s: s._replace(region2=Interval(s.left2 - F(1, 200), s.left2)),
 ], ids=["region1-below-star", "region2-past-star", "region2-left-of-left2"])
 def test_audit_kernel_matches_reference_on_failures(pair, widen):
     # regions moved off their construction; past sigma_star a term fails: same term, same witness
@@ -621,7 +620,7 @@ def test_audit_family_failure_builds_no_region_spec_or_report(monkeypatch):
 
 def test_audit_asserts_positive_y_denominator():
     # region 2 widened left to the pole of y = 1/(13s - 11) at 11/13
-    widened = replace(regions_for(PAIR_114), region2=Interval(F(11, 13), F(21, 22)))
+    widened = regions_for(PAIR_114)._replace(region2=Interval(F(11, 13), F(21, 22)))
     with pytest.raises(AssertionError, match="y denominator must be positive"):
         audit_balance(widened, 2)
 

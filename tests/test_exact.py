@@ -342,7 +342,9 @@ def _sample_consistency(trial_rng: random.Random) -> None:
     q = (
         Quadratic.from_linear_product(f.a, f.b, g.c, g.d)
         - Quadratic.from_linear_product(g.a, g.b, f.c, f.d)
-    ).scale(sf * sg)
+    )
+    assert f.cross_difference(g) == q
+    q = q.scale(sf * sg)
     # sample 100 rational points via integer arithmetic
     num_lo, num_hi = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     den = lo.denominator * hi.denominator

@@ -284,6 +284,20 @@ def test_smallest_prime_factors_against_trial_division():
         assert hecke._smallest_prime_factors(limit) == expected[:limit + 1], limit
 
 
+def test_prime_powers_against_repeated_division():
+    def split(n):
+        p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+        a = 0
+        while n % p == 0:
+            n, a = n // p, a + 1
+        return a, n
+
+    expected = [(0, 0), (0, 1)] + [split(n) for n in range(2, 3001)]
+    for limit in [*range(301), 3000]:
+        a, rest = hecke._prime_powers(hecke._smallest_prime_factors(limit))
+        assert list(zip(a, rest)) == expected[:limit + 1], limit
+
+
 def test_verify_table_sieves_once(monkeypatch):
     sieve, limits = hecke._smallest_prime_factors, []
 

@@ -63,3 +63,9 @@ def test_sampled_envelope_is_float_of_exact_E(interval):
     want = [(float(sigma), float(bound.eval_E(sigma))) for sigma in grid]
     assert svg._sample_envelope(bound, grid) == want
 
+
+
+def test_sampled_curve_skips_an_empty_region():
+    # an empty region holds no point, not even the grid's 0 that its stored ends 0, 0 span
+    curve = BoundCurve(LinFrac.constant(2), Interval.empty(), Provenance("empty"))
+    assert svg._sample_curve(curve, Interval(F(-1), F(1)).grid(4)) == []
