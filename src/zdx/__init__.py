@@ -17,20 +17,15 @@ if TYPE_CHECKING:
 
 __version__ = "0.1.0"
 
-#: Relative slack allowed by the bilinear large-values harness of
-#: ``zdx.probes``; kept here so the CLI can show it without importing numpy.
-HM_REL_TOLERANCE = 1e-10
-
-#: Default pair-generation depth and tau-table size, re-exported by
-#: ``zdx.pairs`` and ``zdx.hecke``; kept here so the CLI can show them
-#: without importing those modules.
+#: Default pair-generation depth and tau-table size of the CLI; kept here
+#: so that it can show them without importing ``zdx.pairs`` or ``zdx.hecke``.
 DEFAULT_DEPTH = 12
 DEFAULT_LIMIT = 10_000
 
 
-def dec_str(q, digits: int = 20) -> str:
-    """Decimal rendering of a Fraction (or int) with ``digits`` significant
-    digits (deterministic).  Kept here, with its imports inside, so
+def dec_str(q) -> str:
+    """Decimal rendering of a Fraction (or int) with 20 significant digits
+    (deterministic).  Kept here, with its imports inside, so
     ``hecke-verify`` need not load ``zdx.exact``."""
     from decimal import Decimal, localcontext
     from fractions import Fraction
@@ -38,7 +33,7 @@ def dec_str(q, digits: int = 20) -> str:
     if type(q) is not Fraction:
         q = Fraction(q)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 20
         d = Decimal(q.numerator) / Decimal(q.denominator)
     return str(d)
 

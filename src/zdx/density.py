@@ -610,12 +610,12 @@ class PiecewiseBound(Record):
         return iter(self.segments)
 
     def segment_at(self, sigma: Fraction) -> Segment:
-        sigma = Fraction(sigma)
-        spans = [_span(seg.region, sigma.denominator) for seg in self.segments]
-        return _lowest_at(self.segments, spans, sigma.numerator, sigma)
+        """The segment that gives the bound at sigma: ``segments_along([sigma])``."""
+        return next(self.segments_along([Fraction(sigma)]))[1]
 
     def segments_along(self, grid: Sequence[Fraction]) -> Iterator[tuple[Fraction, Segment]]:
-        """(sigma, segment_at(sigma)) for an ascending grid, in one pass.
+        """(sigma, segment) for an ascending grid, in one pass: the segment
+        holding sigma with the smallest E there, the first on a tie.
 
         Only the first segment not ending before sigma, and the next, can
         hold it, as segments tile the interval with positive lengths.  The
@@ -770,10 +770,10 @@ def optimize(
     cost is O(n + V) for n pairs and V hull vertices, plus O(baselines) per
     segment (the sort is linear on a sorted family).  On a 2-vCPU Xeon
     (CPython 3.11.7) it takes about 5 ms at depth 12 (80 vertices), 20 ms
-    at depth 16 (298) and 0.1-0.25 s at depth 22 (2,008), where the
-    candidate-by-candidate sweep it replaced took 0.08-0.13 s, 1.6-4.6 s
-    and, end to end, 7.5 minutes, for the same segments.  A one-point
-    interval is decided over every candidate whose closed region holds it.
+    at depth 16 (298) and 0.1-0.25 s at depth 22 (2,008).  A one-point
+    interval is decided over every candidate whose closed region holds it:
+    there a region 2 that ends at the point ties the region-1 line and wins
+    on slope, so the credited pair need not be a hull vertex.
 
     The interval must lie within [1/2, 1] (Inadmissible otherwise).
     ``resolution`` is ignored, as nothing is sampled; it is accepted only

@@ -12,16 +12,13 @@ import math
 import re
 from fractions import Fraction
 
-# dec_str and rat are defined in the package root; they stay public API here too
-from . import Record, dec_str, rat
+from . import Record, rat
 
 __all__ = [
     "BRACKET_WIDTH",
     "PoleError",
     "SignChangeDenominator",
-    "rat",
     "rat_str",
-    "dec_str",
     "Interval",
     "LinFrac",
     "Quadratic",
@@ -145,16 +142,16 @@ def _canonical_ints(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]
     return (a // g, b // g, c // g, d // g)
 
 
-def _linear_str(p: int, q: int, var: str = "s") -> str:
-    """Render p*var + q compactly."""
+def _linear_str(p: int, q: int) -> str:
+    """Render p*s + q compactly."""
     if p == 0:
         return str(q)
     if p == 1:
-        head = var
+        head = "s"
     elif p == -1:
-        head = f"-{var}"
+        head = "-s"
     else:
-        head = f"{p}{var}"
+        head = f"{p}s"
     if q == 0:
         return head
     return f"{head}{'+' if q > 0 else '-'}{abs(q)}"

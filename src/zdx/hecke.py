@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 
-from . import DEFAULT_LIMIT, Inadmissible, Record, dec_str
+from . import Inadmissible, Record, dec_str
 
 __all__ = [
     "TableLimitError",
@@ -28,13 +28,12 @@ __all__ = [
     "HeckeReport",
     "compute_tau",
     "mollifier_from",
-    "convolution_identity_check",
+    "convolution_values",
     "verify_table",
     "deligne_check",
     "hecke_recursion_failures",
     "multiplicativity_failures",
     "divisor_counts",
-    "DEFAULT_LIMIT",
     "MAX_LIMIT",
 ]
 
@@ -281,18 +280,8 @@ def convolution_values(table: TauTable, moll: MollifierTable, upto: int) -> list
     return vals
 
 
-def convolution_identity_check(
-    table: TauTable, upto: int, moll: MollifierTable | None = None
-) -> list[ConvolutionWitness]:
-    """Failures of the full-inverse cancellation on [1, upto] (empty = pass).
-
-    The expectation is 1 at n = 1 and 0 for every 2 <= n <= upto.
-    """
-    moll = moll or mollifier_from(table)
-    return _convolution_witnesses(convolution_values(table, moll, upto))
-
-
 def _convolution_witnesses(vals: list[int]) -> list[ConvolutionWitness]:
+    """Where ``convolution_values``'s output is not 1 at n = 1 and 0 after (empty = pass)."""
     failures = []
     for n in range(1, len(vals)):
         expected = 1 if n == 1 else 0
@@ -417,10 +406,6 @@ class HeckeReport(Record):
             hi = min(lo + _CSV_ROWS, self.table.limit + 1)
             yield "".join([f"{n},{t},{mn},{c}\n" for n, t, mn, c in
                            zip(range(lo, hi), tau[lo:hi], m[lo:hi], conv[lo:hi])])
-
-    def csv_text(self) -> str:
-        """The whole CSV of ``csv_chunks`` as one string."""
-        return "".join(self.csv_chunks())
 
 
 def verify_table(limit: int) -> HeckeReport:

@@ -17,7 +17,7 @@ import operator
 from collections.abc import Collection
 from fractions import Fraction
 
-from . import DEFAULT_DEPTH, Inadmissible, Record, rat
+from . import Inadmissible, Record, rat
 
 __all__ = [
     "InvalidPair",
@@ -30,7 +30,6 @@ __all__ = [
     "replay_word",
     "generate_pairs",
     "sorted_triples",
-    "DEFAULT_DEPTH",
     "MAX_DEPTH",
 ]
 

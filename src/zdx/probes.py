@@ -1,8 +1,9 @@
 """Floating-point desk checks for the analytic ingredients.
 
 These verify inequalities with slack, not exact identities, so doubles
-are appropriate here (tolerance 1e-10 relative).  Everything is seeded
-and deterministic; the zeta scan is report-only and never gates anything.
+are appropriate here, gated by fixed tolerances that a NaN fails.
+Everything is seeded and deterministic; the zeta scan is report-only and
+never gates anything.
 numpy is imported by the harness and zeta functions that use it, so the
 gamma-kernel probe runs without it.
 """
@@ -14,7 +15,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from . import HM_REL_TOLERANCE, Inadmissible, Record
+from . import Inadmissible, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -23,9 +24,12 @@ __all__ = [
     "DimensionMismatch",
     "VectorSystem",
     "HMResult",
+    "HM_REL_TOLERANCE",
     "MAX_DIM",
     "MAX_R",
     "MAX_STEPS",
+    "MELLIN_ABS_TOL",
+    "MELLIN_IMAG_TOL",
     "ProbeReport",
     "hm_inequality_check",
     "hm_random_system",
@@ -67,10 +71,6 @@ class VectorSystem:
 class HMResult(Record):
     lhs: float
     rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.lhs - self.rhs
 
     @property
     def rel_slack(self) -> float:
@@ -139,9 +139,13 @@ def hm_random_system(seed: int, dim_cap: int = 64, r_cap: int = 16) -> VectorSys
 MAX_DIM = 1024
 MAX_R = 1024
 
+#: Largest relative slack (lhs - rhs) / rhs of a passing ``ProbeReport``.
+HM_REL_TOLERANCE = 1e-10
+
 
 class ProbeReport(Record):
-    """A seeded batch; ``rows[i]`` is trial i's (dim, r, lhs, rhs, rel_slack)."""
+    """A seeded batch; ``rows[i]`` is trial i's (dim, r, lhs, rhs, rel_slack).
+    ``worst_trial`` is the first of largest slack, or the first NaN."""
 
     trials: int
     seed: int
@@ -152,11 +156,6 @@ class ProbeReport(Record):
     @property
     def ok(self) -> bool:
         return self.max_rel_slack <= HM_REL_TOLERANCE
-
-    @property
-    def results(self) -> tuple[tuple[int, int, HMResult], ...]:
-        """``results[i]`` is trial i's (dim, r, HMResult), built from ``rows``."""
-        return tuple((dim, r, HMResult(lhs, rhs)) for dim, r, lhs, rhs, _ in self.rows)
 
 
 # The constants of NumPy's SeedSequence hash (numpy/random/bit_generator.pyx).
@@ -283,7 +282,8 @@ def hm_random_trials(
         xi, phis = _hm_draw(rng, dim_cap, r_cap)
         lhs, rhs = _hm_sides(xi, phis)
         rows.append((len(xi), len(phis), lhs, rhs, _rel_slack(lhs, rhs)))
-    worst = max(range(trials), key=lambda i: rows[i][4])
+    # max alone would pass over a NaN after the first row
+    worst = max(range(trials), key=lambda i: (math.isnan(rows[i][4]), rows[i][4]))
     return ProbeReport(trials, seed, rows[worst][4], worst, tuple(rows))
 
 
@@ -329,6 +329,10 @@ class MellinResult(Record):
     def abs_error(self) -> float:
         return abs(self.value - self.target)
 
+    @property
+    def ok(self) -> bool:
+        return self.abs_error <= MELLIN_ABS_TOL and self.imag_residual <= MELLIN_IMAG_TOL
+
 
 #: Budget on ``mellin_probe``'s ``steps``.  The probe keeps the 2*steps + 1
 #: gamma values of its last (line, halfwidth, steps) for the next ``x``, so
@@ -337,6 +341,10 @@ class MellinResult(Record):
 #: RSS, against 0.15 s and 19 MB at the default 4000 (2-vCPU Xeon, CPython
 #: 3.11.7).
 MAX_STEPS = 100_000
+
+#: Largest ``abs_error`` and ``imag_residual`` of a passing ``MellinResult``.
+MELLIN_ABS_TOL = 1e-6
+MELLIN_IMAG_TOL = 1e-8
 
 
 def _simpson_nodes(halfwidth: float, steps: int):
@@ -391,13 +399,13 @@ def mellin_probe(
 # Zeta growth diagnostic (report-only)
 # ---------------------------------------------------------------------------
 
-def zeta_em(s: complex, extra_terms: int = 50) -> complex:
-    """Euler-Maclaurin zeta with cutoff ceil(|Im s|) + extra_terms and two
+def zeta_em(s: complex) -> complex:
+    """Euler-Maclaurin zeta with cutoff ceil(|Im s|) + 50 and two
     Bernoulli corrections.  Desk accuracy, not rigorous."""
     import numpy as np
 
     s = complex(s)
-    m = int(math.ceil(abs(s.imag))) + extra_terms
+    m = int(math.ceil(abs(s.imag))) + 50
     n = np.arange(1, m + 1, dtype=np.float64)
     head = np.exp(-s * np.log(n)).sum()
     tail = m ** (1 - s) / (s - 1) - 0.5 * m ** (-s)

@@ -53,10 +53,10 @@ def render_curves_svg(
     bound: PiecewiseBound,
     baselines: tuple[BoundCurve, ...],
     interval: Interval,
-    samples: int = PLOT_SAMPLES,
 ) -> str:
-    """E(sigma) of the optimized bound plus baselines as a standalone SVG."""
-    grid = interval.grid(samples - 1)
+    """E(sigma) of the optimized bound plus baselines as a standalone SVG,
+    sampled at ``PLOT_SAMPLES`` points."""
+    grid = interval.grid(PLOT_SAMPLES - 1)
     series: list[tuple[str, bool, list[tuple[float, float]]]] = []
     series.append(("optimized", False, _sample_envelope(bound, grid)))
     for base in baselines:

@@ -22,14 +22,7 @@ from zdx.density import (
     regions_for,
 )
 from zdx.exact import Interval, LinFrac
-from zdx.hecke import (
-    compute_tau,
-    convolution_identity_check,
-    deligne_check,
-    hecke_recursion_failures,
-    mollifier_from,
-    multiplicativity_failures,
-)
+from zdx.hecke import verify_table
 from zdx.pairs import ExponentPair, generate_pairs
 from zdx.probes import hm_random_trials, mellin_probe
 
@@ -151,13 +144,12 @@ def test_criterion_5_continuity_and_admissibility(depth12):
 
 def test_criterion_6_hecke_suite():
     start = time.perf_counter()
-    table = compute_tau(10_000)
-    values_ok = [table[n] for n in range(2, 6)] == [-24, 252, -1472, 4830]
-    moll = mollifier_from(table)
-    conv_ok = convolution_identity_check(table, 10_000, moll) == []
-    mult_ok = multiplicativity_failures(table) == []
-    rec_ok = hecke_recursion_failures(table) == []
-    deligne_ok = deligne_check(table).ok
+    rep = verify_table(10_000)
+    values_ok = [rep.table[n] for n in range(2, 6)] == [-24, 252, -1472, 4830]
+    conv_ok = rep.convolution_failures == []
+    mult_ok = rep.multiplicativity_failures == []
+    rec_ok = rep.recursion_failures == []
+    deligne_ok = rep.deligne.ok
     elapsed = time.perf_counter() - start
     ok = values_ok and conv_ok and mult_ok and rec_ok and deligne_ok and elapsed < 60.0
     report(6, ok, f"tau table to 10^4 with zero failures in {elapsed:.2f}s")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,12 +26,19 @@ def invoke(runner, *args):
     return runner.invoke(cli, args, catch_exceptions=False)
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports zdx from this checkout."""
+def _env():
+    """The environment of a fresh interpreter that imports zdx from this checkout,
+    with stdout buffered as by default."""
     src = str(Path(zdx.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports zdx from this checkout."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_env())
 
 
 # -- pairs ---------------------------------------------------------------------
@@ -441,7 +449,7 @@ def test_hecke_verify_streams_the_whole_csv(runner, tmp_path):
     # 9000 rows are three blocks of the streamed CSV, the last one short
     from zdx.hecke import _CSV_ROWS, verify_table
 
-    want = verify_table(9000).csv_text()
+    want = "".join(verify_table(9000).csv_chunks())
     assert want.count("\n") == 9001 and 2 * _CSV_ROWS < 9000 < 3 * _CSV_ROWS
     assert f"\n{_CSV_ROWS},".encode() in want.encode()
     out = tmp_path / "hecke.csv"
@@ -549,8 +557,8 @@ def test_exact_commands_do_not_import_numpy(runner, tmp_path):
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
-    # the tolerance default still shows without numpy being loaded for it
-    assert "[default: 1e-10]" in invoke(runner, "hm-test", "--help").output
+    # the gate is a fixed constant of zdx.probes, so the help shows no tolerance
+    assert "--tol" not in invoke(runner, "hm-test", "--help").output
 
 
 #: sha256 of (stdout, stderr) of each call, taken from the four-draw hm
@@ -663,7 +671,7 @@ NO_DIR_OUT = str(Path(__file__).resolve().parent / "no-such-dir" / "out")
     (["zeta-probe", "--t-max", "-5"], 3),
     (["zeta-probe", "--t-max", "20000"], 3),
     (["hecke-verify", "--limit", "200001"], 3),
-    (["hm-test", "--trials", "5", "--tol", "nan"], 1),
+    (["mellin-probe", "--halfwidth", "5"], 1),
     (["mellin-probe", "--steps", "1", "--halfwidth", "1e300"], 1),
     (["compare", "--depth", "3", "--baseline", "s^2"], 2),
     (["pairs", "--depth", "1", "--out", NO_DIR_OUT], 2),
@@ -706,6 +714,44 @@ def test_failed_run_leaves_out_untouched(runner, monkeypatch, tmp_path):
     assert not fresh.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["hm-test", "--trials", "5", "--tol", "1"],
+    ["mellin-probe", "--tol", "1"],
+    ["mellin-probe", "--imag-tol", "1"],
+])
+def test_no_option_loosens_a_probe_gate(runner, argv):
+    res = runner.invoke(cli, argv)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1].startswith(f"Error: No such option '{argv[-2]}'")
+
+
+def test_nan_from_the_probe_kernels_fails_the_gates(runner, monkeypatch):
+    from zdx import probes
+
+    sides, calls = probes._hm_sides, iter(range(10))
+
+    def nan_at_trial_3(xi, phis):
+        # past the first trial, where max alone would pass over a NaN
+        lhs, rhs = sides(xi, phis)
+        return (math.nan, rhs) if next(calls) % 5 == 3 else (lhs, rhs)
+
+    monkeypatch.setattr(probes, "_hm_sides", nan_at_trial_3)
+    rep = probes.hm_random_trials(5, 1)
+    assert rep.worst_trial == 3 and math.isnan(rep.max_rel_slack) and not rep.ok
+    res = runner.invoke(cli, ["hm-test", "--trials", "5"])
+    assert res.exit_code == 1
+    assert res.stderr == "trials=5 seed=1 max_rel_slack=nan worst_trial=3\n"
+
+    monkeypatch.setattr(probes, "_gamma_grid",
+                        lambda line, halfwidth, steps: (complex(math.nan),) * (2 * steps + 1))
+    assert math.isnan(probes.mellin_probe(1.0).abs_error)
+    assert not probes.mellin_probe(1.0).ok
+    res = runner.invoke(cli, ["mellin-probe"])
+    assert res.exit_code == 1
+    assert res.stderr == "max_abs_error=nan max_imag_residual=nan\n"
+
+
 def test_mellin_nan_rows_fail_and_show_in_summary(runner):
     res = runner.invoke(cli, ["mellin-probe", "--steps", "1", "--halfwidth", "1e300"])
     assert res.exit_code == 1
@@ -730,6 +776,45 @@ def test_internal_error_exits_4_with_one_line(runner, monkeypatch):
     assert res.exit_code == 4
     assert res.stdout == ""
     assert res.stderr == "error: internal error: RuntimeError: broken pair generator\n"
+
+
+def test_closed_stdout_still_reports_and_exits_0():
+    # the reader takes 100 bytes of the CSV and closes the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "zdx.cli", "hecke-verify", "--limit", "20000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert head.startswith(b"n,tau,m,convolution_value\n1,1,1,1\n")
+    assert err == ("limit=20000 convolution_failures=0 recursion_failures=0 "
+                   "multiplicativity_failures=0 deligne_ok=True deligne_max_ratio=1\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["mellin-probe"], "max_abs_error=1.332e-15 max_imag_residual=4.941e-17\n"),
+    (["audit-family", "--depth", "12"], ""),
+])
+def test_stdout_closed_before_the_first_write(argv, err):
+    # a short text waits in stdout's buffer, so the interpreter's last flush
+    # would fail again if stdout still went to the closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "zdx.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    proc.stdout.close()
+    got = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), got) == (0, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_stdout_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "zdx.cli", "pairs", "--depth", "3"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=_env())
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: "), lines
 
 
 _RATS = ["0", "1", "-1", "1/2", "1/14", "11/14", "2/7", "4/7", "17/18", "13/15", "0.95",
@@ -772,11 +857,10 @@ _FLAGS = {
               _opt("--format", st.sampled_from(["text", "json"]))],
     "hecke-verify": [_opt("--limit", st.one_of(_ints(-1, 300), st.just("200001")))],
     "hm-test": [_opt("--seed", _ints(-3, 10**6)), _opt("--trials", _ints(-1, 5)),
-                _opt("--dim", _ints(-1, 8)), _opt("--r", _ints(-1, 8)), _opt("--tol", _float)],
+                _opt("--dim", _ints(-1, 8)), _opt("--r", _ints(-1, 8))],
     "mellin-probe": [_opt("--x", st.one_of(_rat, st.sampled_from(["1e-300", "1e400", "1e-400"]))),
                      _opt("--line", _float), _opt("--halfwidth", _float),
-                     _opt("--steps", _ints(-1, 50)), _opt("--tol", _float),
-                     _opt("--imag-tol", _float)],
+                     _opt("--steps", _ints(-1, 50))],
     "zeta-probe": [_opt("--pair", _pair), _opt("--t-max", _float),
                    _opt("--samples", _ints(-1, 5))],
     "plot": [_opt("--depth", _depth), _opt("--interval", _interval)],

@@ -865,6 +865,23 @@ def test_optimize_point_interval():
     assert bound.eval_E(F(17, 18)) == exponent_curve(PAIR_114, 2).eval_E(F(17, 18))
 
 
+@pytest.mark.parametrize("sigma, label", [
+    (F(168, 169), "pair 1/510,251/255 region 2"),
+    (F(1), "pair 1/6,2/3 region 2"),
+])
+def test_optimize_point_credits_a_pair_off_the_hull(depth12, sigma, label):
+    # a point interval is not the tangent at one sigma: at 84 of the 144
+    # region-1 starts in [1/2, 1] of the admissible depth-12 pairs, a region 2
+    # that ends there ties the region-1 line 4/(4s-1), wins on slope, and is
+    # no vertex of the lower hull, so the point needs its own path
+    bound = optimize(depth12, Interval.point(sigma))
+    prov = bound.segments[0].curve.provenance
+    assert prov.label == label
+    assert bound.eval_E(sigma) == 4 * (1 - sigma) / (4 * sigma - 1)
+    points = [(*pair.triple, pair) for pair in depth12 if 0 < 3 * pair.triple[0] < pair.triple[2]]
+    assert prov.pair not in [vertex[3] for vertex in hull.lower_hull(points)]
+
+
 def test_optimize_dominance(depth13):
     # every segment is certified <= every candidate on their whole overlap;
     # depth 13 has a winner narrower than a 256-point grid step
@@ -961,6 +978,7 @@ def test_segments_along_matches_segment_at(depth12):
     grid = sorted({*bound.interval.grid(97), *(s.region.lo for s in bound)})
     assert F(11, 12) in grid
     assert [seg for _, seg in bound.segments_along(grid)] == [bound.segment_at(x) for x in grid]
+    assert_lowest_at_matches_oracle(bound, grid)
     with pytest.raises(KeyError):
         list(bound.segments_along([F(3, 4), F(1, 3)]))
 

@@ -15,13 +15,12 @@ from zdx.exact import (
     Quadratic,
     RootBracket,
     SignChangeDenominator,
-    dec_str,
     linfrac_compare_on_interval,
     quadratic_roots_in_interval,
     quadratic_sign_on_interval,
-    rat,
     rat_str,
 )
+from zdx import dec_str, rat
 
 F = Fraction
 

@@ -18,7 +18,6 @@ from zdx.hecke import (
     TableLimitError,
     TauTable,
     compute_tau,
-    convolution_identity_check,
     convolution_values,
     deligne_check,
     divisor_counts,
@@ -240,12 +239,14 @@ def test_mollifier_supported_on_cubefree(moll):
 
 
 def test_convolution_identity_no_failures(table, moll):
-    assert convolution_identity_check(table, LIMIT, moll) == []
+    vals = convolution_values(table, moll, LIMIT)
+    assert vals[1] == 1 and not any(vals[2:])
+    assert verify_table(LIMIT).convolution_failures == []
 
 
 def test_convolution_rejects_a_short_mollifier():
     with pytest.raises(ValueError, match="mollifier limit"):
-        convolution_identity_check(compute_tau(100), 100, mollifier_from(compute_tau(50)))
+        convolution_values(compute_tau(100), mollifier_from(compute_tau(50)), 100)
 
 
 def test_convolution_unit_and_spot_values(table, moll):
@@ -340,7 +341,7 @@ def test_csv_text_matches_csv_writer(monkeypatch, table):
     writer.writerow(["n", "tau", "m", "convolution_value"])
     writer.writerows(zip(range(1, 301), rep.table.tau[1:], rep.mollifier.m[1:],
                          rep.convolution[1:]))
-    assert rep.csv_text() == buf.getvalue()
+    assert "".join(rep.csv_chunks()) == buf.getvalue()
 
 
 def test_verify_table_report(table, moll):

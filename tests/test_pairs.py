@@ -22,7 +22,8 @@ from zdx.pairs import (
     replay_word,
     sorted_triples,
 )
-from zdx.exact import rat, rat_str
+from zdx import rat
+from zdx.exact import rat_str
 
 F = Fraction
 

@@ -76,13 +76,13 @@ def test_hm_seeded_batch_deterministic():
 
 def test_hm_trials_report_each_trial():
     rep = hm_random_trials(50, seed=3)
-    assert len(rep.results) == rep.trials == 50
+    assert len(rep.rows) == rep.trials == 50
     for i in sorted({0, rep.worst_trial, 49}):
         system = hm_random_system(3 + i)
-        dim, r, res = rep.results[i]
+        dim, r, lhs, rhs, _ = rep.rows[i]
         assert (dim, r) == (system.xi.shape[0], system.phis.shape[0])
-        assert res == hm_inequality_check(system)
-    slacks = [res.rel_slack for _, _, res in rep.results]
+        assert HMResult(lhs, rhs) == hm_inequality_check(system)
+    slacks = [row[4] for row in rep.rows]
     assert rep.max_rel_slack == max(slacks) == slacks[rep.worst_trial]
 
 
@@ -111,11 +111,11 @@ def _hm_inequality_check_oracle(system: VectorSystem) -> HMResult:
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 2, 2**32, 2**64 + 12345])
 def test_hm_trials_match_four_draw_oracle_bit_for_bit(dim_cap, r_cap, trials, seed):
     rep = hm_random_trials(trials, seed, dim_cap, r_cap)
-    for i, (dim, r, res) in enumerate(rep.results):
+    for i, (dim, r, lhs, rhs, _) in enumerate(rep.rows):
         system = _hm_random_system_oracle(seed + i, dim_cap, r_cap)
         want = _hm_inequality_check_oracle(system)
         assert (dim, r) == system.phis.shape[::-1], (seed, i)
-        assert (res.lhs, res.rhs) == (want.lhs, want.rhs), (seed, i)
+        assert (lhs, rhs) == (want.lhs, want.rhs), (seed, i)
         if i < 3:  # the public wrappers draw and measure the same system
             drawn = hm_random_system(seed + i, dim_cap, r_cap)
             assert drawn.xi.tobytes() == system.xi.tobytes()
@@ -181,9 +181,10 @@ def test_seeded_rngs_across_blocks(monkeypatch):
     for s, rng in zip(range(first, first + 11), rngs, strict=True):
         assert rng.bit_generator.state == np.random.default_rng(s).bit_generator.state, s
     rep = hm_random_trials(11, first)
-    for i, (dim, r, res) in enumerate(rep.results):
+    for i, (dim, r, lhs, rhs, _) in enumerate(rep.rows):
         system = hm_random_system(first + i)
-        assert (dim, r, res) == (*system.phis.shape[::-1], hm_inequality_check(system))
+        res = hm_inequality_check(system)
+        assert (dim, r, lhs, rhs) == (*system.phis.shape[::-1], res.lhs, res.rhs)
 
 
 @pytest.mark.parametrize("bad_row", [0, 4095, 4096, 4999])
@@ -209,9 +210,12 @@ def test_hm_trials_reject_negative_seed():
 
 def test_hm_rows_carry_results():
     rep = hm_random_trials(40, seed=5)
-    assert len(rep.rows) == len(rep.results) == 40
-    for (dim, r, lhs, rhs, rel), (d, rr, res) in zip(rep.rows, rep.results):
-        assert (dim, r, lhs, rhs, rel) == (d, rr, res.lhs, res.rhs, res.rel_slack)
+    assert len(rep.rows) == 40
+    for i, (dim, r, lhs, rhs, rel) in enumerate(rep.rows):
+        system = hm_random_system(5 + i)
+        res = hm_inequality_check(system)
+        assert (dim, r, lhs, rhs, rel) == (*system.phis.shape[::-1], res.lhs, res.rhs,
+                                           res.rel_slack)
     assert rep.max_rel_slack == rep.rows[rep.worst_trial][4]
 
 

@@ -69,7 +69,7 @@ def _samples() -> dict[type, list]:
         hecke.DeligneReport: [report.deligne, hecke.deligne_check(hecke.compute_tau(3))],
         hecke.HeckeReport: [report, hecke.verify_table(3)],
         pairs.PairFamily: [family, pairs.generate_pairs(1)],
-        probes.HMResult: [result for _, _, result in trials.results],
+        probes.HMResult: [probes.HMResult(lhs, rhs) for _, _, lhs, rhs, _ in trials.rows],
         probes.ProbeReport: [trials, probes.hm_random_trials(2, 9, 3, 2)],
         probes.MellinResult: [probes.mellin_probe(x, steps=50) for x in (0.5, 2.0)],
     }
