@@ -4,9 +4,9 @@ Every subcommand is reproducible: exact arithmetic, fixed seeds, stable
 ordering, LF line endings.  Exit codes: 0 success, 1 check failure,
 2 usage error (including an ``--out`` that cannot be written, checked
 before any work, and a stdout that fails to take a write; a reader that
-closes stdout early is no error),
+closes stdout or stderr early is no error),
 3 inadmissible input (``zdx.Inadmissible``: pairs, regions, intervals,
-budgets, probe parameters), 4 internal error.  The ``zdx`` group maps
+budgets, probe points), 4 internal error.  The ``zdx`` group maps
 exceptions to codes in one place; subcommands only raise.
 
 Each command imports the library modules it uses when it runs, so a call
@@ -43,8 +43,28 @@ EXIT_INADMISSIBLE = 3
 EXIT_INTERNAL = 4
 
 
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s file descriptor at the null device, so that its
+    later writes and the interpreter's last flush are silent."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _echo_err(text: str) -> None:
+    """Write ``text`` and a newline to stderr, the one writer of every stderr line.
+
+    A stderr that refuses the write, such as a closed pipe, goes to the null
+    device, and the caller goes on to exit with the code it chose.
+    """
+    try:
+        click.echo(text, err=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _echo_err(f"error: {message}")
     sys.exit(code)
 
 
@@ -129,9 +149,7 @@ def _write_out(text: str | Iterable[str], out: str) -> None:
             try:
                 click.echo(chunk, nl=False)
             except OSError as exc:
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+                _to_devnull(sys.stdout)
                 if isinstance(exc, BrokenPipeError):
                     return
                 _fail(EXIT_USAGE, f"cannot write stdout: {exc.strerror or exc}")
@@ -182,6 +200,22 @@ out_option = click.option(
 
 class _Zdx(click.Group):
     """The ``zdx`` group: the one place that turns exceptions into exit codes."""
+
+    def main(self, *args, standalone_mode: bool = True, **extra):
+        """click's ``main``, with its own error messages written by ``_echo_err``."""
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **extra)
+        try:
+            code = super().main(*args, standalone_mode=False, **extra)
+        except click.ClickException as exc:
+            buf = io.StringIO()
+            exc.show(buf)
+            _echo_err(buf.getvalue().removesuffix("\n"))
+            code = exc.exit_code
+        except click.Abort:
+            _echo_err("Aborted!")
+            code = 1
+        sys.exit(code or 0)
 
     def invoke(self, ctx: click.Context):
         try:
@@ -262,11 +296,8 @@ def cmd_bound(pair_text: str, sigma_text: str, out: str) -> None:
               help="Grid intervals of the CSV table (JSON segments are exact).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--include-conjectural", is_flag=True,
-              help="Let the conjectural baseline compete as a candidate.")
 @out_option
-def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str,
-                 include_conjectural: bool, out: str) -> None:
+def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str, out: str) -> None:
     """Minimize E(sigma) over a pair family plus baselines."""
     from .density import bound_table_rows, optimize, piecewise_to_json_obj, validate_resolution
     from .pairs import generate_pairs
@@ -275,7 +306,7 @@ def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str,
     # in both formats, before the family is generated
     validate_resolution(resolution)
     family = generate_pairs(depth)
-    bound = optimize(family, interval, include_conjectural=include_conjectural)
+    bound = optimize(family, interval)
     if fmt == "json":
         _write_out(_json_text(piecewise_to_json_obj(bound)), out)
         return
@@ -413,7 +444,7 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
             if len(regions) == 1:
                 raise  # an audit that certifies nothing is inadmissible
             # at most one region of a pair with kappa < 1/3 is empty
-            click.echo(f"region {region}: skipped ({exc})", err=True)
+            _echo_err(f"region {region}: skipped ({exc})")
             continue
         if not report.passed:
             v = report.violation
@@ -486,12 +517,11 @@ def cmd_hecke(limit: int, out: str) -> None:
 
     rep = verify_table(limit)
     _write_out(rep.csv_chunks(), out)
-    click.echo(
+    _echo_err(
         f"limit={limit} convolution_failures={len(rep.convolution_failures)} "
         f"recursion_failures={len(rep.recursion_failures)} "
         f"multiplicativity_failures={len(rep.multiplicativity_failures)} "
-        f"deligne_ok={rep.deligne.ok} deligne_max_ratio={rep.deligne.max_ratio_decimal}",
-        err=True,
+        f"deligne_ok={rep.deligne.ok} deligne_max_ratio={rep.deligne.max_ratio_decimal}"
     )
     if not rep.ok:
         sys.exit(EXIT_CHECK_FAILURE)
@@ -504,23 +534,18 @@ def cmd_hecke(limit: int, out: str) -> None:
 @cli.command("hm-test")
 @click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=10_000, show_default=True)
-@click.option("--dim", type=click.IntRange(min=1), default=64, show_default=True,
-              help="Cap on the vector dimension.")
-@click.option("--r", "r_cap", type=click.IntRange(min=1), default=16, show_default=True,
-              help="Cap on the number of test vectors.")
 @out_option
-def cmd_hm(seed: int, trials: int, dim: int, r_cap: int, out: str) -> None:
+def cmd_hm(seed: int, trials: int, out: str) -> None:
     """Random-system harness for the bilinear large-values inequality."""
     from .probes import hm_random_trials
 
-    rep = hm_random_trials(trials, seed, dim, r_cap)
+    rep = hm_random_trials(trials, seed)
     lines = [f"{i},{d},{r},{lhs:.17g},{rhs:.17g},{rel:.17g}\n"
              for i, (d, r, lhs, rhs, rel) in enumerate(rep.rows)]
     _write_out("trial,dim,r,lhs,rhs,rel_slack\n" + "".join(lines), out)
-    click.echo(
+    _echo_err(
         f"trials={trials} seed={seed} max_rel_slack={rep.max_rel_slack:.3e} "
-        f"worst_trial={rep.worst_trial}",
-        err=True,
+        f"worst_trial={rep.worst_trial}"
     )
     if not rep.ok:
         sys.exit(EXIT_CHECK_FAILURE)
@@ -538,12 +563,8 @@ def _worst(values: list[float]) -> float:
 @cli.command("mellin-probe")
 @click.option("--x", "x_texts", multiple=True, default=("1/2", "1", "2"),
               show_default=True, help="Positive evaluation point (repeatable).")
-@click.option("--line", type=float, default=2.0, show_default=True)
-@click.option("--halfwidth", type=float, default=40.0, show_default=True)
-@click.option("--steps", type=click.IntRange(min=1), default=4000, show_default=True)
 @out_option
-def cmd_mellin(x_texts: tuple[str, ...], line: float, halfwidth: float, steps: int,
-               out: str) -> None:
+def cmd_mellin(x_texts: tuple[str, ...], out: str) -> None:
     """Gamma-kernel quadrature recovery of exp(-x)."""
     from .probes import mellin_probe
 
@@ -556,7 +577,7 @@ def cmd_mellin(x_texts: tuple[str, ...], line: float, halfwidth: float, steps: i
             x = float(exact_x)
             if x == 0.0:
                 raise Inadmissible(f"x = {text} underflows the floating-point range")
-            results.append(mellin_probe(x, line=line, halfwidth=halfwidth, steps=steps))
+            results.append(mellin_probe(x))
         except OverflowError:
             raise Inadmissible(f"the probe at x = {text} overflows the floating-point range")
     rows = (
@@ -569,8 +590,7 @@ def cmd_mellin(x_texts: tuple[str, ...], line: float, halfwidth: float, steps: i
     )
     errors = [r.abs_error for r in results]
     imags = [r.imag_residual for r in results]
-    click.echo(f"max_abs_error={_worst(errors):.3e} max_imag_residual={_worst(imags):.3e}",
-               err=True)
+    _echo_err(f"max_abs_error={_worst(errors):.3e} max_imag_residual={_worst(imags):.3e}")
     if not all(r.ok for r in results):
         sys.exit(EXIT_CHECK_FAILURE)
 
@@ -582,15 +602,13 @@ def cmd_mellin(x_texts: tuple[str, ...], line: float, halfwidth: float, steps: i
 @cli.command("zeta-probe")
 @click.option("--pair", "pair_text", default="1/14,11/14", show_default=True,
               help="Pair fixing sigma0 = lambda - kappa and the ratio exponent kappa.")
-@click.option("--t-max", type=float, default=1000.0, show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=101, show_default=True)
 @out_option
-def cmd_zeta(pair_text: str, t_max: float, samples: int, out: str) -> None:
+def cmd_zeta(pair_text: str, out: str) -> None:
     """Growth scan of zeta on the line sigma0 = lambda - kappa (report only)."""
     from .probes import zeta_growth_scan
 
     pair = _parse_pair(pair_text)
-    rows = zeta_growth_scan(float(pair.lam - pair.kappa), t_max, samples, float(pair.kappa))
+    rows = zeta_growth_scan(float(pair.lam - pair.kappa), float(pair.kappa))
     out_rows = [[f"{t:.17g}", f"{z:.17g}", f"{ratio:.17g}"] for t, z, ratio in rows]
     _write_out(_to_csv(["t", "abs_zeta", "ratio"], out_rows), out)
 

@@ -693,16 +693,13 @@ def validate_interval(interval: Interval) -> None:
         raise Inadmissible(f"interval {interval} does not lie within [1/2, 1]")
 
 
-def candidate_curves(
-    family: PairFamily,
-    include_conjectural: bool = False,
-) -> tuple[BoundCurve, ...]:
+def candidate_curves(family: PairFamily) -> tuple[BoundCurve, ...]:
     """All curves the optimizer may pick from, in a fixed deterministic order.
 
     Pairs come first, in family order, which ``generate_pairs`` sorts by
     (kappa, lambda), region 1 then 2; pairs with kappa >= 1/3 are skipped,
-    as is the degenerate kappa = 0 region-2 branch.  Baselines follow;
-    conjectural ones only on request.
+    as is the degenerate kappa = 0 region-2 branch.  The proven baselines
+    follow; a conjectural baseline never competes for the bound.
     """
     curves: list[BoundCurve] = []
     for pair in family:
@@ -715,11 +712,12 @@ def candidate_curves(
                 curves.append(_branch_curve(regions, region))
             except (EmptyRegion, InadmissiblePair):
                 continue
-    for base in baseline_curves():
-        if base.provenance.conjectural and not include_conjectural:
-            continue
-        curves.append(base)
+    curves.extend(_proven_baselines())
     return tuple(curves)
+
+
+def _proven_baselines() -> list[BoundCurve]:
+    return [c for c in baseline_curves() if not c.provenance.conjectural]
 
 
 def _reciprocal_line(curve: BoundCurve) -> tuple[Fraction, Fraction]:
@@ -736,8 +734,6 @@ def optimize(
     family: PairFamily,
     interval: Interval,
     resolution: int | None = None,
-    *,
-    include_conjectural: bool = False,
 ) -> PiecewiseBound:
     """Minimize E(sigma) over all candidate curves on a sigma-interval, exactly.
 
@@ -786,7 +782,7 @@ def optimize(
         return PiecewiseBound(interval, ())
     if interval.is_point:
         x = interval.lo
-        curves = candidate_curves(family, include_conjectural)
+        curves = candidate_curves(family)
         lines = [_reciprocal_line(c) for c in curves]
         live = [(m * x + k, m, -i) for i, (c, (m, k)) in enumerate(zip(curves, lines))
                 if c.region.contains(x)]
@@ -796,10 +792,7 @@ def optimize(
     def line(curve: BoundCurve, lo: Fraction, hi: Fraction) -> hull.Line:
         return hull.Line(lo, hi, *_reciprocal_line(curve), curve)
 
-    baselines = [
-        line(c, c.region.lo, c.region.hi) for c in baseline_curves()
-        if include_conjectural or not c.provenance.conjectural
-    ]
+    baselines = [line(c, c.region.lo, c.region.hi) for c in _proven_baselines()]
     # in one pass: the admissible points to hull and the records, the pairs
     # whose sigma_star is below every earlier pair's, as (n, d, pair); on
     # [1/2, 1] region 1 holds sigma iff sigma_star <= sigma <= 1, so the

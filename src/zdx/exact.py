@@ -85,11 +85,6 @@ class Interval(Record):
     def empty(cls) -> "Interval":
         return cls(Fraction(0), Fraction(0), is_empty=True)
 
-    @classmethod
-    def point(cls, x: Fraction) -> "Interval":
-        x = Fraction(x)
-        return cls(x, x)
-
     def contains(self, x: Fraction) -> bool:
         return not self.is_empty and self.lo <= x <= self.hi
 
@@ -298,12 +293,6 @@ class Quadratic(Record):
     @classmethod
     def linear(cls, c1, c0) -> "Quadratic":
         return cls(Fraction(0), rat(c1), rat(c0))
-
-    @classmethod
-    def from_linear_product(cls, a1, b1, a2, b2) -> "Quadratic":
-        """(a1 s + b1)(a2 s + b2)."""
-        a1, b1, a2, b2 = rat(a1), rat(b1), rat(a2), rat(b2)
-        return cls(a1 * a2, a1 * b2 + a2 * b1, b1 * b2)
 
     def eval(self, s: Fraction) -> Fraction:
         if type(s) is not Fraction:

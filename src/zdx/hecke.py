@@ -33,7 +33,6 @@ __all__ = [
     "deligne_check",
     "hecke_recursion_failures",
     "multiplicativity_failures",
-    "divisor_counts",
     "MAX_LIMIT",
 ]
 
@@ -307,12 +306,8 @@ class DeligneReport(Record):
         return not self.violations
 
 
-def divisor_counts(limit: int) -> list[int]:
-    """d(n), the number of divisors of n, for n = 0..limit (d(0) = 0)."""
-    return _divisor_counts(*_prime_powers(_smallest_prime_factors(limit)))
-
-
 def _divisor_counts(a: list[int], rest: list[int]) -> list[int]:
+    """d(n), the number of divisors of n, for n = 0..limit (d(0) = 0)."""
     # n = p^a rest with p not dividing rest, so d(n) = d(rest) (a + 1)
     limit = len(a) - 1
     d = [0] * (limit + 1)

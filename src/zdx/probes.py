@@ -24,12 +24,14 @@ __all__ = [
     "DimensionMismatch",
     "VectorSystem",
     "HMResult",
+    "HM_DIM_CAP",
+    "HM_R_CAP",
     "HM_REL_TOLERANCE",
-    "MAX_DIM",
-    "MAX_R",
-    "MAX_STEPS",
     "MELLIN_ABS_TOL",
+    "MELLIN_HALFWIDTH",
     "MELLIN_IMAG_TOL",
+    "MELLIN_LINE",
+    "MELLIN_STEPS",
     "ProbeReport",
     "hm_inequality_check",
     "hm_random_system",
@@ -39,6 +41,8 @@ __all__ = [
     "mellin_probe",
     "zeta_em",
     "zeta_growth_scan",
+    "ZETA_SAMPLES",
+    "ZETA_T_MAX",
 ]
 
 
@@ -104,9 +108,12 @@ def hm_inequality_check(system: VectorSystem) -> HMResult:
     return HMResult(*_hm_sides(system.xi, system.phis))
 
 
-def _hm_draw(
-    rng: np.random.Generator, dim_cap: int, r_cap: int
-) -> tuple[np.ndarray, np.ndarray]:
+#: Caps on a random system's vector dimension and number of test vectors.
+HM_DIM_CAP = 64
+HM_R_CAP = 16
+
+
+def _hm_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(xi, phis) of a random system: the dimensions, then one normal draw.
 
     The draw is laid out as the real and imaginary parts of xi, then those
@@ -116,8 +123,8 @@ def _hm_draw(
     """
     import numpy as np
 
-    dim = int(rng.integers(1, dim_cap + 1))
-    r = int(rng.integers(1, r_cap + 1))
+    dim = int(rng.integers(1, HM_DIM_CAP + 1))
+    r = int(rng.integers(1, HM_R_CAP + 1))
     z = rng.standard_normal((2 * (r + 1), dim))
     xi, phis = np.empty(dim, complex), np.empty((r, dim), complex)
     xi.real, xi.imag = z[0], z[1]
@@ -125,19 +132,12 @@ def _hm_draw(
     return xi, phis
 
 
-def hm_random_system(seed: int, dim_cap: int = 64, r_cap: int = 16) -> VectorSystem:
+def hm_random_system(seed: int) -> VectorSystem:
     """Complex Gaussian system with dimensions drawn from the seeded rng."""
     import numpy as np
 
-    return VectorSystem(*_hm_draw(np.random.default_rng(seed), dim_cap, r_cap))
+    return VectorSystem(*_hm_draw(np.random.default_rng(seed)))
 
-
-#: Budgets on the caps of ``hm_random_trials``.  A trial builds an r x dim
-#: complex matrix and its r x r Gram product, so its cost grows superlinearly:
-#: the largest trial under these caps (dim = r = 1024) takes about 0.3 s and
-#: 86 MB peak RSS (2-vCPU Xeon, CPython 3.11.7, numpy 2.4).
-MAX_DIM = 1024
-MAX_R = 1024
 
 #: Largest relative slack (lhs - rhs) / rhs of a passing ``ProbeReport``.
 HM_REL_TOLERANCE = 1e-10
@@ -255,31 +255,23 @@ def _seeded_rngs(seed: int, count: int):
         first = end
 
 
-def hm_random_trials(
-    trials: int,
-    seed: int,
-    dim_cap: int = 64,
-    r_cap: int = 16,
-) -> ProbeReport:
+def hm_random_trials(trials: int, seed: int) -> ProbeReport:
     """Seeded batch of random systems; per-trial seed is seed + index.
 
-    Trial i is ``hm_inequality_check(hm_random_system(seed + i, dim_cap,
-    r_cap))``, bit for bit, so any trial replays alone from seed + i.  The
-    loop seeds each trial's generator from words hashed for a block of
-    seeds at once (``_seeded_rngs``) and calls the kernels behind those two
-    functions directly, keeping each trial as a plain row without building
-    the system and result objects.
+    Trial i is ``hm_inequality_check(hm_random_system(seed + i))``, bit for
+    bit, so any trial replays alone from seed + i.  The loop seeds each
+    trial's generator from words hashed for a block of seeds at once
+    (``_seeded_rngs``) and calls the kernels behind those two functions
+    directly, keeping each trial as a plain row without building the system
+    and result objects.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for name, cap, budget in (("dim", dim_cap, MAX_DIM), ("r", r_cap, MAX_R)):
-        if cap > budget:
-            raise Inadmissible(f"{name} cap {cap} exceeds the probe budget of {budget}")
     if seed < 0:  # as SeedSequence rejects it; the seed words assume s >= 0
         raise ValueError(f"seed must be >= 0, got {seed}")
     rows = []
     for rng in _seeded_rngs(seed, trials):
-        xi, phis = _hm_draw(rng, dim_cap, r_cap)
+        xi, phis = _hm_draw(rng)
         lhs, rhs = _hm_sides(xi, phis)
         rows.append((len(xi), len(phis), lhs, rhs, _rel_slack(lhs, rhs)))
     # max alone would pass over a NaN after the first row
@@ -334,63 +326,51 @@ class MellinResult(Record):
         return self.abs_error <= MELLIN_ABS_TOL and self.imag_residual <= MELLIN_IMAG_TOL
 
 
-#: Budget on ``mellin_probe``'s ``steps``.  The probe keeps the 2*steps + 1
-#: gamma values of its last (line, halfwidth, steps) for the next ``x``, so
-#: its memory grows with ``steps`` as well as its time: at this cap the
-#: default ``mellin-probe`` (three points) takes about 1.1 s and 34 MB peak
-#: RSS, against 0.15 s and 19 MB at the default 4000 (2-vCPU Xeon, CPython
-#: 3.11.7).
-MAX_STEPS = 100_000
-
 #: Largest ``abs_error`` and ``imag_residual`` of a passing ``MellinResult``.
 MELLIN_ABS_TOL = 1e-6
 MELLIN_IMAG_TOL = 1e-8
 
+#: ``mellin_probe``'s quadrature: the line Re s = 2, |Im s| <= 40, 4000
+#: Simpson panels on 8001 nodes.
+MELLIN_LINE = 2.0
+MELLIN_HALFWIDTH = 40.0
+MELLIN_STEPS = 4000
 
-def _simpson_nodes(halfwidth: float, steps: int):
-    """The 2*steps + 1 nodes v of ``mellin_probe``'s quadrature, in order."""
-    h = halfwidth / steps  # half of a panel
-    yield -halfwidth
-    for j in range(1, 2 * steps):
-        yield -halfwidth + j * h
-    yield halfwidth
+
+def _simpson_nodes():
+    """The 2*MELLIN_STEPS + 1 nodes v of ``mellin_probe``'s quadrature, in order."""
+    h = MELLIN_HALFWIDTH / MELLIN_STEPS  # half of a panel
+    yield -MELLIN_HALFWIDTH
+    for j in range(1, 2 * MELLIN_STEPS):
+        yield -MELLIN_HALFWIDTH + j * h
+    yield MELLIN_HALFWIDTH
 
 
 @lru_cache(maxsize=1)
-def _gamma_grid(line: float, halfwidth: float, steps: int) -> tuple[complex, ...]:
-    """Gamma(line + iv) at every node v of ``_simpson_nodes``."""
-    return tuple(lanczos_gamma(complex(line, v)) for v in _simpson_nodes(halfwidth, steps))
+def _gamma_grid() -> tuple[complex, ...]:
+    """Gamma(MELLIN_LINE + iv) at every node v of ``_simpson_nodes``."""
+    return tuple(lanczos_gamma(complex(MELLIN_LINE, v)) for v in _simpson_nodes())
 
 
-def mellin_probe(
-    x: float, line: float = 2.0, halfwidth: float = 40.0, steps: int = 4000
-) -> MellinResult:
-    """(2 pi)^-1 integral of Gamma(line + iv) x^(-line - iv) over |v| <= halfwidth.
+def mellin_probe(x: float) -> MellinResult:
+    """(2 pi)^-1 integral of Gamma(2 + iv) x^(-2 - iv) over |v| <= 40.
 
-    Composite Simpson with ``steps`` panels on 2*steps + 1 nodes; the real
-    part approximates exp(-x) and the imaginary part is a symmetry residual
-    reported for sanity.  The gamma values at the nodes depend only on
-    (line, halfwidth, steps) and are computed once for consecutive calls
-    that share them, such as the points of one ``mellin-probe``.  ``x``,
-    ``line`` and ``halfwidth`` must be finite and positive and ``steps`` at
-    most ``MAX_STEPS``, checked before any evaluation (Inadmissible
-    otherwise).
+    Composite Simpson with ``MELLIN_STEPS`` panels on the line
+    ``MELLIN_LINE``, out to ``MELLIN_HALFWIDTH``; the real part approximates
+    exp(-x) and the imaginary part is a symmetry residual reported for
+    sanity.  The gamma values at the nodes are computed once per process
+    and shared by every call.  ``x`` must be finite and positive, checked
+    before any evaluation (Inadmissible otherwise).
     """
-    for name, v in (("x", x), ("line", line), ("halfwidth", halfwidth)):
-        if not 0 < v < math.inf:
-            raise Inadmissible(f"{name} = {v!r} is not a finite positive number")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if steps > MAX_STEPS:
-        raise Inadmissible(f"steps {steps} exceeds the probe budget of {MAX_STEPS}")
+    if not 0 < x < math.inf:
+        raise Inadmissible(f"x = {x!r} is not a finite positive number")
     log_x = math.log(x)
-    gammas = _gamma_grid(line, halfwidth, steps)
-    nodes = _simpson_nodes(halfwidth, steps)
-    terms = [g * cmath.exp(-complex(line, v) * log_x) for g, v in zip(gammas, nodes)]
+    terms = [g * cmath.exp(-complex(MELLIN_LINE, v) * log_x)
+             for g, v in zip(_gamma_grid(), _simpson_nodes())]
     total = terms[0] + terms[-1]
-    for j in range(1, 2 * steps):
+    for j in range(1, 2 * MELLIN_STEPS):
         total += terms[j] * (4 if j % 2 else 2)
-    integral = total * (halfwidth / steps / 3)
+    integral = total * (MELLIN_HALFWIDTH / MELLIN_STEPS / 3)
     value = integral / (2 * math.pi)
     return MellinResult(x, value.real, abs(value.imag), math.exp(-x))
 
@@ -414,25 +394,24 @@ def zeta_em(s: complex) -> complex:
     return head + tail + corr1 + corr2
 
 
-def zeta_growth_scan(
-    sigma0: float, t_max: float, samples: int, kappa: float
-) -> list[tuple[float, float, float]]:
-    """Rows (t, |zeta(sigma0 + it)|, |zeta| / (1 + t)^kappa) on [0, t_max].
+#: ``zeta_growth_scan``'s grid: t = ZETA_T_MAX * j / (ZETA_SAMPLES - 1).
+ZETA_T_MAX = 1000.0
+ZETA_SAMPLES = 101
 
+
+def zeta_growth_scan(sigma0: float, kappa: float) -> list[tuple[float, float, float]]:
+    """Rows (t, |zeta(sigma0 + it)|, |zeta| / (1 + t)^kappa) for t in [0, 1000].
+
+    The ``ZETA_SAMPLES`` points t are evenly spaced from 0 to ``ZETA_T_MAX``.
     Diagnostic only: the ratio column is emitted for eyeballing growth,
-    never asserted.  ``sigma0`` must lie in (1/2, 1) and ``t_max`` in
-    [0, 10000], a budget on the Euler-Maclaurin cutoff (Inadmissible
+    never asserted.  ``sigma0`` must lie in (1/2, 1) (Inadmissible
     otherwise).
     """
     if not 0.5 < sigma0 < 1.0:
         raise Inadmissible(f"sigma0 = {sigma0!r} is not strictly inside (1/2, 1)")
-    if not 0 <= t_max <= 10_000:
-        raise Inadmissible(f"t_max = {t_max!r} is not in [0, 10000]")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rows = []
-    for j in range(samples):
-        t = t_max * j / (samples - 1) if samples > 1 else 0.0
+    for j in range(ZETA_SAMPLES):
+        t = ZETA_T_MAX * j / (ZETA_SAMPLES - 1)
         z = abs(zeta_em(complex(sigma0, t)))
         rows.append((t, z, z / (1 + t) ** kappa))
     return rows

@@ -61,6 +61,12 @@ def admissible(family):
     return [p for p in family if p.kappa < F(1, 3)]
 
 
+def linear_product(a1, b1, a2, b2) -> Quadratic:
+    """(a1 s + b1)(a2 s + b2)."""
+    a1, b1, a2, b2 = map(F, (a1, b1, a2, b2))
+    return Quadratic(a1 * a2, a1 * b2 + a2 * b1, b1 * b2)
+
+
 # -- regions -------------------------------------------------------------------
 
 def test_regions_headline_pair():
@@ -71,8 +77,8 @@ def test_regions_headline_pair():
 
 def test_regions_seed_pair_degenerate_points():
     regions = regions_for(ExponentPair(F(0), F(1)))
-    assert regions.region1 == Interval.point(F(1))
-    assert regions.region2 == Interval.point(F(1))
+    assert regions.region1 == Interval(F(1), F(1))
+    assert regions.region2 == Interval(F(1), F(1))
 
 
 def test_regions_inadmissible():
@@ -150,7 +156,7 @@ def test_e_monotone_decreasing_on_regions(depth12):
             if curve.region.is_point:
                 continue
             # E = n/d with n = (a s + b)(1 - s) and d = c s + d for A = (a s + b)/(c s + d)
-            n = Quadratic.from_linear_product(curve.A.a, curve.A.b, -1, 1)
+            n = linear_product(curve.A.a, curve.A.b, -1, 1)
             d = Quadratic.linear(curve.A.c, curve.A.d)
             dn = Quadratic.linear(2 * n.c2, n.c1)  # E numerator derivative
             # derivative numerator of n/d: n' d - n d', both products deg <= 2
@@ -359,7 +365,7 @@ def _reference_audit(pair, region, regions, branch_A):
     violation = None
     A = branch_A(regions, region)
     if A != LinFrac(2 * y.a, 2 * y.b, y.c, y.d):
-        gap = Quadratic.from_linear_product(A.a, A.b, y.c, y.d) - Quadratic.from_linear_product(
+        gap = linear_product(A.a, A.b, y.c, y.d) - linear_product(
             2 * y.a, 2 * y.b, A.c, A.d
         )
         mid = (reg.lo + reg.hi) / 2
@@ -675,7 +681,7 @@ def test_baseline_crossovers_stay_in_their_segment():
 
 # -- optimizer ----------------------------------------------------------------------
 
-def _sweep_oracle(family, interval, include_conjectural=False):
+def _sweep_oracle(family, interval):
     """The candidate-by-candidate sweep that optimize replaced, O(curves x segments).
 
     A left-to-right sweep from x = interval.lo picks the candidate whose
@@ -687,7 +693,7 @@ def _sweep_oracle(family, interval, include_conjectural=False):
     density.validate_interval(interval)
     if interval.is_empty:
         return PiecewiseBound(interval, ())
-    curves = candidate_curves(family, include_conjectural)
+    curves = candidate_curves(family)
     lines = [density._reciprocal_line(c) for c in curves]
     segments = []
     x = interval.lo
@@ -716,9 +722,18 @@ def _sweep_oracle(family, interval, include_conjectural=False):
         x = end
 
 
-def assert_matches_oracle(family, interval, include_conjectural=False):
-    got = optimize(family, interval, include_conjectural=include_conjectural)
-    want = _sweep_oracle(family, interval, include_conjectural)
+def assert_matches_oracle(family, interval, dominant_conjectural=False):
+    """optimize against the sweep oracle; with ``dominant_conjectural``,
+    optimize also sees a conjectural baseline below every candidate, which
+    must change nothing."""
+    want = _sweep_oracle(family, interval)
+    with pytest.MonkeyPatch.context() as mp:
+        if dominant_conjectural:
+            low = BoundCurve(LinFrac.constant(F(1, 100)), Interval(F(1, 2), F(1)),
+                             Provenance("conjecture", conjectural=True))
+            bases = baseline_curves()
+            mp.setattr(density, "baseline_curves", lambda: (*bases, low))
+        got = optimize(family, interval)
     assert [(s.region, s.curve.A, s.curve.provenance) for s in got] == [
         (s.region, s.curve.A, s.curve.provenance) for s in want
     ]
@@ -742,14 +757,14 @@ fractions_in_domain = st.fractions(
     keep=st.lists(st.booleans(), min_size=234, max_size=234),
     shuffle_seed=st.none() | st.integers(0, 2**32 - 1),
     ends=st.tuples(fractions_in_domain, fractions_in_domain),
-    include_conjectural=st.booleans(),
+    dominant_conjectural=st.booleans(),
 )
-@example(keep=[True] * 234, shuffle_seed=None, ends=(F(13, 15), F(1)), include_conjectural=False)
-@example(keep=[True] * 234, shuffle_seed=None, ends=(F(1, 2), F(1)), include_conjectural=True)
-@example(keep=[True] * 234, shuffle_seed=7, ends=(F(21, 22), F(21, 22)), include_conjectural=True)
-@example(keep=[True] * 234, shuffle_seed=None, ends=(F(24, 25), F(1)), include_conjectural=False)
+@example(keep=[True] * 234, shuffle_seed=None, ends=(F(13, 15), F(1)), dominant_conjectural=False)
+@example(keep=[True] * 234, shuffle_seed=None, ends=(F(1, 2), F(1)), dominant_conjectural=True)
+@example(keep=[True] * 234, shuffle_seed=7, ends=(F(21, 22), F(21, 22)), dominant_conjectural=True)
+@example(keep=[True] * 234, shuffle_seed=None, ends=(F(24, 25), F(1)), dominant_conjectural=False)
 def test_optimize_matches_sweep_oracle_on_subfamilies(
-    depth12, keep, shuffle_seed, ends, include_conjectural
+    depth12, keep, shuffle_seed, ends, dominant_conjectural
 ):
     # subfamilies in family order or shuffled: the region-1 credit and the
     # hull's tie rule both read the family order
@@ -758,7 +773,7 @@ def test_optimize_matches_sweep_oracle_on_subfamilies(
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(pairs)
     interval = Interval(min(ends), max(ends))
-    assert_matches_oracle(PairFamily(tuple(pairs), 12), interval, include_conjectural)
+    assert_matches_oracle(PairFamily(tuple(pairs), 12), interval, dominant_conjectural)
 
 
 def test_optimize_credits_region_1_to_first_pair_begun(depth12):
@@ -818,15 +833,16 @@ def test_optimize_baseline_overtaking_a_pair_wins_on_slope():
     assert pairs_of(bound) == [(pair.key, 2), ("ivic-1992", None)]
 
 
-@pytest.mark.parametrize("include_conjectural", [False, True])
+@pytest.mark.parametrize("dominant_conjectural", [False, True])
 @pytest.mark.parametrize(
     "sigma", [F(1, 2), F(5, 8), F(13, 15), F(11, 12), F(17, 18), F(21, 22), F(1)]
 )
-def test_optimize_point_interval_matches_oracle(sigma, include_conjectural):
+def test_optimize_point_interval_matches_oracle(sigma, dominant_conjectural):
     # on a point, closed regions compete: at 21/22 the region-2 branch of
     # (1/14, 11/14) ends where its region 1 begins, ties it and wins on slope
-    bound = assert_matches_oracle(generate_pairs(6), Interval.point(sigma), include_conjectural)
-    assert [s.region for s in bound] == [Interval.point(sigma)]
+    point = Interval(sigma, sigma)
+    bound = assert_matches_oracle(generate_pairs(6), point, dominant_conjectural)
+    assert [s.region for s in bound] == [point]
     if sigma == F(21, 22):
         assert pairs_of(bound) == [(PAIR_114.key, 2)]
 
@@ -860,8 +876,8 @@ def test_optimize_empty_interval():
 
 
 def test_optimize_point_interval():
-    bound = optimize(generate_pairs(3), Interval.point(F(17, 18)))
-    assert [seg.region for seg in bound] == [Interval.point(F(17, 18))]
+    bound = optimize(generate_pairs(3), Interval(F(17, 18), F(17, 18)))
+    assert [seg.region for seg in bound] == [Interval(F(17, 18), F(17, 18))]
     assert bound.eval_E(F(17, 18)) == exponent_curve(PAIR_114, 2).eval_E(F(17, 18))
 
 
@@ -874,7 +890,7 @@ def test_optimize_point_credits_a_pair_off_the_hull(depth12, sigma, label):
     # region-1 starts in [1/2, 1] of the admissible depth-12 pairs, a region 2
     # that ends there ties the region-1 line 4/(4s-1), wins on slope, and is
     # no vertex of the lower hull, so the point needs its own path
-    bound = optimize(depth12, Interval.point(sigma))
+    bound = optimize(depth12, Interval(sigma, sigma))
     prov = bound.segments[0].curve.provenance
     assert prov.label == label
     assert bound.eval_E(sigma) == 4 * (1 - sigma) / (4 * sigma - 1)

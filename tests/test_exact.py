@@ -24,6 +24,13 @@ from zdx import dec_str, rat
 
 F = Fraction
 
+
+def linear_product(a1, b1, a2, b2) -> Quadratic:
+    """(a1 s + b1)(a2 s + b2)."""
+    a1, b1, a2, b2 = map(F, (a1, b1, a2, b2))
+    return Quadratic(a1 * a2, a1 * b2 + a2 * b1, b1 * b2)
+
+
 rationals = st.fractions(max_denominator=40)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 
@@ -263,7 +270,7 @@ def test_irrational_root_bracketed():
 
 
 def test_rational_roots_exact():
-    q = Quadratic.from_linear_product(1, -F(1, 3), 1, -F(3, 4))
+    q = linear_product(1, -F(1, 3), 1, -F(3, 4))
     roots = quadratic_roots_in_interval(q, Interval(F(0), F(1)))
     assert roots == (F(1, 3), F(3, 4))
 
@@ -276,8 +283,8 @@ def test_sign_zero_polynomial():
 
 def test_point_interval_sign():
     q = Quadratic(1, 0, -1)
-    assert quadratic_sign_on_interval(q, Interval.point(F(1))).kind == "zero"
-    assert quadratic_sign_on_interval(q, Interval.point(F(2))).kind == "nonneg"
+    assert quadratic_sign_on_interval(q, Interval(F(1), F(1))).kind == "zero"
+    assert quadratic_sign_on_interval(q, Interval(F(2), F(2))).kind == "nonneg"
 
 
 # -- intervals ----------------------------------------------------------------
@@ -301,14 +308,14 @@ def test_int_and_text_inputs_become_fractions():
     assert (i.lo, i.hi) == (F(1), F(3, 2))
     assert (q.c2, q.c1, q.c0) == (F(1), F(-1, 3), F(2))
     assert type(q.eval(3)) is F and q.eval(3) == F(10)
-    assert type(Interval.point(2).lo) is F
+    assert type(Interval(2, 2).lo) is F
 
 
 def test_interval_grid():
     g = Interval(F(0), F(1)).grid(4)
     assert g == [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
     assert Interval.empty().grid(10) == []
-    assert Interval.point(F(1)).grid(5) == [F(1)]
+    assert Interval(F(1), F(1)).grid(5) == [F(1)]
 
 
 def test_empty_interval_not_silent():
@@ -339,8 +346,8 @@ def _sample_consistency(trial_rng: random.Random) -> None:
     sf = 1 if f.denominator_at(lo) > 0 else -1
     sg = 1 if g.denominator_at(lo) > 0 else -1
     q = (
-        Quadratic.from_linear_product(f.a, f.b, g.c, g.d)
-        - Quadratic.from_linear_product(g.a, g.b, f.c, f.d)
+        linear_product(f.a, f.b, g.c, g.d)
+        - linear_product(g.a, g.b, f.c, f.d)
     )
     assert f.cross_difference(g) == q
     q = q.scale(sf * sg)

@@ -20,7 +20,6 @@ from zdx.hecke import (
     compute_tau,
     convolution_values,
     deligne_check,
-    divisor_counts,
     hecke_recursion_failures,
     mollifier_from,
     multiplicativity_failures,
@@ -265,6 +264,11 @@ def test_deligne_bound_holds(table):
     assert rep.argmax == 1
     # spot check n = 2: 576 <= 4 * 2048
     assert table[2] ** 2 == 576 <= 4 * 2 ** 11
+
+
+def divisor_counts(limit):
+    """d(n) for n = 0..limit from the kernel ``deligne_check`` reads."""
+    return hecke._divisor_counts(*hecke._prime_powers(hecke._smallest_prime_factors(limit)))
 
 
 def test_divisor_counts():

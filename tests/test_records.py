@@ -35,9 +35,9 @@ def _samples() -> dict[type, list]:
     bases = density.baseline_curves()
     quad = exact.Quadratic(1, 0, -2)
     report = hecke.verify_table(40)
-    trials = probes.hm_random_trials(3, 5, 4, 3)
+    trials = probes.hm_random_trials(3, 5)
     return {
-        exact.Interval: [Interval(F(1, 2), F(3, 4)), Interval.empty(), Interval.point(F(2, 3))],
+        exact.Interval: [Interval(F(1, 2), F(3, 4)), Interval.empty(), Interval(F(2, 3), F(2, 3))],
         exact.LinFrac: [exact.LinFrac(0, 4, 4, -1), exact.LinFrac.parse("(4s+2)/(3s-1)")],
         exact.Quadratic: [quad, exact.Quadratic.linear(F(1, 3), 2)],
         exact.RootBracket: list(exact.quadratic_roots_in_interval(quad, Interval(-2, 2))),
@@ -70,8 +70,8 @@ def _samples() -> dict[type, list]:
         hecke.HeckeReport: [report, hecke.verify_table(3)],
         pairs.PairFamily: [family, pairs.generate_pairs(1)],
         probes.HMResult: [probes.HMResult(lhs, rhs) for _, _, lhs, rhs, _ in trials.rows],
-        probes.ProbeReport: [trials, probes.hm_random_trials(2, 9, 3, 2)],
-        probes.MellinResult: [probes.mellin_probe(x, steps=50) for x in (0.5, 2.0)],
+        probes.ProbeReport: [trials, probes.hm_random_trials(2, 9)],
+        probes.MellinResult: [probes.mellin_probe(x) for x in (0.5, 2.0)],
     }
 
 
