@@ -11,9 +11,11 @@ exceptions to codes in one place; subcommands only raise.
 
 Each command imports the library modules it uses when it runs, so a call
 loads only what its output needs: ``--help`` loads none of them, only
-``hm-test`` and ``zeta-probe`` load numpy, and ``hecke-verify``,
-``hm-test``, ``mellin-probe``, ``zeta-probe`` and ``pairs`` do not load
-``zdx.exact`` (``rat`` and ``dec_str`` live in the package root).
+``hm-test`` loads numpy (one stacked pass per shape of its random
+systems), and ``hecke-verify``, ``hm-test``, ``mellin-probe``,
+``zeta-probe`` and ``pairs`` do not load ``zdx.exact`` (``rat`` and
+``dec_str`` live in the package root).  ``--help`` and ``--version`` are
+written like a command's output, so a closed stdout ends them with exit 0.
 """
 
 from __future__ import annotations
@@ -198,8 +200,33 @@ out_option = click.option(
 )
 
 
-class _Zdx(click.Group):
+def _show(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """``--help`` and ``--version``: their text written like a command's output
+    (``_write_out``), then exit 0."""
+    if value and not ctx.resilient_parsing:
+        text = ctx.get_help() if param.name == "help" else f"zdx, version {__version__}"
+        _write_out(text + "\n", "-")
+        ctx.exit()
+
+
+class _HelpOut:
+    """A command whose ``--help`` is written by ``_show``."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show
+        return option
+
+
+class _Command(_HelpOut, click.Command):
+    pass
+
+
+class _Zdx(_HelpOut, click.Group):
     """The ``zdx`` group: the one place that turns exceptions into exit codes."""
+
+    command_class = _Command
 
     def main(self, *args, standalone_mode: bool = True, **extra):
         """click's ``main``, with its own error messages written by ``_echo_err``."""
@@ -229,7 +256,8 @@ class _Zdx(click.Group):
 
 
 @click.group(cls=_Zdx)
-@click.version_option(version=__version__, prog_name="zdx")
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True, callback=_show,
+              help="Show the version and exit.")
 def cli() -> None:
     """Exact workbench for exponent-pair zero-density bounds."""
 
@@ -575,11 +603,11 @@ def cmd_mellin(x_texts: tuple[str, ...], out: str) -> None:
             if exact_x <= 0:
                 raise click.UsageError(f"--x must be positive, got {text!r}")
             x = float(exact_x)
-            if x == 0.0:
-                raise Inadmissible(f"x = {text} underflows the floating-point range")
-            results.append(mellin_probe(x))
         except OverflowError:
             raise Inadmissible(f"the probe at x = {text} overflows the floating-point range")
+        if x == 0.0:
+            raise Inadmissible(f"x = {text} underflows the floating-point range")
+        results.append(mellin_probe(x))
     rows = (
         [text, f"{r.value:.17g}", f"{r.target:.17g}", f"{r.abs_error:.17g}",
          f"{r.imag_residual:.17g}"]

@@ -4,15 +4,20 @@ These verify inequalities with slack, not exact identities, so doubles
 are appropriate here, gated by fixed tolerances that a NaN fails.
 Everything is seeded and deterministic; the zeta scan is report-only and
 never gates anything.
-numpy is imported by the harness and zeta functions that use it, so the
-gamma-kernel probe runs without it.
+Only the large-values harness imports numpy, where it does the work: the
+batch groups its trials by shape and evaluates each group's systems in one
+stacked pass.  The gamma-kernel probe and the zeta scan are pure Python;
+the scan sums its terms in NumPy's pairwise order, so its digits are those
+of ``np.exp(-s * np.log(n)).sum()``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import islice
+from operator import add
 from typing import TYPE_CHECKING
 
 from . import Inadmissible, Record
@@ -85,18 +90,25 @@ def _rel_slack(lhs: float, rhs: float) -> float:
     return (lhs - rhs) / rhs if rhs else math.inf
 
 
-def _hm_sides(xi: np.ndarray, phis: np.ndarray) -> tuple[float, float]:
-    """(lhs, rhs) of the inequality; ``hm_inequality_check`` without the
-    system and result objects.  ``np.add.reduce(a, None)`` is the reduction
-    ``a.sum()`` makes, without the method's dispatch."""
+def _hm_sides(xi: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) arrays of the inequality for a stack of systems, xi of
+    shape (n, dim) and phis of shape (n, r, dim).
+
+    Each step is one stacked call, and every slice gets the BLAS call
+    (gemv, dot, gemm or none) that the same step on one system gets: the
+    inner products and the Gram matrix are ``np.matmul``s, ||xi||^2 is the
+    two strided dots of the real and imaginary parts that
+    ``np.linalg.norm`` takes, and each sum is ``np.add.reduce`` over the
+    system's own axes, the pairwise order of ``a.sum()``.
+    """
     import numpy as np
 
     conj = phis.conj()
-    lhs = float(np.add.reduce(np.abs(conj @ xi), None))  # (xi, phi_r) entries
-    re, im = xi.real, xi.imag  # ||xi||^2 by the two dots np.linalg.norm takes
-    gram = np.add.reduce(np.abs(phis @ conj.T), None)
-    rhs = math.sqrt(re.dot(re) + im.dot(im)) * math.sqrt(gram)
-    return lhs, rhs
+    lhs = np.add.reduce(np.abs(np.matmul(conj, xi[:, :, None])), (1, 2))
+    gram = np.add.reduce(np.abs(np.matmul(phis, conj.swapaxes(1, 2))), (1, 2))
+    re, im = xi.real[:, None], xi.imag[:, None]
+    norm2 = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
+    return lhs, np.sqrt(norm2[:, 0, 0]) * np.sqrt(gram)
 
 
 def hm_inequality_check(system: VectorSystem) -> HMResult:
@@ -105,7 +117,8 @@ def hm_inequality_check(system: VectorSystem) -> HMResult:
     The inner product conjugates its second argument; the slack must be
     <= 0 up to floating tolerance.
     """
-    return HMResult(*_hm_sides(system.xi, system.phis))
+    lhs, rhs = _hm_sides(system.xi[None], system.phis[None])
+    return HMResult(float(lhs[0]), float(rhs[0]))
 
 
 #: Caps on a random system's vector dimension and number of test vectors.
@@ -113,22 +126,31 @@ HM_DIM_CAP = 64
 HM_R_CAP = 16
 
 
-def _hm_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(xi, phis) of a random system: the dimensions, then one normal draw.
+def _hm_shape(rng: np.random.Generator) -> tuple[int, int]:
+    """(dim, r) of a random system: the first two draws of its generator."""
+    return int(rng.integers(1, HM_DIM_CAP + 1)), int(rng.integers(1, HM_R_CAP + 1))
 
-    The draw is laid out as the real and imaginary parts of xi, then those
-    of phis, which is the stream of four consecutive draws of those sizes.
-    The parts are copied into place, the same values as ``re + 1j * im``
-    without its temporaries.
+
+def _hm_systems(bit_generators, dim: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, phis) stacks of the systems of shape (dim, r) whose generators
+    have drawn that shape, one system per bit generator.
+
+    Each system is one normal draw of its stream, laid out as the real and
+    imaginary parts of xi, then those of phis, which is the stream of four
+    consecutive draws of those sizes.  The draw goes straight into the
+    system's slice of one block, and the parts are copied into place, the
+    same values as ``re + 1j * im`` without its temporaries.
     """
     import numpy as np
+    from numpy.random import Generator
 
-    dim = int(rng.integers(1, HM_DIM_CAP + 1))
-    r = int(rng.integers(1, HM_R_CAP + 1))
-    z = rng.standard_normal((2 * (r + 1), dim))
-    xi, phis = np.empty(dim, complex), np.empty((r, dim), complex)
-    xi.real, xi.imag = z[0], z[1]
-    phis.real, phis.imag = z[2:r + 2], z[r + 2:]
+    block = np.empty((len(bit_generators), 2 * (r + 1), dim))
+    for bit_generator, z in zip(bit_generators, block):
+        Generator(bit_generator).standard_normal(out=z)
+    xi = np.empty((len(block), dim), complex)
+    phis = np.empty((len(block), r, dim), complex)
+    xi.real, xi.imag = block[:, 0], block[:, 1]
+    phis.real, phis.imag = block[:, 2:r + 2], block[:, r + 2:]
     return xi, phis
 
 
@@ -136,7 +158,9 @@ def hm_random_system(seed: int) -> VectorSystem:
     """Complex Gaussian system with dimensions drawn from the seeded rng."""
     import numpy as np
 
-    return VectorSystem(*_hm_draw(np.random.default_rng(seed)))
+    rng = np.random.default_rng(seed)
+    xi, phis = _hm_systems([rng.bit_generator], *_hm_shape(rng))
+    return VectorSystem(xi[0], phis[0])
 
 
 #: Largest relative slack (lhs - rhs) / rhs of a passing ``ProbeReport``.
@@ -235,14 +259,15 @@ def _seeded_rngs(seed: int, count: int):
     from numpy.random.bit_generator import ISeedSequence
 
     class Words(ISeedSequence):
-        """A seed sequence whose ``generate_state(4, np.uint64)`` is known."""
+        """The seed sequence of every generator: its ``generate_state(4,
+        np.uint64)`` is the row set just before that generator is made."""
 
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
+        row: np.ndarray
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.words
+            return self.row
 
+    seed_seq = Words()
     first, stop = seed, seed + count
     while first < stop:
         end = min(stop, first + _SEED_BLOCK, ((first >> 32) + 1) << 32)
@@ -251,29 +276,51 @@ def _seeded_rngs(seed: int, count: int):
             if not np.array_equal(row, SeedSequence(s).generate_state(4, np.uint64)):
                 raise RuntimeError(f"the seed words of {s} differ from numpy's SeedSequence")
         for row in words:
-            yield Generator(PCG64(Words(row)))
+            seed_seq.row = row
+            yield Generator(PCG64(seed_seq))
         first = end
+
+
+#: Trials seeded and held at once by ``hm_random_trials``.  It bounds the bit
+#: generators in flight, about 0.4 kB each: at 10,000 trials ``hm-test``'s
+#: max RSS is 44.8 MB, against 41.1 MB with a kernel call per trial
+#: (BENCH_26.json).
+_HM_CHUNK = 16384
 
 
 def hm_random_trials(trials: int, seed: int) -> ProbeReport:
     """Seeded batch of random systems; per-trial seed is seed + index.
 
     Trial i is ``hm_inequality_check(hm_random_system(seed + i))``, bit for
-    bit, so any trial replays alone from seed + i.  The loop seeds each
+    bit, so any trial replays alone from seed + i.  The batch seeds each
     trial's generator from words hashed for a block of seeds at once
-    (``_seeded_rngs``) and calls the kernels behind those two functions
-    directly, keeping each trial as a plain row without building the system
-    and result objects.
+    (``_seeded_rngs``), draws the trial's shape and keeps its bit
+    generator.  Then it groups the trials by shape, draws each group's
+    systems into one block and evaluates them in one stacked pass of
+    ``_hm_sides``; each trial is kept as a plain row without building the
+    system and result objects.  At most ``_HM_CHUNK`` trials are in flight.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:  # as SeedSequence rejects it; the seed words assume s >= 0
         raise ValueError(f"seed must be >= 0, got {seed}")
     rows = []
-    for rng in _seeded_rngs(seed, trials):
-        xi, phis = _hm_draw(rng)
-        lhs, rhs = _hm_sides(xi, phis)
-        rows.append((len(xi), len(phis), lhs, rhs, _rel_slack(lhs, rhs)))
+    rngs = _seeded_rngs(seed, trials)
+    for first in range(0, trials, _HM_CHUNK):
+        count = min(_HM_CHUNK, trials - first)
+        shapes, bit_generators, groups = [], [], {}
+        for j, rng in enumerate(islice(rngs, count)):
+            shapes.append(_hm_shape(rng))
+            bit_generators.append(rng.bit_generator)
+            groups.setdefault(shapes[j], []).append(j)
+        lhs, rhs = np.empty(count), np.empty(count)
+        for (dim, r), members in groups.items():
+            systems = _hm_systems([bit_generators[j] for j in members], dim, r)
+            lhs[members], rhs[members] = _hm_sides(*systems)
+        for (dim, r), left, right in zip(shapes, lhs.tolist(), rhs.tolist()):
+            rows.append((dim, r, left, right, _rel_slack(left, right)))
     # max alone would pass over a NaN after the first row
     worst = max(range(trials), key=lambda i: (math.isnan(rows[i][4]), rows[i][4]))
     return ProbeReport(trials, seed, rows[worst][4], worst, tuple(rows))
@@ -360,16 +407,25 @@ def mellin_probe(x: float) -> MellinResult:
     exp(-x) and the imaginary part is a symmetry residual reported for
     sanity.  The gamma values at the nodes are computed once per process
     and shared by every call.  ``x`` must be finite and positive, checked
-    before any evaluation (Inadmissible otherwise).
+    before any evaluation, and the quadrature must stay in the float range
+    (Inadmissible otherwise): with finite gamma values, a term or a sum
+    that is not finite can only have overflowed, so only a non-finite gamma
+    value yields a NaN.
     """
     if not 0 < x < math.inf:
         raise Inadmissible(f"x = {x!r} is not a finite positive number")
+    overflow = f"the probe at x = {x!r} overflows the floating-point range"
     log_x = math.log(x)
-    terms = [g * cmath.exp(-complex(MELLIN_LINE, v) * log_x)
-             for g, v in zip(_gamma_grid(), _simpson_nodes())]
+    try:
+        terms = [g * cmath.exp(-complex(MELLIN_LINE, v) * log_x)
+                 for g, v in zip(_gamma_grid(), _simpson_nodes())]
+    except OverflowError:
+        raise Inadmissible(overflow) from None
     total = terms[0] + terms[-1]
     for j in range(1, 2 * MELLIN_STEPS):
         total += terms[j] * (4 if j % 2 else 2)
+    if not cmath.isfinite(total) and all(map(cmath.isfinite, _gamma_grid())):
+        raise Inadmissible(overflow)
     integral = total * (MELLIN_HALFWIDTH / MELLIN_STEPS / 3)
     value = integral / (2 * math.pi)
     return MellinResult(x, value.real, abs(value.imag), math.exp(-x))
@@ -379,15 +435,37 @@ def mellin_probe(x: float) -> MellinResult:
 # Zeta growth diagnostic (report-only)
 # ---------------------------------------------------------------------------
 
+def _pairwise_sum(z: list[complex]) -> complex:
+    """The sum of z, at least four terms, in NumPy's pairwise order for
+    complex128 (``CDOUBLE_pairwise_sum``, blocks of 128 doubles).
+
+    Up to 64 terms are summed in four lanes, each a left fold of every
+    fourth term, joined as (0 + 1) + (2 + 3), and the terms past the last
+    full round of four are added in order.  More terms split after the
+    largest multiple of four up to half of them.  ``reduce`` with ``add``
+    folds left to right; ``sum`` on floats is compensated from CPython 3.12.
+    """
+    m = len(z)
+    if m > 64:
+        mid = (m - m % 8) // 2
+        return _pairwise_sum(z[:mid]) + _pairwise_sum(z[mid:])
+    stop = m - m % 4
+    lane = [reduce(add, z[k:stop:4]) for k in range(4)]
+    return reduce(add, z[stop:], (lane[0] + lane[1]) + (lane[2] + lane[3]))
+
+
 def zeta_em(s: complex) -> complex:
     """Euler-Maclaurin zeta with cutoff ceil(|Im s|) + 50 and two
-    Bernoulli corrections.  Desk accuracy, not rigorous."""
-    import numpy as np
+    Bernoulli corrections.  Desk accuracy, not rigorous.
 
+    The head sum_{n <= m} n^(-s) takes exp(-s log n) term by term, with
+    log n as a complex for NumPy's complex-by-complex product, and sums the
+    terms in NumPy's pairwise order: the value of
+    ``np.exp(-s * np.log(n)).sum()`` without loading numpy.
+    """
     s = complex(s)
     m = int(math.ceil(abs(s.imag))) + 50
-    n = np.arange(1, m + 1, dtype=np.float64)
-    head = np.exp(-s * np.log(n)).sum()
+    head = _pairwise_sum([cmath.exp(-s * complex(math.log(n))) for n in range(1, m + 1)])
     tail = m ** (1 - s) / (s - 1) - 0.5 * m ** (-s)
     corr1 = s * m ** (-s - 1) / 12.0
     corr2 = -s * (s + 1) * (s + 2) * m ** (-s - 3) / 720.0

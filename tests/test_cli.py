@@ -73,6 +73,19 @@ def test_version_from_source_checkout():
     assert (res.returncode, res.stdout, res.stderr) == (0, f"zdx, version {zdx.__version__}\n", "")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["hm-test", "--help"]])
+def test_help_and_version_into_a_closed_stdout(argv):
+    # written like a command's output: a reader that closes stdout first is no error
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "zdx.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_pairs_depth0_seed_only(runner):
     res = invoke(runner, "pairs", "--depth", "0")
     rows = json.loads(res.output)
@@ -583,7 +596,7 @@ def test_desk_outputs_pinned(runner, argv):
     (["mellin-probe"], ["numpy", "zdx.exact"]),
     (["hm-test", "--trials", "3"], ["zdx.density", "zdx.exact", "zdx.pairs"]),
     (["hecke-verify", "--limit", "50"], ["numpy", "zdx.density", "zdx.exact", "zdx.pairs"]),
-    (["zeta-probe"], ["zdx.density", "zdx.exact"]),
+    (["zeta-probe"], ["numpy", "zdx.density", "zdx.exact"]),
     (["pairs", "--depth", "3"], ["numpy", "zdx.density", "zdx.exact"]),
 ])
 def test_commands_load_only_what_they_use(argv, unloaded):
@@ -645,7 +658,7 @@ NO_DIR_OUT = str(Path(__file__).resolve().parent / "no-such-dir" / "out")
     (["audit", "--pair", "2/7,4/7", "--region", "1"], 3),
     (["hecke-verify", "--limit", "200001"], 3),
     (["mellin-probe", "--x", "1e-30"], 1),
-    (["mellin-probe", "--x", "1e-154"], 1),
+    (["mellin-probe", "--x", "1e-154"], 3),
     (["compare", "--depth", "3", "--baseline", "s^2"], 2),
     (["pairs", "--depth", "1", "--out", NO_DIR_OUT], 2),
 ])
@@ -712,12 +725,16 @@ def test_no_option_loosens_a_probe_gate(runner, argv):
 def test_nan_from_the_probe_kernels_fails_the_gates(runner, monkeypatch):
     from zdx import probes
 
-    sides, calls = probes._hm_sides, iter(range(10))
+    sides, trial_3 = probes._hm_sides, probes.hm_random_system(1 + 3).xi
 
     def nan_at_trial_3(xi, phis):
-        # past the first trial, where max alone would pass over a NaN
+        # past the first trial, where max alone would pass over a NaN; the
+        # stacks come by shape, so trial 3 is found by its xi
         lhs, rhs = sides(xi, phis)
-        return (math.nan, rhs) if next(calls) % 5 == 3 else (lhs, rhs)
+        for k, x in enumerate(xi):
+            if x.shape == trial_3.shape and (x == trial_3).all():
+                lhs[k] = math.nan
+        return lhs, rhs
 
     monkeypatch.setattr(probes, "_hm_sides", nan_at_trial_3)
     rep = probes.hm_random_trials(5, 1)
@@ -735,11 +752,26 @@ def test_nan_from_the_probe_kernels_fails_the_gates(runner, monkeypatch):
     assert res.stderr == "max_abs_error=nan max_imag_residual=nan\n"
 
 
-def test_mellin_nan_rows_fail_and_show_in_summary(runner):
-    # the terms overflow to infinities of both signs, whose sum is NaN
+def test_mellin_nan_rows_fail_and_show_in_summary(runner, monkeypatch):
+    # the terms overflow to infinities of both signs: an overflow, not a NaN row
     res = runner.invoke(cli, ["mellin-probe", "--x", "1/2", "--x", "1e-154"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: the probe at x = 1e-154 overflows the floating-point range\n"
+
+    from zdx import probes
+
+    probe = probes.mellin_probe
+
+    def nan_at_x_1(x):
+        r = probe(x)
+        return probes.MellinResult(x, math.nan, math.nan, r.target) if x == 1 else r
+
+    monkeypatch.setattr(probes, "mellin_probe", nan_at_x_1)
+    res = runner.invoke(cli, ["mellin-probe", "--x", "1/2", "--x", "1", "--x", "2"])
     assert res.exit_code == 1
-    assert [row.split(",")[3] == "nan" for row in res.stdout.splitlines()[1:]] == [False, True]
+    assert [row.split(",")[3] == "nan" for row in res.stdout.splitlines()[1:]] == [
+        False, True, False]
     assert res.stderr == "max_abs_error=nan max_imag_residual=nan\n"
 
 
@@ -856,7 +888,8 @@ _FLAGS = {
               _opt("--format", st.sampled_from(["text", "json"]))],
     "hecke-verify": [_opt("--limit", st.one_of(_ints(-1, 300), st.just("200001")))],
     "hm-test": [_opt("--seed", _ints(-3, 10**6)), _opt("--trials", _ints(-1, 5))],
-    "mellin-probe": [_opt("--x", st.one_of(_rat, st.sampled_from(["1e-300", "1e400", "1e-400"])))],
+    "mellin-probe": [_opt("--x", st.one_of(
+        _rat, st.sampled_from(["1e-300", "1e400", "1e-400", "1e-154"])))],
     "zeta-probe": [_opt("--pair", _pair)],
     "plot": [_opt("--depth", _depth), _opt("--interval", _interval)],
     "audit-family": [_opt("--depth", _depth), st.just(["--verbose"])],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zdx import probes
 from zdx.probes import (
@@ -144,15 +146,38 @@ def _hm_draw_sum_oracle(rng: np.random.Generator, dim_cap: int, r_cap: int):
 ])
 @pytest.mark.parametrize("seed", [1, 7, 123456, 2**32])
 def test_hm_draw_matches_sum_draw_bit_for_bit(monkeypatch, dim_cap, r_cap, trials, seed):
+    """Each shape's block draw holds every member's one-draw ``re + 1j * im``,
+    and the stacked pass gives each member the sides it gets alone."""
     _set_caps(monkeypatch, dim_cap, r_cap)
+    groups = {}
     for i in range(trials):
-        xi, phis = probes._hm_draw(np.random.default_rng(seed + i))
-        want_xi, want_phis = _hm_draw_sum_oracle(np.random.default_rng(seed + i), dim_cap, r_cap)
-        for got, want in ((xi, want_xi), (phis, want_phis)):
-            assert got.shape == want.shape and got.dtype == want.dtype, (seed, i)
-            assert got.flags.c_contiguous and want.flags.c_contiguous, (seed, i)
-            assert got.tobytes() == want.tobytes(), (seed, i)
-        assert probes._hm_sides(xi, phis) == probes._hm_sides(want_xi, want_phis), (seed, i)
+        rng = np.random.default_rng(seed + i)
+        groups.setdefault(probes._hm_shape(rng), []).append((i, rng.bit_generator))
+    for (dim, r), members in groups.items():
+        xi, phis = probes._hm_systems([bit_generator for _, bit_generator in members], dim, r)
+        assert xi.shape == (len(members), dim) and phis.shape == (len(members), r, dim)
+        lhs, rhs = probes._hm_sides(xi, phis)
+        for k, (i, _) in enumerate(members):
+            want_xi, want_phis = _hm_draw_sum_oracle(np.random.default_rng(seed + i),
+                                                     dim_cap, r_cap)
+            for got, want in ((xi[k], want_xi), (phis[k], want_phis)):
+                assert got.shape == want.shape and got.dtype == want.dtype, (seed, i)
+                assert got.flags.c_contiguous and want.flags.c_contiguous, (seed, i)
+                assert got.tobytes() == want.tobytes(), (seed, i)
+            alone = probes._hm_sides(want_xi[None], want_phis[None])
+            assert (lhs[k], rhs[k]) == (alone[0][0], alone[1][0]), (seed, i)
+
+
+@pytest.mark.parametrize("chunk", [3, 7])
+@pytest.mark.parametrize("seed, trials", [(2**32 - 10, 25), (2**32 - 3, 7), (2**64 - 8, 16)])
+def test_hm_chunks_match_one_pass(monkeypatch, chunk, seed, trials):
+    """Rows do not depend on how many trials are in flight, also where a
+    chunk and the seeds' entropy words change at different trials."""
+    whole = hm_random_trials(trials, seed)
+    monkeypatch.setattr(probes, "_HM_CHUNK", chunk)
+    assert hm_random_trials(trials, seed) == whole
+    monkeypatch.setattr(probes, "_SEED_BLOCK", 4)
+    assert hm_random_trials(trials, seed) == whole
 
 
 SEED_WORD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7]
@@ -262,6 +287,32 @@ def test_mellin_domain_errors():
 
 def test_zeta_em_real_point():
     assert abs(zeta_em(complex(0.75, 0)) - (-3.4412853869455)) < 1e-9
+
+
+def _zeta_em_numpy(s: complex) -> complex:
+    """The numpy ``zeta_em`` that the pure-Python one must match bit for bit."""
+    m = int(math.ceil(abs(s.imag))) + 50
+    n = np.arange(1, m + 1, dtype=np.float64)
+    head = np.exp(-s * np.log(n)).sum()
+    tail = m ** (1 - s) / (s - 1) - 0.5 * m ** (-s)
+    corr1 = s * m ** (-s - 1) / 12.0
+    corr2 = -s * (s + 1) * (s + 2) * m ** (-s - 3) / 720.0
+    return complex(head + tail + corr1 + corr2)
+
+
+# t = 0, 14, 15 and 1000 take m = 50, 64, 65 and 1050 terms, on both sides
+# of the 64-term (128-double) block of the pairwise sum
+@settings(max_examples=200, deadline=None)
+@given(sigma=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       t=st.floats(0.0, 1000.0))
+@example(sigma=5 / 7, t=0.0)
+@example(sigma=5 / 7, t=14.0)
+@example(sigma=5 / 7, t=15.0)
+@example(sigma=5 / 7, t=1000.0)
+@example(sigma=0.75, t=14.5)
+def test_zeta_em_matches_numpy_formula_bit_for_bit(sigma, t):
+    got, want = zeta_em(complex(sigma, t)), _zeta_em_numpy(complex(sigma, t))
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def test_zeta_scan_shape_and_t0():
