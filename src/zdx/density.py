@@ -764,12 +764,13 @@ def optimize(
     earlier one's, ``hull.lower_hull`` builds the hull on the integer
     triples, and the baselines are merged in by exact line crossings.  The
     cost is O(n + V) for n pairs and V hull vertices, plus O(baselines) per
-    segment (the sort is linear on a sorted family).  On a 2-vCPU Xeon
-    (CPython 3.11.7) it takes about 5 ms at depth 12 (80 vertices), 20 ms
-    at depth 16 (298) and 0.1-0.25 s at depth 22 (2,008).  A one-point
-    interval is decided over every candidate whose closed region holds it:
-    there a region 2 that ends at the point ties the region-1 line and wins
-    on slope, so the credited pair need not be a hull vertex.
+    segment (the sort is linear on a sorted family).  On [1/2, 1] it takes
+    3.5-4.1 ms at depth 12 (80 vertices), 13-18 ms at depth 16 (298) and
+    0.18-0.24 s at depth 22 (2,008) in process (``BENCH_27.json``,
+    "budgets").  A one-point interval is decided over every candidate
+    whose closed region holds it: there a region 2 that ends at the point
+    ties the region-1 line and wins on slope, so the credited pair need not
+    be a hull vertex.
 
     The interval must lie within [1/2, 1] (Inadmissible otherwise).
     ``resolution`` is ignored, as nothing is sampled; it is accepted only
@@ -847,9 +848,8 @@ def provenance_fields(prov: Provenance) -> dict[str, str]:
 
 #: Budget on ``bound_table_rows``' ``resolution``: the table holds one exact
 #: grid point and one row per step.  At this cap ``optimize --resolution``
-#: takes about 5.4-6.2 s and 135-137 MB peak RSS at depths 12 and 22, against
-#: 0.18 s and 19 MB at the default 256 (2-vCPU Xeon, CPython 3.11.7; the call
-#: alone, spawned from a small launcher).
+#: takes 3.7-5.2 s and 132-134 MB peak RSS at depths 12 and 22
+#: (``BENCH_27.json``, "budgets").
 MAX_RESOLUTION = 100_000
 
 

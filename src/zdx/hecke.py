@@ -37,11 +37,10 @@ __all__ = [
 ]
 
 #: Time and memory budget: the largest table ``compute_tau`` builds.
-#: ``hecke-verify --limit 200000`` takes 2.1-3.0 s at 92.5-92.7 MB peak RSS,
-#: and ``--limit 20000`` 0.27-0.38 s at 24.1 MB (2 vCPU Xeon, CPython 3.11.7,
-#: libmpdec 2.5.1; wall time and max RSS of the call alone, spawned from a
-#: small launcher).  The peak is ``compute_tau``'s packed squarings, as the
-#: CSV is written in blocks.  The time grows about 9x per 10x of limit.
+#: ``hecke-verify --limit 200000`` takes 2.2-2.6 s at 91.5 MB peak RSS, and
+#: ``--limit 20000`` 0.38-0.40 s at 25.3 MB (``BENCH_27.json``, "budgets").
+#: The peak is ``compute_tau``'s packed squarings, as the CSV is written in
+#: blocks.
 MAX_LIMIT = 200_000
 
 
@@ -173,11 +172,10 @@ def compute_tau(limit: int) -> TauTable:
     first is term by term on integers (``_sparse_square``): eta^3 has only
     about sqrt(2 limit) nonzero terms, about 200 at limit 20000.  The other
     two are dense and go through packed decimals (``_series_square``).  The
-    coefficient of q^{n-1} in eta^24 is tau(n).  At MAX_LIMIT = 200000 this
-    takes 1.1-1.5 s, and 0.08-0.10 s at 20000 (2 vCPU Xeon, CPython 3.11.7,
-    libmpdec 2.5.1); ``hecke-verify`` with every identity check takes
-    2.1-3.0 s end to end at 92.5-92.7 MB peak RSS, the peak being these
-    squarings (see ``MAX_LIMIT``).
+    coefficient of q^{n-1} in eta^24 is tau(n).  In process it takes
+    1.4-1.7 s at MAX_LIMIT = 200000 and 0.10-0.16 s at 20000
+    (``BENCH_27.json``, "budgets"); these squarings are the peak memory of
+    ``hecke-verify`` (see ``MAX_LIMIT``).
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")

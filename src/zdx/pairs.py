@@ -25,8 +25,6 @@ __all__ = [
     "ExponentPair",
     "PairFamily",
     "SEED",
-    "a_process",
-    "b_process",
     "replay_word",
     "generate_pairs",
     "sorted_triples",
@@ -34,11 +32,10 @@ __all__ = [
 ]
 
 #: Largest generation depth.  The family grows about x1.6 per level
-#: (10,947 pairs at depth 20, 28,658 at 22, 75,026 at 24); on a 2-vCPU
-#: Xeon (CPython 3.11.7) ``pairs --depth 22`` takes about 0.35-0.5 s
-#: and 33 MB peak RSS end to end; depth 24, in process, 0.9 s and 57 MB.
-#: The balance audit of the depth-22 family, ``zdx audit-family --depth 22``
-#: (41,396 region audits), takes about 0.6-0.7 s end to end.
+#: (10,947 pairs at depth 20, 28,658 at 22, 75,026 at 24).  End to end,
+#: ``pairs --depth 22`` takes 0.34-0.50 s at 32.6 MB peak RSS, and the
+#: balance audit of that family, ``zdx audit-family --depth 22`` (41,396
+#: region audits), 0.46-0.61 s (``BENCH_27.json``, "budgets").
 MAX_DEPTH = 22
 
 
@@ -163,16 +160,6 @@ def _b(p: int, r: int, q: int) -> tuple[int, int, int]:
 
 
 SEED = ExponentPair(Fraction(0), Fraction(1), "")
-
-
-def a_process(p: ExponentPair) -> ExponentPair:
-    """One van der Corput A-step applied to p."""
-    return _pair(_a(*p.triple), None if p.word is None else "A" + p.word)
-
-
-def b_process(p: ExponentPair) -> ExponentPair:
-    """One van der Corput B-step applied to p (an involution)."""
-    return _pair(_b(*p.triple), None if p.word is None else "B" + p.word)
 
 
 def replay_word(word: str) -> ExponentPair:

@@ -4,11 +4,19 @@ These verify inequalities with slack, not exact identities, so doubles
 are appropriate here, gated by fixed tolerances that a NaN fails.
 Everything is seeded and deterministic; the zeta scan is report-only and
 never gates anything.
-Only the large-values harness imports numpy, where it does the work: the
-batch groups its trials by shape and evaluates each group's systems in one
-stacked pass.  The gamma-kernel probe and the zeta scan are pure Python;
-the scan sums its terms in NumPy's pairwise order, so its digits are those
-of ``np.exp(-s * np.log(n)).sum()``.
+
+Each probe computes only what depends on its input.  Only the large-values
+harness imports numpy, where it does the work: the batch seeds every
+trial's PCG64 from NumPy's seed hash, computed for a block of seeds at
+once, decodes the trial's shape from the bit generator's raw words as
+``Generator.integers`` draws it, and evaluates each shape's systems in one
+stacked pass.  The first and last seed of every block are checked against
+``SeedSequence``, and the first shape of every chunk against
+``Generator.integers``.  The gamma-kernel probe reads its gamma values and
+line points, and the zeta scan its logs, from tables built once per
+process.  Both are pure Python; the scan sums its terms in NumPy's pairwise
+order, so its digits are those of ``np.exp(-s * np.log(n)).sum()``.
+Timings: ``BENCH_27.json``.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache, reduce
-from itertools import islice
+from itertools import cycle, islice
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -37,6 +45,7 @@ __all__ = [
     "MELLIN_IMAG_TOL",
     "MELLIN_LINE",
     "MELLIN_STEPS",
+    "MAX_TRIALS",
     "ProbeReport",
     "hm_inequality_check",
     "hm_random_system",
@@ -126,9 +135,50 @@ HM_DIM_CAP = 64
 HM_R_CAP = 16
 
 
-def _hm_shape(rng: np.random.Generator) -> tuple[int, int]:
-    """(dim, r) of a random system: the first two draws of its generator."""
-    return int(rng.integers(1, HM_DIM_CAP + 1)), int(rng.integers(1, HM_R_CAP + 1))
+def _hm_shape(bit_generator) -> tuple[int, int]:
+    """(dim, r) of a random system: the first two draws of its generator.
+
+    Each is ``Generator.integers(1, cap + 1)``, decoded from the raw words as
+    NumPy draws a number below a cap of at most 2**32 (Lemire's method).  A
+    draw reads the low half of a new ``random_raw()`` word, or the high half
+    that the draw before it left; with m = u * cap it is drawn again while
+    m mod 2**32 < 2**32 mod cap, and it yields 1 + (m >> 32).  A cap of 1
+    draws nothing.  The normals drawn next read whole words, so a half left
+    over is dropped, as NumPy's buffered half is never read.
+    """
+    shape, half = [], None
+    for cap in HM_DIM_CAP, HM_R_CAP:
+        m = 0
+        if cap > 1:
+            threshold = (1 << 32) % cap
+            while True:
+                if half is None:
+                    word = bit_generator.random_raw()
+                    u, half = word & _MASK32, word >> 32
+                else:
+                    u, half = half, None
+                m = u * cap
+                if m & _MASK32 >= threshold:
+                    break
+        shape.append(1 + (m >> 32))
+    return shape[0], shape[1]
+
+
+def _checked_shape(bit_generator, seed: int) -> tuple[int, int]:
+    """``_hm_shape(bit_generator)``, checked against the two
+    ``Generator.integers`` draws it decodes, made on a copy of the bit
+    generator: the shapes, and the states the draws leave, must agree."""
+    from numpy.random import PCG64, Generator
+
+    copy = PCG64(0)
+    copy.state = bit_generator.state
+    rng = Generator(copy)
+    want = int(rng.integers(1, HM_DIM_CAP + 1)), int(rng.integers(1, HM_R_CAP + 1))
+    shape = _hm_shape(bit_generator)
+    if shape != want or bit_generator.state["state"] != copy.state["state"]:
+        raise RuntimeError(f"the shape decoded for seed {seed} differs from numpy's "
+                           "Generator.integers")
+    return shape
 
 
 def _hm_systems(bit_generators, dim: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,11 +205,12 @@ def _hm_systems(bit_generators, dim: int, r: int) -> tuple[np.ndarray, np.ndarra
 
 
 def hm_random_system(seed: int) -> VectorSystem:
-    """Complex Gaussian system with dimensions drawn from the seeded rng."""
-    import numpy as np
+    """Complex Gaussian system with dimensions drawn from the seeded rng,
+    the bit generator of ``np.random.default_rng(seed)``."""
+    from numpy.random import PCG64
 
-    rng = np.random.default_rng(seed)
-    xi, phis = _hm_systems([rng.bit_generator], *_hm_shape(rng))
+    bit_generator = PCG64(seed)
+    xi, phis = _hm_systems([bit_generator], *_checked_shape(bit_generator, seed))
     return VectorSystem(xi[0], phis[0])
 
 
@@ -246,7 +297,8 @@ def _seed_words(first: int, count: int) -> np.ndarray:
 
 
 def _seeded_rngs(seed: int, count: int):
-    """``np.random.default_rng(s)`` for s = seed ... seed + count - 1, in order.
+    """The bit generator of ``np.random.default_rng(s)`` for s = seed ...
+    seed + count - 1, in order.
 
     The seed words come from ``_seed_words`` in blocks of at most
     ``_SEED_BLOCK`` seeds, cut where the seeds gain an entropy word, and
@@ -255,7 +307,7 @@ def _seeded_rngs(seed: int, count: int):
     each block are checked against ``np.random.SeedSequence``.
     """
     import numpy as np
-    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random import PCG64, SeedSequence
     from numpy.random.bit_generator import ISeedSequence
 
     class Words(ISeedSequence):
@@ -277,15 +329,18 @@ def _seeded_rngs(seed: int, count: int):
                 raise RuntimeError(f"the seed words of {s} differ from numpy's SeedSequence")
         for row in words:
             seed_seq.row = row
-            yield Generator(PCG64(seed_seq))
+            yield PCG64(seed_seq)
         first = end
 
 
 #: Trials seeded and held at once by ``hm_random_trials``.  It bounds the bit
-#: generators in flight, about 0.4 kB each: at 10,000 trials ``hm-test``'s
-#: max RSS is 44.8 MB, against 41.1 MB with a kernel call per trial
-#: (BENCH_26.json).
+#: generators in flight, about 0.4 kB each.
 _HM_CHUNK = 16384
+
+#: Largest batch of ``hm_random_trials``.  Every row is kept, and the CLI
+#: holds its whole CSV text, about 0.45 kB per trial in all: at this cap
+#: ``hm-test`` takes 2.7 s at 84 MB peak RSS (``BENCH_27.json``, "budgets").
+MAX_TRIALS = 100_000
 
 
 def hm_random_trials(trials: int, seed: int) -> ProbeReport:
@@ -293,29 +348,34 @@ def hm_random_trials(trials: int, seed: int) -> ProbeReport:
 
     Trial i is ``hm_inequality_check(hm_random_system(seed + i))``, bit for
     bit, so any trial replays alone from seed + i.  The batch seeds each
-    trial's generator from words hashed for a block of seeds at once
-    (``_seeded_rngs``), draws the trial's shape and keeps its bit
-    generator.  Then it groups the trials by shape, draws each group's
-    systems into one block and evaluates them in one stacked pass of
-    ``_hm_sides``; each trial is kept as a plain row without building the
-    system and result objects.  At most ``_HM_CHUNK`` trials are in flight.
+    trial's bit generator from words hashed for a block of seeds at once
+    (``_seeded_rngs``) and decodes the trial's shape from its raw words
+    (``_hm_shape``); the first trial of each chunk is checked against
+    ``Generator.integers`` (``_checked_shape``).  Then it groups the trials
+    by shape, draws each group's systems into one block and evaluates them
+    in one stacked pass of ``_hm_sides``; each trial is kept as a plain row
+    without building the system and result objects.  At most ``_HM_CHUNK``
+    trials are in flight.  More than ``MAX_TRIALS`` trials raise
+    Inadmissible before numpy is loaded.
     """
-    import numpy as np
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise Inadmissible(f"trials {trials} exceeds the harness budget of {MAX_TRIALS}")
     if seed < 0:  # as SeedSequence rejects it; the seed words assume s >= 0
         raise ValueError(f"seed must be >= 0, got {seed}")
+    import numpy as np
+
     rows = []
-    rngs = _seeded_rngs(seed, trials)
+    seeded = _seeded_rngs(seed, trials)
     for first in range(0, trials, _HM_CHUNK):
-        count = min(_HM_CHUNK, trials - first)
-        shapes, bit_generators, groups = [], [], {}
-        for j, rng in enumerate(islice(rngs, count)):
-            shapes.append(_hm_shape(rng))
-            bit_generators.append(rng.bit_generator)
-            groups.setdefault(shapes[j], []).append(j)
-        lhs, rhs = np.empty(count), np.empty(count)
+        bit_generators = list(islice(seeded, min(_HM_CHUNK, trials - first)))
+        shapes = [_checked_shape(bit_generators[0], seed + first)]
+        shapes += map(_hm_shape, bit_generators[1:])
+        groups = {}
+        for j, shape in enumerate(shapes):
+            groups.setdefault(shape, []).append(j)
+        lhs, rhs = np.empty(len(shapes)), np.empty(len(shapes))
         for (dim, r), members in groups.items():
             systems = _hm_systems([bit_generators[j] for j in members], dim, r)
             lhs[members], rhs[members] = _hm_sides(*systems)
@@ -384,19 +444,19 @@ MELLIN_HALFWIDTH = 40.0
 MELLIN_STEPS = 4000
 
 
-def _simpson_nodes():
-    """The 2*MELLIN_STEPS + 1 nodes v of ``mellin_probe``'s quadrature, in order."""
+@lru_cache(maxsize=1)
+def _line_points() -> tuple[complex, ...]:
+    """-(MELLIN_LINE + iv) at the 2*MELLIN_STEPS + 1 nodes v of
+    ``mellin_probe``'s quadrature, in order."""
     h = MELLIN_HALFWIDTH / MELLIN_STEPS  # half of a panel
-    yield -MELLIN_HALFWIDTH
-    for j in range(1, 2 * MELLIN_STEPS):
-        yield -MELLIN_HALFWIDTH + j * h
-    yield MELLIN_HALFWIDTH
+    inner = (-MELLIN_HALFWIDTH + j * h for j in range(1, 2 * MELLIN_STEPS))
+    return tuple(-complex(MELLIN_LINE, v) for v in (-MELLIN_HALFWIDTH, *inner, MELLIN_HALFWIDTH))
 
 
 @lru_cache(maxsize=1)
 def _gamma_grid() -> tuple[complex, ...]:
-    """Gamma(MELLIN_LINE + iv) at every node v of ``_simpson_nodes``."""
-    return tuple(lanczos_gamma(complex(MELLIN_LINE, v)) for v in _simpson_nodes())
+    """Gamma(MELLIN_LINE + iv) at every node v of ``_line_points``."""
+    return tuple(lanczos_gamma(-s) for s in _line_points())
 
 
 def mellin_probe(x: float) -> MellinResult:
@@ -405,26 +465,27 @@ def mellin_probe(x: float) -> MellinResult:
     Composite Simpson with ``MELLIN_STEPS`` panels on the line
     ``MELLIN_LINE``, out to ``MELLIN_HALFWIDTH``; the real part approximates
     exp(-x) and the imaginary part is a symmetry residual reported for
-    sanity.  The gamma values at the nodes are computed once per process
-    and shared by every call.  ``x`` must be finite and positive, checked
-    before any evaluation, and the quadrature must stay in the float range
-    (Inadmissible otherwise): with finite gamma values, a term or a sum
-    that is not finite can only have overflowed, so only a non-finite gamma
-    value yields a NaN.
+    sanity.  The gamma values and the negated line points at the nodes are
+    computed once per process and shared by every call, so a term costs
+    one multiply, one ``exp`` and one multiply.  ``x`` must be finite and
+    positive, checked before any evaluation, and the quadrature must stay
+    in the float range (Inadmissible otherwise): with finite gamma values,
+    a term or a sum that is not finite can only have overflowed, so only a
+    non-finite gamma value yields a NaN.
     """
     if not 0 < x < math.inf:
         raise Inadmissible(f"x = {x!r} is not a finite positive number")
     overflow = f"the probe at x = {x!r} overflows the floating-point range"
     log_x = math.log(x)
+    gammas = _gamma_grid()
     try:
-        terms = [g * cmath.exp(-complex(MELLIN_LINE, v) * log_x)
-                 for g, v in zip(_gamma_grid(), _simpson_nodes())]
+        terms = [g * cmath.exp(minus_s * log_x) for g, minus_s in zip(gammas, _line_points())]
     except OverflowError:
         raise Inadmissible(overflow) from None
     total = terms[0] + terms[-1]
-    for j in range(1, 2 * MELLIN_STEPS):
-        total += terms[j] * (4 if j % 2 else 2)
-    if not cmath.isfinite(total) and all(map(cmath.isfinite, _gamma_grid())):
+    for term, weight in zip(terms[1:-1], cycle((4, 2))):
+        total += term * weight
+    if not cmath.isfinite(total) and all(map(cmath.isfinite, gammas)):
         raise Inadmissible(overflow)
     integral = total * (MELLIN_HALFWIDTH / MELLIN_STEPS / 3)
     value = integral / (2 * math.pi)
@@ -454,6 +515,22 @@ def _pairwise_sum(z: list[complex]) -> complex:
     return reduce(add, z[stop:], (lane[0] + lane[1]) + (lane[2] + lane[3]))
 
 
+#: ``zeta_growth_scan``'s grid: t = ZETA_T_MAX * j / (ZETA_SAMPLES - 1).
+ZETA_T_MAX = 1000.0
+ZETA_SAMPLES = 101
+
+
+def _zeta_cutoff(t: float) -> int:
+    """``zeta_em``'s number of head terms at Im s = t."""
+    return math.ceil(abs(t)) + 50
+
+
+@lru_cache(maxsize=1)
+def _zeta_logs() -> tuple[complex, ...]:
+    """complex(log n) for every head term of a ``zeta_growth_scan``."""
+    return tuple(complex(math.log(n)) for n in range(1, _zeta_cutoff(ZETA_T_MAX) + 1))
+
+
 def zeta_em(s: complex) -> complex:
     """Euler-Maclaurin zeta with cutoff ceil(|Im s|) + 50 and two
     Bernoulli corrections.  Desk accuracy, not rigorous.
@@ -461,20 +538,20 @@ def zeta_em(s: complex) -> complex:
     The head sum_{n <= m} n^(-s) takes exp(-s log n) term by term, with
     log n as a complex for NumPy's complex-by-complex product, and sums the
     terms in NumPy's pairwise order: the value of
-    ``np.exp(-s * np.log(n)).sum()`` without loading numpy.
+    ``np.exp(-s * np.log(n)).sum()`` without loading numpy.  The logs come
+    from a table built once per process for the scan's terms; a larger m
+    computes the logs past it.
     """
     s = complex(s)
-    m = int(math.ceil(abs(s.imag))) + 50
-    head = _pairwise_sum([cmath.exp(-s * complex(math.log(n))) for n in range(1, m + 1)])
+    m = _zeta_cutoff(s.imag)
+    logs = _zeta_logs()[:m]
+    logs += tuple(complex(math.log(n)) for n in range(len(logs) + 1, m + 1))
+    minus_s = -s
+    head = _pairwise_sum([cmath.exp(minus_s * log_n) for log_n in logs])
     tail = m ** (1 - s) / (s - 1) - 0.5 * m ** (-s)
     corr1 = s * m ** (-s - 1) / 12.0
     corr2 = -s * (s + 1) * (s + 2) * m ** (-s - 3) / 720.0
     return head + tail + corr1 + corr2
-
-
-#: ``zeta_growth_scan``'s grid: t = ZETA_T_MAX * j / (ZETA_SAMPLES - 1).
-ZETA_T_MAX = 1000.0
-ZETA_SAMPLES = 101
 
 
 def zeta_growth_scan(sigma0: float, kappa: float) -> list[tuple[float, float, float]]:

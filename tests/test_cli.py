@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import zdx
 from zdx.cli import cli
 from zdx.pairs import MAX_DEPTH
+from zdx.probes import MAX_TRIALS
 
 
 @pytest.fixture()
@@ -916,3 +918,66 @@ def test_argv_fuzz_exit_codes(argv):
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
     elif res.exit_code == 1:
         assert len(lines) == 1 and not lines[0].startswith("error: "), (argv, lines)
+
+
+# -- exit codes of the desk commands in every stream state --------------------------
+
+#: (case, args, exit code with both streams open) per desk command, on the
+#: smallest inputs, besides the usage error and ``--help`` that every command
+#: has.  Cells that no CLI input reaches are left out:
+#: ``hecke-verify`` and ``hm-test`` have no input that fails their checks
+#: (the tau identities hold at every admissible limit, and no seed found
+#: gives an hm slack above the tolerance), and ``zeta-probe`` is report-only,
+#: so it never exits 1.
+_DESK_INPUTS = {
+    "hecke-verify": [("ok", ["--limit", "50"], 0),
+                     ("inadmissible", ["--limit", "200001"], 3)],
+    "hm-test": [("ok", ["--trials", "3"], 0),
+                ("inadmissible", ["--trials", str(MAX_TRIALS + 1)], 3)],
+    "mellin-probe": [("ok", ["--x", "1"], 0),
+                     ("check-failure", ["--x", "1e-30"], 1),
+                     ("inadmissible", ["--x", "1e-300"], 3)],
+    "zeta-probe": [("ok", [], 0),
+                   ("inadmissible", ["--pair", "13/84,55/84"], 3)],
+}
+_EVERY_COMMAND = [("usage", ["--bogus"], 2), ("help", ["--help"], 0)]
+
+_STREAM_STATES = ["stdout-closed", "stderr-closed", "both-closed", "dev-full"]
+
+
+def _run_in_state(argv, state):
+    """Run ``zdx argv`` with stdout, stderr or both going to a pipe whose
+    reader closed it before the first byte, or with stdout on ``/dev/full``."""
+    with contextlib.ExitStack() as stack:
+        read, write = os.pipe()
+        os.close(read)
+        stack.callback(os.close, write)
+        if state == "dev-full":
+            streams = {"stdout": stack.enter_context(open("/dev/full", "w")),
+                       "stderr": subprocess.PIPE}
+        else:
+            closed = state.removesuffix("-closed")
+            streams = {name: write if closed in (name, "both") else subprocess.DEVNULL
+                       for name in ("stdout", "stderr")}
+        return subprocess.run([sys.executable, "-m", "zdx.cli", *argv], **streams, env=_env(),
+                              timeout=60)
+
+
+@pytest.mark.parametrize("state", _STREAM_STATES)
+@pytest.mark.parametrize("command, case, args, code", [
+    pytest.param(command, case, args, code, id=f"{command}-{case}")
+    for command, cells in _DESK_INPUTS.items()
+    for case, args, code in [*cells, *_EVERY_COMMAND]
+])
+def test_desk_exit_code_matrix(command, case, args, code, state):
+    """A closed stream keeps the exit code; a stdout that refuses a write
+    exits 2 with one line, where the command writes to it."""
+    if state == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    proc = _run_in_state([command, *args], state)
+    # an ok run and a check failure write their CSV to stdout, and --help its text
+    refused = state == "dev-full" and case in ("ok", "check-failure", "help")
+    assert proc.returncode == (2 if refused else code), proc.stderr
+    if refused:
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: "), lines

@@ -16,8 +16,6 @@ from zdx.pairs import (
     DepthLimitError,
     ExponentPair,
     InvalidPair,
-    a_process,
-    b_process,
     generate_pairs,
     replay_word,
     sorted_triples,
@@ -26,6 +24,16 @@ from zdx import rat
 from zdx.exact import rat_str
 
 F = Fraction
+
+
+def a_process(p: ExponentPair) -> ExponentPair:
+    """One van der Corput A-step applied to p, on its triple."""
+    return pairs._pair(pairs._a(*p.triple), None if p.word is None else "A" + p.word)
+
+
+def b_process(p: ExponentPair) -> ExponentPair:
+    """One van der Corput B-step applied to p (an involution), on its triple."""
+    return pairs._pair(pairs._b(*p.triple), None if p.word is None else "B" + p.word)
 
 
 def test_a_process_values():

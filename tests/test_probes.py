@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zdx import probes
+from zdx import Inadmissible, probes
 from zdx.probes import (
+    MAX_TRIALS,
     DimensionMismatch,
     HMResult,
     VectorSystem,
@@ -151,8 +152,8 @@ def test_hm_draw_matches_sum_draw_bit_for_bit(monkeypatch, dim_cap, r_cap, trial
     _set_caps(monkeypatch, dim_cap, r_cap)
     groups = {}
     for i in range(trials):
-        rng = np.random.default_rng(seed + i)
-        groups.setdefault(probes._hm_shape(rng), []).append((i, rng.bit_generator))
+        bit_generator = np.random.default_rng(seed + i).bit_generator
+        groups.setdefault(probes._hm_shape(bit_generator), []).append((i, bit_generator))
     for (dim, r), members in groups.items():
         xi, phis = probes._hm_systems([bit_generator for _, bit_generator in members], dim, r)
         assert xi.shape == (len(members), dim) and phis.shape == (len(members), r, dim)
@@ -166,6 +167,85 @@ def test_hm_draw_matches_sum_draw_bit_for_bit(monkeypatch, dim_cap, r_cap, trial
                 assert got.tobytes() == want.tobytes(), (seed, i)
             alone = probes._hm_sides(want_xi[None], want_phis[None])
             assert (lhs[k], rhs[k]) == (alone[0][0], alone[1][0]), (seed, i)
+
+
+#: Caps on both sides of the decode's edges: no draw (1), powers of two,
+#: which never redraw, a cap whose redraw threshold is 1 (3), one that redraws
+#: about half of its draws (2**31 + 1), and the largest, 2**32.
+DECODE_CAPS = [1, 2, 3, 9, 16, 64, 1024, 2**31 + 1, 2**32]
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**70), dim_cap=st.sampled_from(DECODE_CAPS),
+       r_cap=st.sampled_from(DECODE_CAPS))
+def test_shape_decode_matches_generator_integers(seed, dim_cap, r_cap):
+    """The raw-word decode gives the two ``Generator.integers`` draws, and
+    the normals drawn after it are those drawn after them."""
+    with pytest.MonkeyPatch.context() as mp:
+        _set_caps(mp, dim_cap, r_cap)
+        bit_generator = np.random.PCG64(seed)
+        shape = probes._hm_shape(bit_generator)
+    rng = np.random.default_rng(seed)
+    assert shape == (int(rng.integers(1, dim_cap + 1)), int(rng.integers(1, r_cap + 1)))
+    after = np.random.Generator(bit_generator).standard_normal(5)
+    assert after.tobytes() == rng.standard_normal(5).tobytes()
+
+
+def _mutant_shape(bit_generator):
+    """``_hm_shape`` with an off-by-one threshold: 2**32 mod (cap - 1), NumPy's
+    range in place of the cap.  It agrees with NumPy except where a draw
+    falls in between, about half of the draws at a cap of 2**31 + 1."""
+    shape, half = [], None
+    for cap in probes.HM_DIM_CAP, probes.HM_R_CAP:
+        m = 0
+        if cap > 1:
+            threshold = (1 << 32) % (cap - 1)
+            while True:
+                if half is None:
+                    word = bit_generator.random_raw()
+                    u, half = word & 0xFFFFFFFF, word >> 32
+                else:
+                    u, half = half, None
+                m = u * cap
+                if m & 0xFFFFFFFF >= threshold:
+                    break
+        shape.append(1 + (m >> 32))
+    return shape[0], shape[1]
+
+
+def _agrees(shape, seed):
+    rng = np.random.default_rng(seed)
+    want = int(rng.integers(1, probes.HM_DIM_CAP + 1)), int(rng.integers(1, probes.HM_R_CAP + 1))
+    return shape(np.random.PCG64(seed)) == want
+
+
+def test_off_by_one_threshold_trips_the_chunk_guard(monkeypatch):
+    """The guard checks the first trial of every chunk, and only those."""
+    _set_caps(monkeypatch, 2**31 + 1, 1)
+    monkeypatch.setattr(probes, "_HM_CHUNK", 2)
+    # the guard runs before any system is drawn; none of this size is drawn here
+    monkeypatch.setattr(probes, "_hm_systems",
+                        lambda bit_generators, dim, r: (np.ones((len(bit_generators), 1)),
+                                                        np.ones((len(bit_generators), 1, 1))))
+    seed = next(s for s in range(1000) if _agrees(_mutant_shape, s)
+                and not _agrees(_mutant_shape, s + 1) and not _agrees(_mutant_shape, s + 2))
+    assert all(_agrees(probes._hm_shape, s) for s in range(seed, seed + 4))
+    assert hm_random_trials(4, seed).ok
+    monkeypatch.setattr(probes, "_hm_shape", _mutant_shape)
+    # trial 1 is wrong but unchecked; trial 2 starts the second chunk
+    with pytest.raises(RuntimeError, match=f"seed {seed + 2} differs"):
+        hm_random_trials(4, seed)
+    with pytest.raises(RuntimeError, match=f"seed {seed + 1} differs"):
+        hm_random_system(seed + 1)
+
+
+def test_trials_over_budget_are_refused_before_seeding(monkeypatch):
+    def no_seeding(seed, count):
+        raise AssertionError("seeded a batch over the budget")
+
+    monkeypatch.setattr(probes, "_seeded_rngs", no_seeding)
+    with pytest.raises(Inadmissible, match=f"exceeds the harness budget of {MAX_TRIALS}"):
+        hm_random_trials(MAX_TRIALS + 1, seed=1)
 
 
 @pytest.mark.parametrize("chunk", [3, 7])
@@ -202,18 +282,18 @@ def test_seed_words_match_seed_sequence(first, count):
     (2**128 - 2, 5),  # four and five
 ])
 def test_seeded_rngs_match_default_rng(first, count):
-    rngs = list(probes._seeded_rngs(first, count))
-    assert len(rngs) == count
-    for s, rng in zip(range(first, first + count), rngs):
-        assert rng.bit_generator.state == np.random.default_rng(s).bit_generator.state, s
+    bit_generators = list(probes._seeded_rngs(first, count))
+    assert len(bit_generators) == count
+    for s, bit_generator in zip(range(first, first + count), bit_generators):
+        assert bit_generator.state == np.random.default_rng(s).bit_generator.state, s
 
 
 def test_seeded_rngs_across_blocks(monkeypatch):
     monkeypatch.setattr(probes, "_SEED_BLOCK", 4)
     first = 2**32 - 6  # blocks of 4, 2 (cut at 2**32), 4 and 1 seeds
-    rngs = list(probes._seeded_rngs(first, 11))
-    for s, rng in zip(range(first, first + 11), rngs, strict=True):
-        assert rng.bit_generator.state == np.random.default_rng(s).bit_generator.state, s
+    bit_generators = list(probes._seeded_rngs(first, 11))
+    for s, bit_generator in zip(range(first, first + 11), bit_generators, strict=True):
+        assert bit_generator.state == np.random.default_rng(s).bit_generator.state, s
     rep = hm_random_trials(11, first)
     for i, (dim, r, lhs, rhs, _) in enumerate(rep.rows):
         system = hm_random_system(first + i)
@@ -310,6 +390,10 @@ def _zeta_em_numpy(s: complex) -> complex:
 @example(sigma=5 / 7, t=15.0)
 @example(sigma=5 / 7, t=1000.0)
 @example(sigma=0.75, t=14.5)
+# past the scan's log table, which ends at m = 1050
+@example(sigma=0.8, t=1000.5)
+@example(sigma=0.8, t=2345.25)
+@example(sigma=0.8, t=-1500.0)
 def test_zeta_em_matches_numpy_formula_bit_for_bit(sigma, t):
     got, want = zeta_em(complex(sigma, t)), _zeta_em_numpy(complex(sigma, t))
     assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
