@@ -84,9 +84,8 @@ class Record:
     class only, and ``__hash__`` hashes that tuple, as the dataclass did;
     ``__repr__`` is the dataclass's.  Assignment and deletion raise
     ``dataclasses.FrozenInstanceError``, imported only then, so that no
-    import of a record's module loads ``dataclasses``.  ``_replace``
-    builds a copy with some fields changed.  Instances keep a ``__dict__``,
-    as ``functools.cached_property`` needs.
+    import of a record's module loads ``dataclasses``.  Instances keep a
+    ``__dict__``, as ``functools.cached_property`` needs.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -163,10 +162,6 @@ class Record:
         from dataclasses import FrozenInstanceError
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _replace(self, **changes):
-        """A copy with the named fields changed, built through ``__init__``."""
-        return self.__class__(**{**dict(zip(self.__match_args__, self._key(self))), **changes})
 
 
 class Inadmissible(ValueError):

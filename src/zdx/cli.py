@@ -32,7 +32,7 @@ import click
 from . import DEFAULT_DEPTH, DEFAULT_LIMIT, Inadmissible, __version__, dec_str
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Iterable, Iterator
     from fractions import Fraction
 
     from .density import BoundCurve
@@ -559,6 +559,20 @@ def cmd_hecke(limit: int, out: str) -> None:
 # hm-test
 # ---------------------------------------------------------------------------
 
+#: Rows per block of ``_hm_csv_chunks``: about 0.3 MB of text.
+_HM_CSV_ROWS = 4096
+
+
+def _hm_csv_chunks(rows: list[tuple]) -> Iterator[str]:
+    """The header, then the trial rows' CSV in blocks of ``_HM_CSV_ROWS``, so
+    that the writer never holds the whole text (7 MB at ``MAX_TRIALS``)."""
+    yield "trial,dim,r,lhs,rhs,rel_slack\n"
+    for lo in range(0, len(rows), _HM_CSV_ROWS):
+        block = enumerate(rows[lo:lo + _HM_CSV_ROWS], lo)
+        yield "".join([f"{i},{d},{r},{lhs:.17g},{rhs:.17g},{rel:.17g}\n"
+                       for i, (d, r, lhs, rhs, rel) in block])
+
+
 @cli.command("hm-test")
 @click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=10_000, show_default=True)
@@ -568,9 +582,7 @@ def cmd_hm(seed: int, trials: int, out: str) -> None:
     from .probes import hm_random_trials
 
     rep = hm_random_trials(trials, seed)
-    lines = [f"{i},{d},{r},{lhs:.17g},{rhs:.17g},{rel:.17g}\n"
-             for i, (d, r, lhs, rhs, rel) in enumerate(rep.rows)]
-    _write_out("trial,dim,r,lhs,rhs,rel_slack\n" + "".join(lines), out)
+    _write_out(_hm_csv_chunks(rep.rows), out)
     _echo_err(
         f"trials={trials} seed={seed} max_rel_slack={rep.max_rel_slack:.3e} "
         f"worst_trial={rep.worst_trial}"

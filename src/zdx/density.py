@@ -304,7 +304,7 @@ class AuditReport(Record):
     exponents share the positive linear ``denominator`` of y on the region.
     ``terms`` are in ``_TERM_LABELS`` order, each with its numerator over
     that denominator and the ``quadratic_sign_on_interval`` certificate of
-    its term-minus-E numerator; E = e1, so ``e_num`` is the first term's.
+    its term-minus-E numerator; E = e1, so E's numerator is the first term's.
     ``audit_balance`` builds all of them from the integers the audit
     decided on.  ``violation`` is None exactly when the audit passed.
     """
@@ -321,19 +321,6 @@ class AuditReport(Record):
     @property
     def passed(self) -> bool:
         return self.violation is None
-
-    @property
-    def e_num(self) -> Quadratic:
-        return self.terms[0].num
-
-    def term_value(self, label: str, sigma: Fraction) -> Fraction:
-        for t in self.terms:
-            if t.label == label:
-                return t.num.eval(sigma) / self.denominator.eval(sigma)
-        raise KeyError(label)
-
-    def exponent_value(self, sigma: Fraction) -> Fraction:
-        return self.e_num.eval(sigma) / self.denominator.eval(sigma)
 
 
 _TERM_LABELS = ("class1_main", "class1_subdivision", "class2_moment")
@@ -597,21 +584,11 @@ class PiecewiseBound(Record):
 
     Adjacent segments share an endpoint; at a shared endpoint the bound
     takes the segment with the smaller E there (the left one on a tie), so
-    ``eval_E`` is the pointwise minimum even where the bound jumps.
+    ``segments_along`` gives the pointwise minimum even where the bound jumps.
     """
 
     interval: Interval
     segments: tuple[Segment, ...]
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __iter__(self):
-        return iter(self.segments)
-
-    def segment_at(self, sigma: Fraction) -> Segment:
-        """The segment that gives the bound at sigma: ``segments_along([sigma])``."""
-        return next(self.segments_along([Fraction(sigma)]))[1]
 
     def segments_along(self, grid: Sequence[Fraction]) -> Iterator[tuple[Fraction, Segment]]:
         """(sigma, segment) for an ascending grid, in one pass: the segment
@@ -630,12 +607,6 @@ class PiecewiseBound(Record):
             while i < len(spans) and spans[i][1] < x:
                 i += 1
             yield sigma, _lowest_at(segments[i:i + 2], spans[i:i + 2], x, sigma)
-
-    def eval_A(self, sigma: Fraction) -> Fraction:
-        return self.segment_at(sigma).curve.eval_A(sigma)
-
-    def eval_E(self, sigma: Fraction) -> Fraction:
-        return self.segment_at(sigma).curve.eval_E(sigma)
 
 
 def _common_numerators(grid: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -310,9 +310,6 @@ class Quadratic(Record):
             return 1
         return 0 if self.c0 != 0 else -1
 
-    def __sub__(self, other: "Quadratic") -> "Quadratic":
-        return Quadratic(self.c2 - other.c2, self.c1 - other.c1, self.c0 - other.c0)
-
     def scale(self, k) -> "Quadratic":
         k = rat(k)
         return Quadratic(self.c2 * k, self.c1 * k, self.c0 * k)
@@ -357,14 +354,6 @@ class SignCertificate(Record):
 
     kind: str
     roots: tuple[Root, ...] = ()
-
-    @property
-    def is_nonneg(self) -> bool:
-        return self.kind in ("zero", "nonneg")
-
-    @property
-    def is_nonpos(self) -> bool:
-        return self.kind in ("zero", "nonpos")
 
 
 def _bisect_root(q: Quadratic, lo: Fraction, hi: Fraction) -> RootBracket:

@@ -129,11 +129,6 @@ class TauTable(Record):
         if len(self.tau) != self.limit + 1:
             raise ValueError(f"tau table of limit {self.limit} has {len(self.tau)} entries")
 
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise IndexError(f"tau({n}) outside table limit {self.limit}")
-        return self.tau[n]
-
     @cached_property
     def _spf(self) -> list[int]:
         """The smallest-prime-factor sieve to ``limit``, built once for every check."""
@@ -158,11 +153,6 @@ class MollifierTable(Record):
     def __post_init__(self) -> None:
         if len(self.m) != self.limit + 1:
             raise ValueError(f"mollifier table of limit {self.limit} has {len(self.m)} entries")
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise IndexError(f"m({n}) outside table limit {self.limit}")
-        return self.m[n]
 
 
 def compute_tau(limit: int) -> TauTable:

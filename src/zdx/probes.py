@@ -90,10 +90,6 @@ class HMResult(Record):
     lhs: float
     rhs: float
 
-    @property
-    def rel_slack(self) -> float:
-        return _rel_slack(self.lhs, self.rhs)
-
 
 def _rel_slack(lhs: float, rhs: float) -> float:
     return (lhs - rhs) / rhs if rhs else math.inf
@@ -338,8 +334,8 @@ def _seeded_rngs(seed: int, count: int):
 _HM_CHUNK = 16384
 
 #: Largest batch of ``hm_random_trials``.  Every row is kept, and the CLI
-#: holds its whole CSV text, about 0.45 kB per trial in all: at this cap
-#: ``hm-test`` takes 2.7 s at 84 MB peak RSS (``BENCH_27.json``, "budgets").
+#: writes their CSV in blocks of 4,096 rows: at this cap ``hm-test`` takes
+#: 2.3-2.6 s at 65 MB peak RSS (``BENCH_28.json``, "budgets").
 MAX_TRIALS = 100_000
 
 

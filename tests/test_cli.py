@@ -17,6 +17,7 @@ import zdx
 from zdx.cli import cli
 from zdx.pairs import MAX_DEPTH
 from zdx.probes import MAX_TRIALS
+from oracles import replace
 
 
 @pytest.fixture()
@@ -350,7 +351,7 @@ def test_audit_term_violation_exit1(runner, monkeypatch):
     def audit(regions, region):
         report = real(regions, region)
         if region == 2:
-            return report._replace(violation=BalanceViolation("class2_moment", Fraction(43, 45)))
+            return replace(report, violation=BalanceViolation("class2_moment", Fraction(43, 45)))
         return report
 
     monkeypatch.setattr(density, "audit_balance", audit)
@@ -366,7 +367,7 @@ def test_audit_continuity_mismatch_exit1(runner, monkeypatch):
     from zdx import density
 
     real = density.continuity_check
-    monkeypatch.setattr(density, "continuity_check", lambda regions: real(regions)._replace(
+    monkeypatch.setattr(density, "continuity_check", lambda regions: replace(real(regions),
         status="mismatch", note="branches disagree: 44/31 vs 45/31"))
     for fmt in ("text", "json"):
         res = runner.invoke(cli, ["audit", "--pair", "1/14,11/14", "--format", fmt])
@@ -478,6 +479,27 @@ def test_hm_test_small(runner, tmp_path):
     res = invoke(runner, "hm-test", "--trials", "200", "--seed", "7", "--out", str(out))
     assert res.exit_code == 0
     assert len(out.read_text().splitlines()) == 201
+
+
+def test_hm_test_writes_its_csv_in_blocks(runner, monkeypatch):
+    # 4097 trials are two blocks of 4096 rows at most; the text is the one-join CSV
+    from zdx import cli as cli_module
+    from zdx.probes import hm_random_trials
+
+    real, chunks = cli_module._write_out, []
+
+    def spy(text, out):
+        chunks.extend([text] if isinstance(text, str) else text)
+        real(chunks, out)
+
+    monkeypatch.setattr(cli_module, "_write_out", spy)
+    res = invoke(runner, "hm-test", "--trials", "4097", "--seed", "3")
+    assert res.exit_code == 0
+    rows = hm_random_trials(4097, 3).rows
+    assert res.stdout == "trial,dim,r,lhs,rhs,rel_slack\n" + "".join(
+        [f"{i},{d},{r},{lhs:.17g},{rhs:.17g},{rel:.17g}\n"
+         for i, (d, r, lhs, rhs, rel) in enumerate(rows)])
+    assert len(chunks) >= 3 and max(chunk.count("\n") for chunk in chunks) <= 4096
 
 
 def test_optimize_resolution_over_budget_exit3(runner, monkeypatch):
@@ -920,7 +942,7 @@ def test_argv_fuzz_exit_codes(argv):
         assert len(lines) == 1 and not lines[0].startswith("error: "), (argv, lines)
 
 
-# -- exit codes of the desk commands in every stream state --------------------------
+# -- exit codes of every command in every stream state ------------------------------
 
 #: (case, args, exit code with both streams open) per desk command, on the
 #: smallest inputs, besides the usage error and ``--help`` that every command
@@ -941,6 +963,33 @@ _DESK_INPUTS = {
                    ("inadmissible", ["--pair", "13/84,55/84"], 3)],
 }
 _EVERY_COMMAND = [("usage", ["--bogus"], 2), ("help", ["--help"], 0)]
+
+#: The same for the other commands, whose usage errors and ``--help`` take
+#: the group's code that the desk commands test.  ``pairs``, ``bound``,
+#: ``optimize``, ``compare`` and ``plot`` check nothing, so they never exit 1.
+#: ``audit`` and ``audit-family`` exit 1 only on a failed balance audit or
+#: continuity check, which no input reaches: on every pair they accept, the
+#: terms meet E and the branches meet each other by algebraic identities, so
+#: only a defect in the code fails them, and their check-failure cells are
+#: left out too.
+_OTHER_INPUTS = {
+    "pairs": [("ok", ["--depth", "2"], 0), ("inadmissible", ["--depth", "23"], 3)],
+    "bound": [("ok", ["--pair", "1/6,2/3", "--sigma", "4/5"], 0),
+              ("inadmissible", ["--pair", "2/7,4/7", "--sigma", "5/4"], 3)],
+    "optimize": [("ok", ["--depth", "2"], 0), ("inadmissible", ["--interval", "0,1"], 3)],
+    "compare": [("ok", ["--depth", "2"], 0), ("inadmissible", ["--interval", "0,1"], 3)],
+    "audit": [("ok", ["--pair", "1/6,2/3"], 0),
+              ("inadmissible", ["--pair", "2/7,4/7", "--region", "1"], 3)],
+    "audit-family": [("ok", ["--depth", "3"], 0), ("inadmissible", ["--depth", "23"], 3)],
+    "plot": [("ok", ["--depth", "2"], 0), ("inadmissible", ["--interval", "0,1"], 3)],
+}
+
+_MATRIX = [
+    *((command, case, args, code) for command, cells in _DESK_INPUTS.items()
+      for case, args, code in [*cells, *_EVERY_COMMAND]),
+    *((command, case, args, code) for command, cells in _OTHER_INPUTS.items()
+      for case, args, code in cells),
+]
 
 _STREAM_STATES = ["stdout-closed", "stderr-closed", "both-closed", "dev-full"]
 
@@ -966,12 +1015,12 @@ def _run_in_state(argv, state):
 @pytest.mark.parametrize("state", _STREAM_STATES)
 @pytest.mark.parametrize("command, case, args, code", [
     pytest.param(command, case, args, code, id=f"{command}-{case}")
-    for command, cells in _DESK_INPUTS.items()
-    for case, args, code in [*cells, *_EVERY_COMMAND]
+    for command, case, args, code in _MATRIX
 ])
 def test_desk_exit_code_matrix(command, case, args, code, state):
     """A closed stream keeps the exit code; a stdout that refuses a write
-    exits 2 with one line, where the command writes to it."""
+    exits 2 with one line, where the command writes to it.  Every command
+    is run, the desk ones with every cell."""
     if state == "dev-full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
     proc = _run_in_state([command, *args], state)

@@ -37,6 +37,16 @@ from zdx.exact import (
     rat_str,
 )
 from zdx.pairs import ExponentPair, PairFamily, generate_pairs
+from oracles import (
+    bound_E,
+    e_num,
+    exponent_value,
+    is_nonpos,
+    minus,
+    replace,
+    segment_at,
+    term_value,
+)
 
 F = Fraction
 #: The two-branch construction needs kappa strictly below 1/3.
@@ -162,7 +172,7 @@ def test_e_monotone_decreasing_on_regions(depth12):
             # derivative numerator of n/d: n' d - n d', both products deg <= 2
             prod1 = Quadratic(dn.c1 * d.c1, dn.c1 * d.c0 + dn.c0 * d.c1, dn.c0 * d.c0)
             prod2 = Quadratic(n.c2 * d.c1, n.c1 * d.c1, n.c0 * d.c1)
-            deriv_num = prod1 - prod2
+            deriv_num = minus(prod1, prod2)
             cert = quadratic_sign_on_interval(deriv_num, curve.region)
             assert cert.kind == "nonpos" and cert.roots == (), (p, region)
 
@@ -205,19 +215,19 @@ def test_audit_spot_value_region1():
     rep = audit_balance(regions_for(PAIR_114), 1)
     s = F(24, 25)
     assert rep.y.eval(s) == F(50, 71)
-    assert rep.term_value("class1_main", s) == F(4, 71)
-    assert rep.term_value("class1_subdivision", s) == F(1, 71)
-    assert rep.term_value("class2_moment", s) == F(4, 71)
-    assert rep.exponent_value(s) == F(4, 71)
+    assert term_value(rep, "class1_main", s) == F(4, 71)
+    assert term_value(rep, "class1_subdivision", s) == F(1, 71)
+    assert term_value(rep, "class2_moment", s) == F(4, 71)
+    assert exponent_value(rep, s) == F(4, 71)
     assert rep.passed
 
 
 def test_audit_region1_at_one():
     rep = audit_balance(regions_for(PAIR_114), 1)
     assert rep.y.eval(F(1)) == F(2, 3)
-    assert rep.term_value("class1_main", F(1)) == 0
-    assert rep.term_value("class2_moment", F(1)) == 0
-    assert rep.exponent_value(F(1)) == 0
+    assert term_value(rep, "class1_main", F(1)) == 0
+    assert term_value(rep, "class2_moment", F(1)) == 0
+    assert exponent_value(rep, F(1)) == 0
 
 
 def test_audit_region2_subdivision_tight_at_left_endpoint():
@@ -225,7 +235,7 @@ def test_audit_region2_subdivision_tight_at_left_endpoint():
     rep = audit_balance(regions, 2)
     left = regions.left2
     assert left == F(11, 14)
-    assert rep.term_value("class1_subdivision", left) == rep.exponent_value(left)
+    assert term_value(rep, "class1_subdivision", left) == exponent_value(rep, left)
 
 
 def test_audit_t0_exponent_expression():
@@ -255,8 +265,8 @@ def test_audit_family_grid_consistency(depth12):
                 continue
             rep = audit_balance(regions, region)
             for sigma in rep.region.grid(1000):
-                terms = [rep.term_value(t.label, sigma) for t in rep.terms]
-                assert max(terms) == rep.exponent_value(sigma)
+                terms = [term_value(rep, t.label, sigma) for t in rep.terms]
+                assert max(terms) == exponent_value(rep, sigma)
 
 
 def test_audit_differences_are_linear(depth12):
@@ -266,20 +276,20 @@ def test_audit_differences_are_linear(depth12):
         for region in (1, 2):
             if p.kappa > 0 and not regions.region(region).is_empty:
                 rep = audit_balance(regions, region)
-                assert all((t.num - rep.e_num).c2 == 0 for t in rep.terms), (p, region)
+                assert all(minus(t.num, e_num(rep)).c2 == 0 for t in rep.terms), (p, region)
 
 
 def test_balance_violation_carries_witness():
     # Force a violation by auditing region 2 extended beyond sigma_star:
     # the sixth-moment term exceeds E to the right of sigma_star.
     spec = regions_for(PAIR_114)
-    rep = audit_balance(spec._replace(region2=Interval(spec.left2, spec.sigma_star + F(1, 50))), 2)
+    rep = audit_balance(replace(spec, region2=Interval(spec.left2, spec.sigma_star + F(1, 50))), 2)
     assert rep.region.hi == F(21, 22) + F(1, 50)
     assert [t.diff_cert.kind for t in rep.terms] == ["zero", "zero", "mixed"]
     assert not rep.passed and rep.violation.term == "class2_moment"
     witness = rep.violation.witness
     assert witness == rep.region.hi
-    assert rep.term_value("class2_moment", witness) > rep.exponent_value(witness)
+    assert term_value(rep, "class2_moment", witness) > exponent_value(rep, witness)
     assert str(rep.violation) == (
         f"term class2_moment exceeds the exponent at sigma = {witness}"
     )
@@ -365,36 +375,35 @@ def _reference_audit(pair, region, regions, branch_A):
     violation = None
     A = branch_A(regions, region)
     if A != LinFrac(2 * y.a, 2 * y.b, y.c, y.d):
-        gap = linear_product(A.a, A.b, y.c, y.d) - linear_product(
-            2 * y.a, 2 * y.b, A.c, A.d
-        )
+        gap = minus(linear_product(A.a, A.b, y.c, y.d),
+                    linear_product(2 * y.a, 2 * y.b, A.c, A.d))
         mid = (reg.lo + reg.hi) / 2
         witness = next((x for x in (reg.lo, mid, reg.hi) if gap.eval(x) != 0), reg.lo)
         violation = ("exponent_curve", witness,
                      f"exponent_curve's A = {A} is not 2y = 2({y}); they differ at sigma = "
                      f"{rat_str(witness)}")
     t0_exponent = LinFrac.of(2, k - 1 - l, 0, k)
-    e_num = Quadratic.linear(-2 * n_y, 2 * n_y)
+    e1_num = Quadratic.linear(-2 * n_y, 2 * n_y)
     e2_num = Quadratic.linear(y.c + n_y * (-1 - 1 / k), y.d + n_y * (1 + (1 + l - k) / (2 * k)))
     e3_num = Quadratic.linear(2 * y.c - 6 * n_y, 2 * y.d + 3 * n_y)
     terms = []
     for label, num in zip(("class1_main", "class1_subdivision", "class2_moment"),
-                          (e_num, e2_num, e3_num)):
-        diff = num - e_num
+                          (e1_num, e2_num, e3_num)):
+        diff = minus(num, e1_num)
         cert = quadratic_sign_on_interval(diff, reg)
         terms.append((label, str(num), cert.kind, cert.roots, diff.is_zero))
-        if violation is None and not cert.is_nonpos:
+        if violation is None and not is_nonpos(cert):
             witness = reg.lo if diff.eval(reg.lo) > 0 else reg.hi
             violation = (label, witness,
                          f"term {label} exceeds the exponent at sigma = {rat_str(witness)}")
-    return (str(reg), str(y), str(t0_exponent), str(den), str(e_num), violation is None,
+    return (str(reg), str(y), str(t0_exponent), str(den), str(e1_num), violation is None,
             violation, tuple(terms))
 
 
 def _audit_summary(rep):
     v = rep.violation
     return (
-        str(rep.region), str(rep.y), str(rep.t0_exponent), str(rep.denominator), str(rep.e_num),
+        str(rep.region), str(rep.y), str(rep.t0_exponent), str(rep.denominator), str(e_num(rep)),
         rep.passed, None if v is None else (v.term, v.witness, str(v)),
         tuple((t.label, str(t.num), t.diff_cert.kind, t.diff_cert.roots, t.achieves)
               for t in rep.terms),
@@ -476,9 +485,9 @@ def test_audit_kernel_matches_reference_off_family(pair):
 
 @pytest.mark.parametrize("pair", [PAIR_114, PAIR_16, ExponentPair(F(1, 30), F(13, 15))])
 @pytest.mark.parametrize("widen", [
-    lambda s: s._replace(region1=Interval(s.sigma_star - F(1, 50), F(1))),
-    lambda s: s._replace(region2=Interval(s.left2, s.sigma_star + F(1, 50))),
-    lambda s: s._replace(region2=Interval(s.left2 - F(1, 200), s.left2)),
+    lambda s: replace(s, region1=Interval(s.sigma_star - F(1, 50), F(1))),
+    lambda s: replace(s, region2=Interval(s.left2, s.sigma_star + F(1, 50))),
+    lambda s: replace(s, region2=Interval(s.left2 - F(1, 200), s.left2)),
 ], ids=["region1-below-star", "region2-past-star", "region2-left-of-left2"])
 def test_audit_kernel_matches_reference_on_failures(pair, widen):
     # regions moved off their construction; past sigma_star a term fails: same term, same witness
@@ -626,7 +635,7 @@ def test_audit_family_failure_builds_no_region_spec_or_report(monkeypatch):
 
 def test_audit_asserts_positive_y_denominator():
     # region 2 widened left to the pole of y = 1/(13s - 11) at 11/13
-    widened = regions_for(PAIR_114)._replace(region2=Interval(F(11, 13), F(21, 22)))
+    widened = replace(regions_for(PAIR_114), region2=Interval(F(11, 13), F(21, 22)))
     with pytest.raises(AssertionError, match="y denominator must be positive"):
         audit_balance(widened, 2)
 
@@ -734,8 +743,8 @@ def assert_matches_oracle(family, interval, dominant_conjectural=False):
             bases = baseline_curves()
             mp.setattr(density, "baseline_curves", lambda: (*bases, low))
         got = optimize(family, interval)
-    assert [(s.region, s.curve.A, s.curve.provenance) for s in got] == [
-        (s.region, s.curve.A, s.curve.provenance) for s in want
+    assert [(s.region, s.curve.A, s.curve.provenance) for s in got.segments] == [
+        (s.region, s.curve.A, s.curve.provenance) for s in want.segments
     ]
     assert got == want
     return got
@@ -743,7 +752,7 @@ def assert_matches_oracle(family, interval, dominant_conjectural=False):
 
 def pairs_of(bound):
     return [(s.curve.provenance.pair.key if s.curve.provenance.pair else s.curve.provenance.label,
-             s.curve.provenance.region) for s in bound]
+             s.curve.provenance.region) for s in bound.segments]
 
 
 # a quarter of the draws near 1, where region-1 starts are dense
@@ -779,7 +788,7 @@ def test_optimize_matches_sweep_oracle_on_subfamilies(
 def test_optimize_credits_region_1_to_first_pair_begun(depth12):
     # from 24/25 on, region 1 is live for many pairs; the first in family
     # order is credited, not the one whose region 1 begins earliest
-    (seg,) = optimize(depth12, Interval(F(24, 25), F(1)))
+    (seg,) = optimize(depth12, Interval(F(24, 25), F(1))).segments
     first = next(
         p for p in admissible(depth12)
         if not regions_for(p).region1.is_empty and regions_for(p).region1.lo <= F(24, 25)
@@ -795,7 +804,8 @@ def test_optimize_matches_sweep_oracle_with_repeated_pairs(depth12):
     pairs = [ExponentPair(p.kappa, p.lam, None) for p in depth12] + list(depth12)
     for interval in (WIDE, Interval(F(1, 2), F(1))):
         bound = assert_matches_oracle(PairFamily(tuple(pairs), 12), interval)
-        assert all(s.curve.provenance.pair.word is None for s in bound if s.curve.provenance.pair)
+        assert all(s.curve.provenance.pair.word is None
+                   for s in bound.segments if s.curve.provenance.pair)
 
 
 def test_optimize_collinear_pairs_tie_to_smaller_kappa():
@@ -804,7 +814,7 @@ def test_optimize_collinear_pairs_tie_to_smaller_kappa():
     mid, right, left = (ExponentPair(F(k, 20), F(16 - k, 20), None) for k in (2, 3, 1))
     family = PairFamily((mid, right, left), 0)
     bound = assert_matches_oracle(family, Interval(F(17, 20), F(1)))
-    assert [s.region for s in bound] == [
+    assert [s.region for s in bound.segments] == [
         Interval(F(17, 20), F(9, 10)), Interval(F(9, 10), F(31, 34)), Interval(F(31, 34), F(1))
     ]
     assert pairs_of(bound) == [(right.key, 2), (left.key, 2), (left.key, 1)]
@@ -819,7 +829,7 @@ def test_optimize_uses_hull_of_admissible_pairs():
     )
     assert hull._cross((1, 15, 20), (8, 10, 20), (6, 12, 20)) > 0  # b above a-c
     bound = assert_matches_oracle(PairFamily((a, b, c), 0), Interval(F(1, 2), F(1)))
-    assert [s.region.hi for s in bound] == [F(23, 28), F(89, 100), F(31, 34), F(1)]
+    assert [s.region.hi for s in bound.segments] == [F(23, 28), F(89, 100), F(31, 34), F(1)]
     assert pairs_of(bound) == [("ivic-8/3", None), (b.key, 2), (a.key, 2), (a.key, 1)]
     assert_matches_oracle(PairFamily((a, b, c), 0), Interval(F(17, 20), F(9, 10)))
 
@@ -829,7 +839,7 @@ def test_optimize_baseline_overtaking_a_pair_wins_on_slope():
     # (slope 3/2) at 24/25 from below: tied there, it wins just right of it
     pair = ExponentPair(F(1, 4), F(13, 25))
     bound = assert_matches_oracle(PairFamily((pair,), 0), Interval(F(9, 10), F(1)))
-    assert [s.region.hi for s in bound] == [F(24, 25), F(1)]
+    assert [s.region.hi for s in bound.segments] == [F(24, 25), F(1)]
     assert pairs_of(bound) == [(pair.key, 2), ("ivic-1992", None)]
 
 
@@ -842,7 +852,7 @@ def test_optimize_point_interval_matches_oracle(sigma, dominant_conjectural):
     # (1/14, 11/14) ends where its region 1 begins, ties it and wins on slope
     point = Interval(sigma, sigma)
     bound = assert_matches_oracle(generate_pairs(6), point, dominant_conjectural)
-    assert [s.region for s in bound] == [point]
+    assert [s.region for s in bound.segments] == [point]
     if sigma == F(21, 22):
         assert pairs_of(bound) == [(PAIR_114.key, 2)]
 
@@ -850,7 +860,7 @@ def test_optimize_point_interval_matches_oracle(sigma, dominant_conjectural):
 def test_optimize_headline_reproduction():
     fam = generate_pairs(3)
     bound = optimize(fam, Interval(F(17, 18), F(1)))
-    assert len(bound) == 2
+    assert len(bound.segments) == 2
     s1, s2 = bound.segments
     assert s1.region == Interval(F(17, 18), F(21, 22))
     assert s1.curve.A == LinFrac(0, 2, 13, -11)
@@ -863,10 +873,10 @@ def test_optimize_headline_reproduction():
 def test_optimize_single_branches():
     fam = generate_pairs(3)
     weyl = optimize(fam, Interval(F(21, 22), F(1)))
-    assert len(weyl) == 1
+    assert len(weyl.segments) == 1
     assert weyl.segments[0].curve.A == LinFrac(0, 4, 4, -1)
     mid = optimize(fam, Interval(F(17, 18), F(21, 22)))
-    assert len(mid) == 1
+    assert len(mid.segments) == 1
     assert mid.segments[0].curve.A == LinFrac(0, 2, 13, -11)
 
 
@@ -877,8 +887,8 @@ def test_optimize_empty_interval():
 
 def test_optimize_point_interval():
     bound = optimize(generate_pairs(3), Interval(F(17, 18), F(17, 18)))
-    assert [seg.region for seg in bound] == [Interval(F(17, 18), F(17, 18))]
-    assert bound.eval_E(F(17, 18)) == exponent_curve(PAIR_114, 2).eval_E(F(17, 18))
+    assert [seg.region for seg in bound.segments] == [Interval(F(17, 18), F(17, 18))]
+    assert bound_E(bound, F(17, 18)) == exponent_curve(PAIR_114, 2).eval_E(F(17, 18))
 
 
 @pytest.mark.parametrize("sigma, label", [
@@ -893,7 +903,7 @@ def test_optimize_point_credits_a_pair_off_the_hull(depth12, sigma, label):
     bound = optimize(depth12, Interval(sigma, sigma))
     prov = bound.segments[0].curve.provenance
     assert prov.label == label
-    assert bound.eval_E(sigma) == 4 * (1 - sigma) / (4 * sigma - 1)
+    assert bound_E(bound, sigma) == 4 * (1 - sigma) / (4 * sigma - 1)
     points = [(*pair.triple, pair) for pair in depth12 if 0 < 3 * pair.triple[0] < pair.triple[2]]
     assert prov.pair not in [vertex[3] for vertex in hull.lower_hull(points)]
 
@@ -903,13 +913,13 @@ def test_optimize_dominance(depth13):
     # depth 13 has a winner narrower than a 256-point grid step
     bound = optimize(depth13, WIDE)
     curves = candidate_curves(depth13)
-    for seg in bound:
+    for seg in bound.segments:
         for c in curves:
             overlap = seg.region.intersect(c.region)
             if overlap.is_empty:
                 continue
             if overlap.is_point:
-                assert bound.eval_E(overlap.lo) <= c.eval_E(overlap.lo)
+                assert bound_E(bound, overlap.lo) <= c.eval_E(overlap.lo)
             else:
                 cert = linfrac_compare_on_interval(seg.curve.A, c.A, overlap)
                 assert cert.relation in ("le", "eq"), (str(seg.curve), str(c))
@@ -917,7 +927,7 @@ def test_optimize_dominance(depth13):
 
 @pytest.mark.parametrize("depth", [9, 13])
 def test_optimize_provenance_replays(depth):
-    for seg in optimize(generate_pairs(depth), WIDE):
+    for seg in optimize(generate_pairs(depth), WIDE).segments:
         prov = seg.curve.provenance
         if prov.pair is None:
             continue
@@ -928,18 +938,18 @@ def test_optimize_provenance_replays(depth):
 
 @pytest.mark.parametrize("depth,count", [(3, 4), (9, 11), (12, 23), (13, 30), (15, 52)])
 def test_optimize_segment_counts(depth, count):
-    assert len(optimize(generate_pairs(depth), WIDE)) == count
+    assert len(optimize(generate_pairs(depth), WIDE).segments) == count
 
 
 def test_optimize_point_at_discontinuity(depth12):
     # the bound jumps down to ivic-1992 where its region starts
     bound = optimize(depth12, WIDE)
-    seg = bound.segment_at(F(11, 12))
+    seg = segment_at(bound, F(11, 12))
     assert seg.curve.provenance.label == "ivic-1992"
-    assert bound.eval_E(F(11, 12)) == F(1, 7)
+    assert bound_E(bound, F(11, 12)) == F(1, 7)
     # a continuous boundary keeps the left segment
     headline = optimize(generate_pairs(3), Interval(F(17, 18), F(1)))
-    assert headline.segment_at(F(21, 22)).curve.A == LinFrac(0, 2, 13, -11)
+    assert segment_at(headline, F(21, 22)).curve.A == LinFrac(0, 2, 13, -11)
 
 
 def test_optimize_rejects_interval_outside_domain():
@@ -960,7 +970,7 @@ def test_optimize_improves_baselines(depth12):
     interval = Interval(F(21, 22), F(1))
     bound = optimize(depth12, interval)
     for sigma in interval.grid(64):
-        e = bound.eval_E(sigma)
+        e = bound_E(bound, sigma)
         assert e <= F(8, 3) * (1 - sigma)
         assert e <= 4 * (1 - sigma) / (8 * sigma - 5)
 
@@ -991,9 +1001,9 @@ def test_segments_along_matches_segment_at(depth12):
     # every boundary is on the grid: the jump down to ivic-1992 at 11/12
     # goes right, a continuous boundary stays left
     bound = optimize(depth12, Interval(F(1, 2), F(1)))
-    grid = sorted({*bound.interval.grid(97), *(s.region.lo for s in bound)})
+    grid = sorted({*bound.interval.grid(97), *(s.region.lo for s in bound.segments)})
     assert F(11, 12) in grid
-    assert [seg for _, seg in bound.segments_along(grid)] == [bound.segment_at(x) for x in grid]
+    assert [seg for _, seg in bound.segments_along(grid)] == [segment_at(bound, x) for x in grid]
     assert_lowest_at_matches_oracle(bound, grid)
     with pytest.raises(KeyError):
         list(bound.segments_along([F(3, 4), F(1, 3)]))
@@ -1009,7 +1019,7 @@ def _oracle_lowest_at(segments, sigma):
 
 def assert_lowest_at_matches_oracle(bound, sigmas):
     want = [_oracle_lowest_at(bound.segments, x) for x in sigmas]
-    assert all(bound.segment_at(x) is seg for x, seg in zip(sigmas, want))
+    assert all(segment_at(bound, x) is seg for x, seg in zip(sigmas, want))
     assert all(got is seg for (_, got), seg in zip(bound.segments_along(sigmas), want))
 
 
@@ -1017,7 +1027,7 @@ def assert_lowest_at_matches_oracle(bound, sigmas):
 @pytest.mark.parametrize("interval", [WIDE, Interval(F(1, 2), F(1))], ids=["13/15,1", "1/2,1"])
 def test_lowest_at_matches_oracle_at_every_endpoint(depth, interval):
     bound = optimize(generate_pairs(depth), interval)
-    ends = sorted({x for seg in bound for x in (seg.region.lo, seg.region.hi)})
+    ends = sorted({x for seg in bound.segments for x in (seg.region.lo, seg.region.hi)})
     assert_lowest_at_matches_oracle(bound, ends)
 
 
@@ -1032,13 +1042,13 @@ def test_lowest_at_matches_oracle_at_a_shared_endpoint(left, right, winner):
     segments = (Segment(half, BoundCurve(left, half, Provenance("left"))),
                 Segment(mid, BoundCurve(right, mid, Provenance("right"))))
     bound = PiecewiseBound(Interval(F(1, 2), F(1)), segments)
-    assert bound.segment_at(F(3, 4)).curve.provenance.label == winner
+    assert segment_at(bound, F(3, 4)).curve.provenance.label == winner
     assert_lowest_at_matches_oracle(bound, [F(1, 2), F(5, 8), F(3, 4), F(7, 8), F(1)])
     for outside in (F(1, 3), F(5, 4)):
         with pytest.raises(KeyError):
             _oracle_lowest_at(segments, outside)
         with pytest.raises(KeyError):
-            bound.segment_at(outside)
+            segment_at(bound, outside)
 
 
 def test_piecewise_json():

@@ -21,6 +21,7 @@ from zdx.exact import (
     rat_str,
 )
 from zdx import dec_str, rat
+from oracles import is_nonneg, is_nonpos, minus
 
 F = Fraction
 
@@ -278,7 +279,7 @@ def test_rational_roots_exact():
 def test_sign_zero_polynomial():
     cert = quadratic_sign_on_interval(Quadratic(0, 0, 0), Interval(F(0), F(1)))
     assert cert.kind == "zero"
-    assert cert.is_nonneg and cert.is_nonpos
+    assert is_nonneg(cert) and is_nonpos(cert)
 
 
 def test_point_interval_sign():
@@ -345,10 +346,7 @@ def _sample_consistency(trial_rng: random.Random) -> None:
     # integer-cleared difference quadratic: sign(f-g) = sign(q) on interval
     sf = 1 if f.denominator_at(lo) > 0 else -1
     sg = 1 if g.denominator_at(lo) > 0 else -1
-    q = (
-        linear_product(f.a, f.b, g.c, g.d)
-        - linear_product(g.a, g.b, f.c, f.d)
-    )
+    q = minus(linear_product(f.a, f.b, g.c, g.d), linear_product(g.a, g.b, f.c, f.d))
     assert f.cross_difference(g) == q
     q = q.scale(sf * sg)
     # sample 100 rational points via integer arithmetic

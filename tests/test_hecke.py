@@ -25,6 +25,7 @@ from zdx.hecke import (
     multiplicativity_failures,
     verify_table,
 )
+from oracles import m_at, tau_at
 
 LIMIT = 2000
 
@@ -52,7 +53,7 @@ def naive_tau(limit):
 
 
 # The check loops as they read before they took the tuples directly: every
-# read goes through the bounds-checked ``__getitem__``.
+# read goes through the bounds-checked ``tau_at`` and ``m_at``.
 
 def _oracle_mollifier(table):
     limit = table.limit
@@ -65,7 +66,7 @@ def _oracle_mollifier(table):
         while rest % p == 0:
             rest //= p
             a += 1
-        local = -table[p] if a == 1 else p ** 11 if a == 2 else 0
+        local = -tau_at(table, p) if a == 1 else p ** 11 if a == 2 else 0
         m[n] = m[rest] * local
     return MollifierTable(limit, tuple(m))
 
@@ -74,7 +75,7 @@ def _oracle_convolution(table, moll, upto):
     vals = [0] * (upto + 1)
     for d in range(1, upto + 1):
         for n in range(d, upto + 1, d):
-            vals[n] += moll[d] * table[n // d]
+            vals[n] += m_at(moll, d) * tau_at(table, n // d)
     return vals
 
 
@@ -84,7 +85,7 @@ def _oracle_multiplicativity(table):
         (m, n)
         for m in range(2, math.isqrt(limit) + 1)
         for n in range(m + 1, limit // m + 1)
-        if math.gcd(m, n) == 1 and table[m * n] != table[m] * table[n]
+        if math.gcd(m, n) == 1 and tau_at(table, m * n) != tau_at(table, m) * tau_at(table, n)
     ]
 
 
@@ -96,7 +97,8 @@ def _oracle_recursion(table):
             continue
         a = 1
         while p ** (a + 1) <= limit:
-            if table[p ** (a + 1)] != table[p] * table[p ** a] - p ** 11 * table[p ** (a - 1)]:
+            nxt = tau_at(table, p) * tau_at(table, p ** a) - p ** 11 * tau_at(table, p ** (a - 1))
+            if tau_at(table, p ** (a + 1)) != nxt:
                 failures.append((p, a))
             a += 1
     return failures
@@ -109,7 +111,7 @@ def _trial_division_divisor_count(n):
 def _oracle_deligne(table):
     best, argmax, violations = Fraction(0), 1, []
     for n in range(1, table.limit + 1):
-        ratio = Fraction(table[n] ** 2, _trial_division_divisor_count(n) ** 2 * n ** 11)
+        ratio = Fraction(tau_at(table, n) ** 2, _trial_division_divisor_count(n) ** 2 * n ** 11)
         if ratio > 1:
             violations.append(n)
         if ratio > best:
@@ -164,7 +166,7 @@ def test_tau_against_naive_oracle(table):
     small = 64
     oracle = naive_tau(small)
     for n in range(1, small + 1):
-        assert table[n] == oracle[n]
+        assert tau_at(table, n) == oracle[n]
 
 
 @pytest.mark.parametrize("limit", [*range(1, 41), 400])
@@ -190,10 +192,10 @@ def test_hecke_verify_20000_output_pinned(monkeypatch, capsys):
 
 
 def test_tau_classical_values(table):
-    assert table[1] == 1
-    assert [table[n] for n in range(2, 6)] == [-24, 252, -1472, 4830]
-    assert table[6] == -6048 == table[2] * table[3]
-    assert table[4] == table[2] ** 2 - 2 ** 11
+    assert tau_at(table, 1) == 1
+    assert [tau_at(table, n) for n in range(2, 6)] == [-24, 252, -1472, 4830]
+    assert tau_at(table, 6) == -6048 == tau_at(table, 2) * tau_at(table, 3)
+    assert tau_at(table, 4) == tau_at(table, 2) ** 2 - 2 ** 11
 
 
 def test_tau_limits():
@@ -202,7 +204,7 @@ def test_tau_limits():
     with pytest.raises(TableLimitError):
         compute_tau(10 ** 7)
     with pytest.raises(IndexError):
-        compute_tau(10)[11]
+        tau_at(compute_tau(10), 11)
 
 
 def test_multiplicativity_exhaustive(table):
@@ -214,14 +216,14 @@ def test_hecke_recursion_exhaustive(table):
 
 
 def test_mollifier_local_values(table, moll):
-    assert moll[1] == 1
+    assert m_at(moll, 1) == 1
     for p in (2, 3, 5, 7, 11, 13):
-        assert moll[p] == -table[p]
-        assert moll[p * p] == p ** 11
+        assert m_at(moll, p) == -tau_at(table, p)
+        assert m_at(moll, p * p) == p ** 11
         if p ** 3 <= LIMIT:
-            assert moll[p ** 3] == 0
+            assert m_at(moll, p ** 3) == 0
     # multiplicative: m(12) = m(4) m(3)
-    assert moll[12] == moll[4] * moll[3]
+    assert m_at(moll, 12) == m_at(moll, 4) * m_at(moll, 3)
 
 
 def test_mollifier_supported_on_cubefree(moll):
@@ -234,7 +236,7 @@ def test_mollifier_supported_on_cubefree(moll):
         return True
 
     for n in range(1, LIMIT + 1):
-        assert (moll[n] == 0) == (not cubefree(n)), n
+        assert (m_at(moll, n) == 0) == (not cubefree(n)), n
 
 
 def test_convolution_identity_no_failures(table, moll):
@@ -252,7 +254,8 @@ def test_convolution_unit_and_spot_values(table, moll):
     vals = convolution_values(table, moll, 12)
     assert vals[1] == 1
     # n = 4: m(1) tau(4) + m(2) tau(2) + m(4) tau(1) = -1472 + 24*(-24) + 2048
-    assert moll[1] * table[4] + moll[2] * table[2] + moll[4] * table[1] == 0
+    assert (m_at(moll, 1) * tau_at(table, 4) + m_at(moll, 2) * tau_at(table, 2)
+            + m_at(moll, 4) * tau_at(table, 1)) == 0
     assert vals[4] == 0
     assert vals[12] == 0
 
@@ -263,7 +266,7 @@ def test_deligne_bound_holds(table):
     assert rep.max_ratio == Fraction(1)  # equality at n = 1
     assert rep.argmax == 1
     # spot check n = 2: 576 <= 4 * 2048
-    assert table[2] ** 2 == 576 <= 4 * 2 ** 11
+    assert tau_at(table, 2) ** 2 == 576 <= 4 * 2 ** 11
 
 
 def divisor_counts(limit):

@@ -19,6 +19,7 @@ from zdx.probes import (
     zeta_em,
     zeta_growth_scan,
 )
+from oracles import rel_slack
 
 
 # -- gamma kernel --------------------------------------------------------------
@@ -329,7 +330,7 @@ def test_hm_rows_carry_results():
         system = hm_random_system(5 + i)
         res = hm_inequality_check(system)
         assert (dim, r, lhs, rhs, rel) == (*system.phis.shape[::-1], res.lhs, res.rhs,
-                                           res.rel_slack)
+                                           rel_slack(res))
     assert rep.max_rel_slack == rep.rows[rep.worst_trial][4]
 
 

@@ -19,6 +19,7 @@ import pytest
 
 import zdx
 from zdx import Record, density, exact, hecke, pairs, probes
+from oracles import replace
 
 F = Fraction
 Interval = exact.Interval
@@ -49,18 +50,19 @@ def _samples() -> dict[type, list]:
             exact.OrderCertificate("eq"),
         ],
         density.RegionSpec: [regions, density.regions_for(pairs.SEED)],
-        density.Provenance: [seg.curve.provenance for seg in wide] + [density.Provenance("x")],
-        density.BoundCurve: [seg.curve for seg in wide],
+        density.Provenance: [seg.curve.provenance for seg in wide.segments]
+        + [density.Provenance("x")],
+        density.BoundCurve: [seg.curve for seg in wide.segments],
         density.ContinuityReport: [density.continuity_check(regions),
                                    density.continuity_check(density.regions_for(pairs.SEED))],
         density.TermCertificate: [t for rep in audits for t in rep.terms],
         density.BalanceViolation: [density.BalanceViolation("class2_moment", F(43, 45)),
                                    density.BalanceViolation("t", F(1), "message")],
-        density.AuditReport: audits + [audits[0]._replace(
-            violation=density.BalanceViolation("class2_moment", F(43, 45)))],
+        density.AuditReport: audits + [replace(
+            audits[0], violation=density.BalanceViolation("class2_moment", F(43, 45)))],
         density.Crossover: [density.crossover(a, b) for a, b in zip(bases, bases[1:])]
         + [density.Crossover("identical")],
-        density.Segment: list(wide),
+        density.Segment: list(wide.segments),
         density.PiecewiseBound: [bound, wide],
         hecke.TauTable: [report.table, hecke.compute_tau(3)],
         hecke.MollifierTable: [report.mollifier, hecke.mollifier_from(hecke.compute_tau(3))],
@@ -147,17 +149,17 @@ def test_record_matches_dataclass_twin(cls):
                     delattr(record, name)
         for clone in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
             assert type(clone) is cls and clone == got and _values(clone) == args
-        assert got._replace() == got
+        assert replace(got) == got
         built.append((got, want))
     for got, want in built:
         for got2, want2 in built:
             assert (got == got2, got != got2) == (want == want2, want != want2)
             change = {names[-1]: _values(got2)[-1]}
-            assert _outcome(lambda: _values(got._replace(**change))) == \
+            assert _outcome(lambda: _values(replace(got, **change))) == \
                 _outcome(lambda: _values(dataclasses.replace(want, **change)))
         assert got != want and got.__eq__(want) is NotImplemented
         with pytest.raises(TypeError):
-            got._replace(bogus=1)
+            replace(got, bogus=1)
 
 
 def test_cached_property_on_a_record():
