@@ -17,17 +17,17 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import Inadmissible, Record, dec_str
+from . import Inadmissible, Record
 from .exact import (
     Interval,
     LinFrac,
     Quadratic,
     Root,
-    RootBracket,
     SignCertificate,
     quadratic_roots_in_interval,
     quadratic_sign_on_interval,
     rat_str,
+    root_key,
 )
 from .pairs import ExponentPair, PairFamily
 
@@ -59,7 +59,6 @@ __all__ = [
     "optimize",
     "candidate_curves",
     "provenance_fields",
-    "bound_table_rows",
     "piecewise_to_json_obj",
 ]
 
@@ -561,7 +560,7 @@ def crossover(f: BoundCurve, g: BoundCurve) -> Crossover:
     roots = quadratic_roots_in_interval(q, overlap)
     points = []
     for r in roots:
-        probe = r.midpoint() if isinstance(r, RootBracket) else r
+        probe = root_key(r)
         if f.A.denominator_at(probe) == 0 or g.A.denominator_at(probe) == 0:
             continue
         points.append(r)
@@ -590,52 +589,38 @@ class PiecewiseBound(Record):
     interval: Interval
     segments: tuple[Segment, ...]
 
-    def segments_along(self, grid: Sequence[Fraction]) -> Iterator[tuple[Fraction, Segment]]:
-        """(sigma, segment) for an ascending grid, in one pass: the segment
-        holding sigma with the smallest E there, the first on a tie.
+    def segments_along(self, xs: Iterable[int], w: int) -> Iterator[tuple[int, Segment]]:
+        """(x, segment) for ascending sigma = x / w, w > 0, in one pass: the
+        segment holding sigma with the smallest E there, the first on a tie.
 
         Only the first segment not ending before sigma, and the next, can
-        hold it, as segments tile the interval with positive lengths.  The
-        grid and the segment ends are compared as integer numerators over
-        the grid's common denominator.
+        hold it, as segments tile the interval with positive lengths.
+        Holding is decided on integers, by each segment's ``Interval.span``
+        over w.
         """
         segments = self.segments
-        xs, w = _common_numerators(grid)
-        spans = [_span(seg.region, w) for seg in segments]
+        spans = [seg.region.span(w) for seg in segments]
         i = 0
-        for sigma, x in zip(grid, xs):
+        for x in xs:
             while i < len(spans) and spans[i][1] < x:
                 i += 1
-            yield sigma, _lowest_at(segments[i:i + 2], spans[i:i + 2], x, sigma)
-
-
-def _common_numerators(grid: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(xs, w) with grid[i] = xs[i] / w, w > 0 the least common denominator."""
-    w = math.lcm(*(sigma.denominator for sigma in grid))
-    return [sigma.numerator * (w // sigma.denominator) for sigma in grid], w
-
-
-def _span(region: Interval, w: int) -> tuple[int, int]:
-    """(lo, hi) such that x / w lies in the region iff lo <= x <= hi, for w > 0."""
-    if region.is_empty:
-        return 1, 0
-    lo, hi = region.lo, region.hi
-    return -(-lo.numerator * w // lo.denominator), hi.numerator * w // hi.denominator
+            yield x, _lowest_at(segments[i:i + 2], spans[i:i + 2], x, w)
 
 
 def _lowest_at(segments: Sequence[Segment], spans: Sequence[tuple[int, int]], x: int,
-               sigma: Fraction) -> Segment:
+               w: int) -> Segment:
     """The segment holding sigma = x / w with the smallest E there, the first on a tie.
 
-    ``spans`` are the segments' ``_span`` over w, so holding is decided on
-    integers.  E is evaluated only where more than one segment holds sigma,
-    at a shared endpoint.
+    ``spans`` are the segments' ``Interval.span`` over w, so holding is
+    decided on integers.  E is evaluated only where more than one segment
+    holds sigma, at a shared endpoint.
     """
     hits = [seg for seg, (lo, hi) in zip(segments, spans) if lo <= x <= hi]
     if not hits:
-        raise KeyError(f"sigma = {rat_str(sigma)} outside the optimized interval")
+        raise KeyError(f"sigma = {rat_str(Fraction(x, w))} outside the optimized interval")
     if len(hits) == 1:
         return hits[0]
+    sigma = Fraction(x, w)
     return min(hits, key=lambda seg: seg.curve.eval_E(sigma))
 
 
@@ -654,7 +639,7 @@ def baseline_crossovers(
             if curve.region.intersect(seg.region).is_empty or curve.A == seg.curve.A:
                 continue
             for root in crossover(seg.curve, curve).points:
-                if seg.region.contains(root.midpoint() if isinstance(root, RootBracket) else root):
+                if seg.region.contains(root_key(root)):
                     yield seg, curve, root
 
 
@@ -817,10 +802,10 @@ def provenance_fields(prov: Provenance) -> dict[str, str]:
     return {"winner_kappa": "", "winner_lambda": "", "winner_word": prov.label, "region": ""}
 
 
-#: Budget on ``bound_table_rows``' ``resolution``: the table holds one exact
-#: grid point and one row per step.  At this cap ``optimize --resolution``
-#: takes 3.7-5.2 s and 132-134 MB peak RSS at depths 12 and 22
-#: (``BENCH_27.json``, "budgets").
+#: Budget on the CSV table's ``resolution``: ``optimize`` writes one row per
+#: grid point, in blocks of rows.  At this cap it takes 2.2-2.8 s and 20 MB
+#: peak RSS at depth 12, and 2.5-3.3 s and 33 MB at depth 22
+#: (``BENCH_29.json``, "budgets").
 MAX_RESOLUTION = 100_000
 
 
@@ -830,29 +815,6 @@ def validate_resolution(resolution: int) -> None:
         raise Inadmissible(
             f"resolution {resolution} exceeds the table budget of {MAX_RESOLUTION}"
         )
-
-
-def bound_table_rows(bound: PiecewiseBound, resolution: int) -> list[dict[str, str]]:
-    """Exact + decimal rows of the optimized bound on its grid.
-
-    A ``resolution`` above ``MAX_RESOLUTION`` raises Inadmissible before
-    any grid point is built.
-    """
-    validate_resolution(resolution)
-    rows = []
-    for sigma, seg in bound.segments_along(bound.interval.grid(resolution)):
-        a = seg.curve.eval_A(sigma)
-        e = a * (1 - sigma)
-        row = {
-            "sigma": rat_str(sigma),
-            "A_num": str(a.numerator),
-            "A_den": str(a.denominator),
-            "A_decimal": dec_str(a),
-            "E_decimal": dec_str(e),
-        }
-        row.update(provenance_fields(seg.curve.provenance))
-        rows.append(row)
-    return rows
 
 
 def piecewise_to_json_obj(bound: PiecewiseBound) -> dict:

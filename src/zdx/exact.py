@@ -23,6 +23,7 @@ __all__ = [
     "LinFrac",
     "Quadratic",
     "RootBracket",
+    "root_key",
     "SignCertificate",
     "OrderCertificate",
     "linfrac_compare_on_interval",
@@ -101,16 +102,30 @@ class Interval(Record):
             return Interval.empty()
         return Interval(lo, hi)
 
-    def grid(self, resolution: int) -> list[Fraction]:
-        """resolution+1 equally spaced rational points, endpoints included."""
-        if resolution < 0:
-            raise ValueError("resolution must be >= 0")
+    def integer_grid(self, steps: int) -> tuple[range, int]:
+        """(xs, w), w > 0: the steps + 1 equally spaced points x / w of the
+        interval, endpoints included.
+
+        For lo = a/b and hi = c/d, x runs from a d steps to c b steps in steps
+        of c b - a d over w = b d steps, so x / w need not be in lowest terms.
+        A point gives itself alone as a / b, and the empty interval no point.
+        """
+        if steps < 1:
+            raise ValueError("steps must be >= 1")
         if self.is_empty:
-            return []
-        if resolution == 0 or self.is_point:
-            return [self.lo]
-        step = (self.hi - self.lo) / resolution
-        return [self.lo + k * step for k in range(resolution + 1)]
+            return range(0), 1
+        a, b = self.lo.numerator, self.lo.denominator
+        if self.is_point:
+            return range(a, a + 1), b
+        c, d = self.hi.numerator, self.hi.denominator
+        return range(a * d * steps, c * b * steps + 1, c * b - a * d), b * d * steps
+
+    def span(self, w: int) -> tuple[int, int]:
+        """(lo, hi) such that x / w lies in the interval iff lo <= x <= hi, for w > 0."""
+        if self.is_empty:
+            return 1, 0
+        lo, hi = self.lo, self.hi
+        return -(-lo.numerator * w // lo.denominator), hi.numerator * w // hi.denominator
 
     def __str__(self) -> str:
         if self.is_empty:
@@ -337,7 +352,8 @@ class RootBracket(Record):
 Root = Fraction | RootBracket
 
 
-def _root_key(r: Root) -> Fraction:
+def root_key(r: Root) -> Fraction:
+    """The sigma a root stands for: itself, or its bracket's midpoint."""
     return r.midpoint() if isinstance(r, RootBracket) else r
 
 
@@ -418,7 +434,7 @@ def quadratic_roots_in_interval(q: Quadratic, interval: Interval) -> tuple[Root,
             raise AssertionError("unexpected exact zero in irrational branch")
         if sa != sb:
             found.append(_bisect_root(q, a, b))
-    return tuple(sorted(found, key=_root_key))
+    return tuple(sorted(found, key=root_key))
 
 
 def quadratic_sign_on_interval(q: Quadratic, interval: Interval) -> SignCertificate:

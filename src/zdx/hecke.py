@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import decimal
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 
@@ -37,10 +36,10 @@ __all__ = [
 ]
 
 #: Time and memory budget: the largest table ``compute_tau`` builds.
-#: ``hecke-verify --limit 200000`` takes 2.2-2.6 s at 91.5 MB peak RSS, and
-#: ``--limit 20000`` 0.38-0.40 s at 25.3 MB (``BENCH_27.json``, "budgets").
-#: The peak is ``compute_tau``'s packed squarings, as the CSV is written in
-#: blocks.
+#: ``hecke-verify --limit 200000`` takes 2.0-2.2 s at 91 MB peak RSS, and
+#: ``--limit 20000`` 0.28-0.40 s at 25 MB (``BENCH_29.json``, "budgets").
+#: The peak is ``compute_tau``'s packed squarings, as the CLI writes the CSV
+#: in blocks.
 MAX_LIMIT = 200_000
 
 
@@ -241,29 +240,28 @@ class ConvolutionWitness(Record):
     expected: int
 
 
-def convolution_values(table: TauTable, moll: MollifierTable, upto: int) -> list[int]:
-    """sum_{d k = n} m(d) tau(k) for n = 1..upto (index 0 unused).
+def convolution_values(table: TauTable, moll: MollifierTable) -> list[int]:
+    """sum_{d k = n} m(d) tau(k) for n = 1..table.limit (index 0 unused).
 
-    Every term with d k <= upto has d <= s = isqrt(upto), or d > s and then
-    k <= upto // (s + 1).  One slice over k for each d <= s and one over
-    d > s for each such k add each product once: about 2 sqrt(upto) slices.
+    Every term with d k <= limit has d <= s = isqrt(limit), or d > s and
+    then k <= limit // (s + 1).  One slice over k for each d <= s and one over
+    d > s for each such k add each product once: about 2 sqrt(limit) slices.
     """
-    if upto > table.limit:
-        raise ValueError("upto exceeds the table limit")
-    if upto > moll.limit:
-        raise ValueError("upto exceeds the mollifier limit")
+    limit = table.limit
+    if limit > moll.limit:
+        raise ValueError("the table limit exceeds the mollifier limit")
     tau, m = table.tau, moll.m
-    s = math.isqrt(max(upto, 0))
-    vals = [0] * (upto + 1)
+    s = math.isqrt(limit)
+    vals = [0] * (limit + 1)
     for d, md in enumerate(m[1:s + 1], 1):
         if md:
-            # vals[d k] += m(d) tau(k) for k = 1..upto // d
-            vals[d::d] = [v + md * t for v, t in zip(vals[d::d], tau[1:upto // d + 1])]
-    for k, t in enumerate(tau[1:upto // (s + 1) + 1], 1):
+            # vals[d k] += m(d) tau(k) for k = 1..limit // d
+            vals[d::d] = [v + md * t for v, t in zip(vals[d::d], tau[1:limit // d + 1])]
+    for k, t in enumerate(tau[1:limit // (s + 1) + 1], 1):
         if t:
-            # vals[d k] += m(d) tau(k) for d = s+1..upto // k
+            # vals[d k] += m(d) tau(k) for d = s+1..limit // k
             start = (s + 1) * k
-            vals[start::k] = [v + md * t for v, md in zip(vals[start::k], m[s + 1:upto // k + 1])]
+            vals[start::k] = [v + md * t for v, md in zip(vals[start::k], m[s + 1:limit // k + 1])]
     return vals
 
 
@@ -353,10 +351,6 @@ def multiplicativity_failures(table: TauTable) -> list[tuple[int, int]]:
     return failures
 
 
-#: Rows per block of ``HeckeReport.csv_chunks``: about 0.3 MB of text at ``MAX_LIMIT``.
-_CSV_ROWS = 4096
-
-
 class HeckeReport(Record):
     """Every identity check of one tau table, with the tables it checked.
 
@@ -379,17 +373,6 @@ class HeckeReport(Record):
             or self.multiplicativity_failures
         )
 
-    def csv_chunks(self) -> Iterator[str]:
-        """The CSV of n, tau(n), m(n) and the convolution value, one row per n,
-        as the header and then blocks of ``_CSV_ROWS`` rows, so that a writer
-        never holds the whole text (12 MB at ``MAX_LIMIT``)."""
-        tau, m, conv = self.table.tau, self.mollifier.m, self.convolution
-        yield "n,tau,m,convolution_value\n"
-        for lo in range(1, self.table.limit + 1, _CSV_ROWS):
-            hi = min(lo + _CSV_ROWS, self.table.limit + 1)
-            yield "".join([f"{n},{t},{mn},{c}\n" for n, t, mn, c in
-                           zip(range(lo, hi), tau[lo:hi], m[lo:hi], conv[lo:hi])])
-
 
 def verify_table(limit: int) -> HeckeReport:
     """Compute tau(1..limit) and m(1..limit) and run every identity check once.
@@ -398,7 +381,7 @@ def verify_table(limit: int) -> HeckeReport:
     """
     table = compute_tau(limit)
     moll = mollifier_from(table)
-    conv = convolution_values(table, moll, limit)
+    conv = convolution_values(table, moll)
     return HeckeReport(
         table,
         moll,

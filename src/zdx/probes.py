@@ -335,7 +335,7 @@ _HM_CHUNK = 16384
 
 #: Largest batch of ``hm_random_trials``.  Every row is kept, and the CLI
 #: writes their CSV in blocks of 4,096 rows: at this cap ``hm-test`` takes
-#: 2.3-2.6 s at 65 MB peak RSS (``BENCH_28.json``, "budgets").
+#: 2.3-2.8 s at 65 MB peak RSS (``BENCH_29.json``, "budgets").
 MAX_TRIALS = 100_000
 
 

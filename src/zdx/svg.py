@@ -9,9 +9,7 @@ exactly and rounded once: one integer true division, equal to
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .density import BoundCurve, PiecewiseBound, _common_numerators, _span
+from .density import BoundCurve, PiecewiseBound
 from .exact import Interval, LinFrac, rat_str
 
 __all__ = ["render_curves_svg", "PLOT_SAMPLES"]
@@ -27,26 +25,25 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _point(A: LinFrac, sigma: Fraction) -> tuple[float, float]:
-    """(sigma, E) as floats for E = A(sigma)(1 - sigma), each rounded once.
+def _point(A: LinFrac, x: int, w: int) -> tuple[float, float]:
+    """(sigma, E) as floats for sigma = x / w and E = A(sigma)(1 - sigma),
+    each rounded once.
 
-    With sigma = x/w, E = (a x + b w)(w - x) / ((c x + d w) w), and the
-    true division of two ints is correctly rounded, so the pair equals
+    E = (a x + b w)(w - x) / ((c x + d w) w), and the true division of two
+    ints is correctly rounded, reduced or not, so the pair equals
     ``(float(sigma), float(E))``.
     """
-    x, w = sigma.numerator, sigma.denominator
     return x / w, (A.a * x + A.b * w) * (w - x) / ((A.c * x + A.d * w) * w)
 
 
-def _sample_envelope(bound: PiecewiseBound, grid: list[Fraction]) -> list[tuple[float, float]]:
-    return [_point(seg.curve.A, sigma) for sigma, seg in bound.segments_along(grid)]
+def _sample_envelope(bound: PiecewiseBound, xs: range, w: int) -> list[tuple[float, float]]:
+    return [_point(seg.curve.A, x, w) for x, seg in bound.segments_along(xs, w)]
 
 
-def _sample_curve(curve: BoundCurve, grid: list[Fraction]) -> list[tuple[float, float]]:
+def _sample_curve(curve: BoundCurve, xs: range, w: int) -> list[tuple[float, float]]:
     """The points of the grid in the curve's region, held or not decided on integers."""
-    xs, w = _common_numerators(grid)
-    lo, hi = _span(curve.region, w)
-    return [_point(curve.A, sigma) for sigma, x in zip(grid, xs) if lo <= x <= hi]
+    lo, hi = curve.region.span(w)
+    return [_point(curve.A, x, w) for x in xs if lo <= x <= hi]
 
 
 def render_curves_svg(
@@ -56,12 +53,12 @@ def render_curves_svg(
 ) -> str:
     """E(sigma) of the optimized bound plus baselines as a standalone SVG,
     sampled at ``PLOT_SAMPLES`` points."""
-    grid = interval.grid(PLOT_SAMPLES - 1)
+    xs, w = interval.integer_grid(PLOT_SAMPLES - 1)
     series: list[tuple[str, bool, list[tuple[float, float]]]] = []
-    series.append(("optimized", False, _sample_envelope(bound, grid)))
+    series.append(("optimized", False, _sample_envelope(bound, xs, w)))
     for base in baselines:
         prov = base.provenance
-        series.append((prov.label, prov.conjectural, _sample_curve(base, grid)))
+        series.append((prov.label, prov.conjectural, _sample_curve(base, xs, w)))
     series = [(label, dashed, pts) for label, dashed, pts in series if pts]
 
     y_max = max((y for _, _, pts in series for _, y in pts), default=1.0) or 1.0

@@ -26,8 +26,9 @@ def replace(record, **changes):
 # --- zdx.density.PiecewiseBound --------------------------------------------
 
 def segment_at(bound, sigma):
-    """The segment that gives the bound at sigma: ``segments_along([sigma])``."""
-    return next(bound.segments_along([Fraction(sigma)]))[1]
+    """The segment that gives the bound at sigma: ``segments_along`` at that one point."""
+    sigma = Fraction(sigma)
+    return next(bound.segments_along([sigma.numerator], sigma.denominator))[1]
 
 
 def bound_E(bound, sigma) -> Fraction:
@@ -56,6 +57,24 @@ def exponent_value(report, sigma) -> Fraction:
 
 
 # --- zdx.exact -------------------------------------------------------------
+
+def fraction_grid(interval, steps: int) -> list[Fraction]:
+    """steps + 1 equally spaced Fractions lo + k (hi - lo) / steps, endpoints
+    included: lo alone for a point, none for the empty interval."""
+    if interval.is_empty:
+        return []
+    if interval.is_point:
+        return [interval.lo]
+    step = (interval.hi - interval.lo) / steps
+    return [interval.lo + k * step for k in range(steps + 1)]
+
+
+def numerators(sigmas) -> tuple[list[int], int]:
+    """(xs, w) with sigmas[i] = xs[i] / w, w > 0 the least common denominator."""
+    sigmas = [Fraction(s) for s in sigmas]
+    w = math.lcm(*(s.denominator for s in sigmas))
+    return [s.numerator * (w // s.denominator) for s in sigmas], w
+
 
 def is_nonneg(cert) -> bool:
     """A sign certificate shows q >= 0 on the whole interval."""

@@ -25,7 +25,7 @@ from zdx.exact import Interval, LinFrac
 from zdx.hecke import verify_table
 from zdx.pairs import ExponentPair, generate_pairs
 from zdx.probes import hm_random_trials, mellin_probe
-from oracles import bound_E, e_num, exponent_value, term_value, tau_at
+from oracles import bound_E, e_num, exponent_value, fraction_grid, term_value, tau_at
 
 F = Fraction
 KAPPA_LIMIT = F(1, 3)
@@ -108,7 +108,7 @@ def test_criterion_4_audit_suite(depth12):
             # 1000-point rational grid: max of the term numerators equals the
             # E numerator (shared positive denominator)
             nums = [t.num for t in rep.terms]
-            for sigma in rep.region.grid(1000):
+            for sigma in fraction_grid(rep.region, 1000):
                 all_pass &= max(q.eval(sigma) for q in nums) == e_num(rep).eval(sigma)
     spot = audit_balance(regions_for(ExponentPair(F(1, 14), F(11, 14), "AAB")), 1)
     s = F(24, 25)

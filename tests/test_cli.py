@@ -184,6 +184,12 @@ ENVELOPE_SHA256 = {
         "966418794c94f93691f764a92e878f8ef34373bd20084ca9ef9ea9e7bcdef753",
     "plot --depth 14 --interval 1/2,1":
         "e089b959178b67e52655e0326cfb0c55e7671e6382aa3a8029003b7df57f5f7b",
+    # the table at a point interval and at one step, taken from the Fraction grid
+    # that the integer grid replaced
+    "optimize --format csv --depth 12 --interval 7/10,7/10":
+        "b3b8ff8aa871615552891716f03ce2b9d9c73a3735df83de757bb191ac1f414d",
+    "optimize --format csv --depth 12 --interval 13/15,1 --resolution 1":
+        "f0e847418c17980411ff8433356dbce3246f13de25c2ad288214667ceddb4c2f",
 }
 
 
@@ -463,9 +469,13 @@ def test_hecke_verify_small(runner, tmp_path):
 
 def test_hecke_verify_streams_the_whole_csv(runner, tmp_path):
     # 9000 rows are three blocks of the streamed CSV, the last one short
-    from zdx.hecke import _CSV_ROWS, verify_table
+    from zdx.cli import _CSV_ROWS
+    from zdx.hecke import verify_table
 
-    want = "".join(verify_table(9000).csv_chunks())
+    rep = verify_table(9000)
+    want = "n,tau,m,convolution_value\n" + "".join(
+        [f"{n},{t},{mn},{c}\n" for n, t, mn, c in
+         zip(range(1, 9001), rep.table.tau[1:], rep.mollifier.m[1:], rep.convolution[1:])])
     assert want.count("\n") == 9001 and 2 * _CSV_ROWS < 9000 < 3 * _CSV_ROWS
     assert f"\n{_CSV_ROWS},".encode() in want.encode()
     out = tmp_path / "hecke.csv"
@@ -482,7 +492,7 @@ def test_hm_test_small(runner, tmp_path):
 
 
 def test_hm_test_writes_its_csv_in_blocks(runner, monkeypatch):
-    # 4097 trials are two blocks of 4096 rows at most; the text is the one-join CSV
+    # 4097 rows are two blocks of 4096 rows at most; the text is the one-join CSV
     from zdx import cli as cli_module
     from zdx.probes import hm_random_trials
 
@@ -500,6 +510,14 @@ def test_hm_test_writes_its_csv_in_blocks(runner, monkeypatch):
         [f"{i},{d},{r},{lhs:.17g},{rhs:.17g},{rel:.17g}\n"
          for i, (d, r, lhs, rhs, rel) in enumerate(rows)])
     assert len(chunks) >= 3 and max(chunk.count("\n") for chunk in chunks) <= 4096
+    # the tau table and the bound's table go through the same blocks
+    for argv in (["hecke-verify", "--limit", "4097"],
+                 ["optimize", "--depth", "3", "--interval", "1/2,1", "--resolution", "4096"]):
+        chunks.clear()
+        res = invoke(runner, *argv)
+        assert res.exit_code == 0
+        assert res.stdout.count("\n") == 4098 and res.stdout == "".join(chunks)
+        assert len(chunks) >= 3 and max(chunk.count("\n") for chunk in chunks) <= 4096
 
 
 def test_optimize_resolution_over_budget_exit3(runner, monkeypatch):
@@ -510,7 +528,7 @@ def test_optimize_resolution_over_budget_exit3(runner, monkeypatch):
     def never(*args):
         raise AssertionError("work was done before the budget was checked")
 
-    monkeypatch.setattr(Interval, "grid", never)
+    monkeypatch.setattr(Interval, "integer_grid", never)
     monkeypatch.setattr(pairs, "generate_pairs", never)
     resolution = density.MAX_RESOLUTION + 1
     for fmt in ("csv", "json"):

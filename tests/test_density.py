@@ -1,12 +1,16 @@
+import csv
+import io
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zdx import density, hull
+from zdx.cli import cli
 from zdx.density import (
     BoundCurve,
     EmptyRegion,
@@ -19,7 +23,6 @@ from zdx.density import (
     audit_family,
     baseline_crossovers,
     baseline_curves,
-    bound_table_rows,
     candidate_curves,
     continuity_check,
     crossover,
@@ -41,8 +44,10 @@ from oracles import (
     bound_E,
     e_num,
     exponent_value,
+    fraction_grid,
     is_nonpos,
     minus,
+    numerators,
     replace,
     segment_at,
     term_value,
@@ -264,7 +269,7 @@ def test_audit_family_grid_consistency(depth12):
             if regions.region(region).is_empty:
                 continue
             rep = audit_balance(regions, region)
-            for sigma in rep.region.grid(1000):
+            for sigma in fraction_grid(rep.region, 1000):
                 terms = [term_value(rep, t.label, sigma) for t in rep.terms]
                 assert max(terms) == exponent_value(rep, sigma)
 
@@ -969,7 +974,7 @@ def test_optimize_rejects_candidate_of_other_form(monkeypatch):
 def test_optimize_improves_baselines(depth12):
     interval = Interval(F(21, 22), F(1))
     bound = optimize(depth12, interval)
-    for sigma in interval.grid(64):
+    for sigma in fraction_grid(interval, 64):
         e = bound_E(bound, sigma)
         assert e <= F(8, 3) * (1 - sigma)
         assert e <= 4 * (1 - sigma) / (8 * sigma - 5)
@@ -986,9 +991,12 @@ def test_optimize_segments_adjacent(depth12):
 # -- serialization -------------------------------------------------------------------
 
 def test_bound_table_rows():
-    fam = generate_pairs(3)
-    bound = optimize(fam, Interval(F(17, 18), F(1)))
-    rows = bound_table_rows(bound, 4)
+    # the CSV table of ``optimize``, read back by column name
+    res = CliRunner().invoke(cli, ["optimize", "--depth", "3", "--interval", "17/18,1",
+                                   "--resolution", "4"])
+    assert res.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    assert len(rows) == 5
     assert rows[0]["sigma"] == "17/18"
     assert rows[0]["A_num"] == "36" and rows[0]["A_den"] == "23"
     assert rows[0]["winner_kappa"] == "1/14"
@@ -1001,12 +1009,13 @@ def test_segments_along_matches_segment_at(depth12):
     # every boundary is on the grid: the jump down to ivic-1992 at 11/12
     # goes right, a continuous boundary stays left
     bound = optimize(depth12, Interval(F(1, 2), F(1)))
-    grid = sorted({*bound.interval.grid(97), *(s.region.lo for s in bound.segments)})
+    grid = sorted({*fraction_grid(bound.interval, 97), *(s.region.lo for s in bound.segments)})
     assert F(11, 12) in grid
-    assert [seg for _, seg in bound.segments_along(grid)] == [segment_at(bound, x) for x in grid]
+    xs, w = numerators(grid)
+    assert [seg for _, seg in bound.segments_along(xs, w)] == [segment_at(bound, x) for x in grid]
     assert_lowest_at_matches_oracle(bound, grid)
     with pytest.raises(KeyError):
-        list(bound.segments_along([F(3, 4), F(1, 3)]))
+        list(bound.segments_along(*numerators([F(3, 4), F(1, 3)])))
 
 
 def _oracle_lowest_at(segments, sigma):
@@ -1020,7 +1029,8 @@ def _oracle_lowest_at(segments, sigma):
 def assert_lowest_at_matches_oracle(bound, sigmas):
     want = [_oracle_lowest_at(bound.segments, x) for x in sigmas]
     assert all(segment_at(bound, x) is seg for x, seg in zip(sigmas, want))
-    assert all(got is seg for (_, got), seg in zip(bound.segments_along(sigmas), want))
+    along = bound.segments_along(*numerators(sigmas))
+    assert all(got is seg for (_, got), seg in zip(along, want))
 
 
 @pytest.mark.parametrize("depth", [12, 14])

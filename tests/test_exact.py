@@ -21,7 +21,7 @@ from zdx.exact import (
     rat_str,
 )
 from zdx import dec_str, rat
-from oracles import is_nonneg, is_nonpos, minus
+from oracles import fraction_grid, is_nonneg, is_nonpos, minus
 
 F = Fraction
 
@@ -313,10 +313,40 @@ def test_int_and_text_inputs_become_fractions():
 
 
 def test_interval_grid():
-    g = Interval(F(0), F(1)).grid(4)
-    assert g == [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
-    assert Interval.empty().grid(10) == []
-    assert Interval(F(1), F(1)).grid(5) == [F(1)]
+    xs, w = Interval(F(0), F(1)).integer_grid(4)
+    assert [F(x, w) for x in xs] == [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+    assert list(Interval.empty().integer_grid(10)[0]) == []
+    assert Interval(F(1), F(1)).integer_grid(5) == (range(1, 2), 1)
+
+
+#: A rational in [1/2, 1] with a denominator up to 10^6.
+half_to_one = st.integers(1, 10**6).flatmap(
+    lambda den: st.integers((den + 1) // 2, den).map(lambda num: F(num, den)))
+
+
+@st.composite
+def sub_intervals(draw):
+    """An interval inside [1/2, 1], a point one time in four."""
+    lo = draw(half_to_one)
+    hi = lo if draw(st.integers(0, 3)) == 0 else draw(half_to_one)
+    return Interval(min(lo, hi), max(lo, hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sub_intervals(), st.integers(1, 1000), st.data())
+def test_integer_grid_matches_the_fraction_grid(interval, steps, data):
+    # x / w is lo + k (hi - lo) / steps, and holding by span is holding by contains
+    xs, w = interval.integer_grid(steps)
+    assert w > 0
+    grid = [F(x, w) for x in xs]
+    assert grid == fraction_grid(interval, steps)
+    # region ends on a grid point, one step of 1/w off one, or anywhere in [1/2, 1]
+    near = st.sampled_from(xs).flatmap(lambda x: st.sampled_from([F(x - 1, w), F(x, w),
+                                                                   F(x + 1, w)]))
+    ends = sorted(data.draw(st.lists(near | half_to_one, min_size=2, max_size=2)))
+    for region in (Interval(*ends), Interval.empty()):
+        lo, hi = region.span(w)
+        assert [lo <= x <= hi for x in xs] == [region.contains(sigma) for sigma in grid]
 
 
 def test_empty_interval_not_silent():

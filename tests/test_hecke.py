@@ -6,11 +6,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zdx import hecke
-from zdx.cli import main
+from zdx.cli import cli, main
 from zdx.hecke import (
     ConvolutionWitness,
     DeligneReport,
@@ -79,6 +80,12 @@ def _oracle_convolution(table, moll, upto):
     return vals
 
 
+def _truncated(table, moll, limit):
+    """The tau and mollifier tables cut to n <= limit."""
+    return (TauTable(limit, table.tau[:limit + 1]),
+            MollifierTable(limit, moll.m[:limit + 1]))
+
+
 def _oracle_multiplicativity(table):
     limit = table.limit
     return [
@@ -132,7 +139,7 @@ def test_check_loops_match_their_oracles(table, limit, perturbations):
     bent = TauTable(limit, tuple(tau))
     moll = mollifier_from(bent)
     assert moll == _oracle_mollifier(bent)
-    assert convolution_values(bent, moll, limit) == _oracle_convolution(bent, moll, limit)
+    assert convolution_values(bent, moll) == _oracle_convolution(bent, moll, limit)
     assert multiplicativity_failures(bent) == _oracle_multiplicativity(bent)
     assert hecke_recursion_failures(bent) == _oracle_recursion(bent)
     assert deligne_check(bent) == _oracle_deligne(bent)
@@ -240,18 +247,18 @@ def test_mollifier_supported_on_cubefree(moll):
 
 
 def test_convolution_identity_no_failures(table, moll):
-    vals = convolution_values(table, moll, LIMIT)
+    vals = convolution_values(table, moll)
     assert vals[1] == 1 and not any(vals[2:])
     assert verify_table(LIMIT).convolution_failures == []
 
 
 def test_convolution_rejects_a_short_mollifier():
     with pytest.raises(ValueError, match="mollifier limit"):
-        convolution_values(compute_tau(100), mollifier_from(compute_tau(50)), 100)
+        convolution_values(compute_tau(100), mollifier_from(compute_tau(50)))
 
 
 def test_convolution_unit_and_spot_values(table, moll):
-    vals = convolution_values(table, moll, 12)
+    vals = convolution_values(*_truncated(table, moll, 12))
     assert vals[1] == 1
     # n = 4: m(1) tau(4) + m(2) tau(2) + m(4) tau(1) = -1472 + 24*(-24) + 2048
     assert (m_at(moll, 1) * tau_at(table, 4) + m_at(moll, 2) * tau_at(table, 2)
@@ -321,7 +328,7 @@ def test_verify_table_sieves_once(monkeypatch):
 
 @pytest.mark.parametrize("bent", [False, True], ids=["true", "perturbed"])
 def test_convolution_at_split_boundaries(table, bent):
-    # upto at and next to the split s = isqrt(upto), every one short of the table
+    # tables of size upto at and next to the split s = isqrt(upto), each cut from one table
     roots = (1, 2, 3, 5, 12, 31)
     limit = (roots[-1] + 1) ** 2 + 5
     tau = list(table.tau[:limit + 1])
@@ -333,7 +340,7 @@ def test_convolution_at_split_boundaries(table, bent):
     for s in roots:
         # s = 1 gives upto = 0 too, with no terms
         for upto in (1, 2, 3, s * s - 1, s * s, s * s + 1, s * s + 2 * s, (s + 1) ** 2):
-            assert convolution_values(small, moll, upto) == \
+            assert convolution_values(*_truncated(small, moll, upto)) == \
                 _oracle_convolution(small, moll, upto), (s, upto)
 
 
@@ -348,7 +355,8 @@ def test_csv_text_matches_csv_writer(monkeypatch, table):
     writer.writerow(["n", "tau", "m", "convolution_value"])
     writer.writerows(zip(range(1, 301), rep.table.tau[1:], rep.mollifier.m[1:],
                          rep.convolution[1:]))
-    assert "".join(rep.csv_chunks()) == buf.getvalue()
+    res = CliRunner().invoke(cli, ["hecke-verify", "--limit", "300"])
+    assert res.stdout == buf.getvalue()
 
 
 def test_verify_table_report(table, moll):
