@@ -10,12 +10,29 @@ budgets, probe points), 4 internal error.  The ``zdx`` group maps
 exceptions to codes in one place; subcommands only raise.
 
 Each command imports the library modules it uses when it runs, so a call
-loads only what its output needs: ``--help`` loads none of them, only
-``hm-test`` loads numpy (one stacked pass per shape of its random
-systems), and ``hecke-verify``, ``hm-test``, ``mellin-probe``,
-``zeta-probe`` and ``pairs`` do not load ``zdx.exact`` (``rat`` and
-``dec_str`` live in the package root).  ``--help`` and ``--version`` are
-written like a command's output, so a closed stdout ends them with exit 0.
+loads only what its output needs:
+
+- ``pairs``: ``zdx.pairs`` and ``json``;
+- ``bound``, ``audit`` and ``audit-family``: ``zdx.pairs``, ``zdx.exact``
+  and ``zdx.density`` (``audit --format json`` also ``json``);
+- ``optimize``, ``compare`` and ``plot``: those and ``zdx.hull``, with
+  ``json`` or ``csv`` for the formats that need it and ``zdx.svg`` for ``plot``;
+- ``hecke-verify``: ``zdx.hecke``;
+- ``hm-test``: ``zdx.probes`` and numpy, one stacked pass per shape of its
+  random systems, the only command that loads numpy;
+- ``mellin-probe`` and ``zeta-probe``: ``zdx.probes`` and ``csv``
+  (``zeta-probe`` also ``zdx.pairs``).
+
+``hecke-verify``, ``hm-test``, ``mellin-probe``, ``zeta-probe`` and
+``pairs`` do not load ``zdx.exact`` (``rat`` and ``dec_str`` live in the
+package root).  ``--help`` and ``--version`` load no library module, and
+are written like a command's output, so a closed stdout ends them with exit 0.
+
+The options are parsed here.  Each command declares its options as data
+(``_Option``), and ``_Command`` parses them and writes the help and the
+usage errors, in the layout and text that ``tests/test_cli.py`` pins.
+Only help and usage errors import ``textwrap`` and ``shutil`` (and
+``difflib`` for a "Did you mean").
 """
 
 from __future__ import annotations
@@ -27,12 +44,10 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-import click
-
 from . import DEFAULT_DEPTH, DEFAULT_LIMIT, Inadmissible, __version__, dec_str
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable, Iterator
+    from collections.abc import Callable, Iterable, Iterator, Sequence
     from fractions import Fraction
 
     from .density import BoundCurve
@@ -43,6 +58,29 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INADMISSIBLE = 3
 EXIT_INTERNAL = 4
+
+
+class UsageError(Exception):
+    """A usage error: exit 2, after the usage line of the command at
+    ``where`` (its path and usage pieces).  A ``bare`` error, about the
+    number of values an option takes, has no such line."""
+
+    def __init__(self, message: str, bare: bool = False) -> None:
+        super().__init__(message)
+        self.bare = bare
+        self.where: tuple[str, str] | None = None
+
+    def at(self, path: str, pieces: str) -> UsageError:
+        """This error, blamed on the command at ``path`` unless it is bare or blamed."""
+        if not self.bare and self.where is None:
+            self.where = (path, pieces)
+        return self
+
+    def text(self) -> str:
+        if self.where is None:
+            return f"Error: {self}"
+        path, pieces = self.where
+        return f"{_usage(path, pieces, _width())}\nTry '{path} --help' for help.\n\nError: {self}"
 
 
 def _to_devnull(stream) -> None:
@@ -60,7 +98,8 @@ def _echo_err(text: str) -> None:
     device, and the caller goes on to exit with the code it chose.
     """
     try:
-        click.echo(text, err=True)
+        sys.stderr.write(text + "\n")
+        sys.stderr.flush()
     except OSError:
         _to_devnull(sys.stderr)
 
@@ -76,7 +115,7 @@ def _parse_rat(text: str, label: str) -> Fraction:
     try:
         return rat(text)
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"{label} must be a rational like 17/18, got {text!r}")
+        raise UsageError(f"{label} must be a rational like 17/18, got {text!r}")
 
 
 def _parse_pair(text: str) -> ExponentPair:
@@ -84,7 +123,7 @@ def _parse_pair(text: str) -> ExponentPair:
 
     parts = text.split(",")
     if len(parts) != 2:
-        raise click.UsageError(f"--pair expects 'kappa,lambda', got {text!r}")
+        raise UsageError(f"--pair expects 'kappa,lambda', got {text!r}")
     k = _parse_rat(parts[0], "kappa")
     l = _parse_rat(parts[1], "lambda")
     return ExponentPair(k, l, word=None)
@@ -96,11 +135,11 @@ def _parse_interval(text: str) -> Interval:
 
     parts = text.split(",")
     if len(parts) != 2:
-        raise click.UsageError(f"--interval expects 'lo,hi', got {text!r}")
+        raise UsageError(f"--interval expects 'lo,hi', got {text!r}")
     lo = _parse_rat(parts[0], "interval endpoint")
     hi = _parse_rat(parts[1], "interval endpoint")
     if lo > hi:
-        raise click.UsageError(f"interval endpoints out of order: {text!r}")
+        raise UsageError(f"interval endpoints out of order: {text!r}")
     interval = Interval(lo, hi)
     validate_interval(interval)
     return interval
@@ -115,9 +154,7 @@ def _parse_baselines(texts: tuple[str, ...], region: Interval) -> tuple[BoundCur
         try:
             f = LinFrac.parse(text)
         except (ValueError, ZeroDivisionError):
-            raise click.UsageError(
-                f"--baseline expects a curve like 4/(8s-5), got {text!r}"
-            )
+            raise UsageError(f"--baseline expects a curve like 4/(8s-5), got {text!r}")
         if f.denominator_at(region.lo) * f.denominator_at(region.hi) <= 0:
             raise Inadmissible(f"--baseline {text!r} has a pole on {region}")
         if f.eval(region.lo) <= 0 or f.eval(region.hi) <= 0:
@@ -126,14 +163,14 @@ def _parse_baselines(texts: tuple[str, ...], region: Interval) -> tuple[BoundCur
     return tuple(extra)
 
 
-def _check_out(ctx: click.Context, param: click.Parameter, out: str) -> str:
+def _check_out(out: str) -> str:
     """Reject an unwritable ``--out`` before any work, leaving an existing file as it is."""
     if out != "-":
         existed = os.path.lexists(out)
         try:
             open(out, "a", encoding="utf-8").close()
         except OSError as exc:
-            raise click.BadParameter(f"cannot write {out!r}: {exc.strerror or exc}")
+            raise ValueError(f"cannot write {out!r}: {exc.strerror or exc}")
         if not existed:
             os.remove(out)
     return out
@@ -149,7 +186,8 @@ def _write_out(text: str | Iterable[str], out: str) -> None:
     if out == "-":
         for chunk in chunks:
             try:
-                click.echo(chunk, nl=False)
+                sys.stdout.write(chunk)
+                sys.stdout.flush()
             except OSError as exc:
                 _to_devnull(sys.stdout)
                 if isinstance(exc, BrokenPipeError):
@@ -160,7 +198,7 @@ def _write_out(text: str | Iterable[str], out: str) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise click.UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}")
+        raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}")
 
 
 def _to_csv(header: list[str], rows: Iterable[Iterable[object]]) -> str:
@@ -206,83 +244,309 @@ def _root_str(root) -> str:
     return rat_str(root)
 
 
-out_option = click.option(
-    "--out", default="-", show_default=True, callback=_check_out,
-    help="Output file, or - for stdout.",
-)
+# ---------------------------------------------------------------------------
+# options, help and usage errors
+# ---------------------------------------------------------------------------
+
+class _Option:
+    """One option as data: its ``flag``, the parameter (``dest``, by default
+    the flag's name) that takes its value, its ``kind``, ``default`` and
+    ``help``, whether it is ``required``, and a ``check`` that returns the
+    value or raises ValueError.  The kinds are ``int`` (at least
+    ``minimum``), ``choice`` (one of ``choices``), ``text``, ``flag`` and
+    ``many`` (text, repeatable).  The help shows every default but a flag's."""
+
+    def __init__(self, flag: str, kind: str = "text", default=None, help: str = "", *,
+                 dest: str | None = None, required: bool = False, minimum: int = 0,
+                 choices: tuple[str, ...] = (), check: Callable[[str], str] | None = None):
+        self.flag, self.kind, self.default, self.help = flag, kind, default, help
+        self.dest, self.required = dest or flag[2:], required
+        self.minimum, self.choices, self.check = minimum, choices, check
+
+    def value(self, given):
+        """The parameter's value from ``given``, the command line's (None if
+        it has none), or from the default."""
+        value = self.default if given is None else given
+        if value is None:
+            if self.required:
+                raise UsageError(f"Missing option '{self.flag}'.")
+            return () if self.kind == "many" else None
+        try:
+            if self.kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(f"{value!r} is not a valid integer range.") from None
+                if value < self.minimum:
+                    raise ValueError(f"{value} is not in the range x>={self.minimum}.")
+            elif self.kind == "choice" and value not in self.choices:
+                raise ValueError(f"{value!r} is not one of {', '.join(map(repr, self.choices))}.")
+            elif self.kind == "many":
+                value = tuple(value)
+            return self.check(value) if self.check else value
+        except ValueError as exc:
+            raise UsageError(f"Invalid value for '{self.flag}': {exc}") from None
+
+    def row(self) -> tuple[str, str]:
+        """The option's line in the help: flag and metavar, then help and bracket."""
+        metavar = {"int": " INTEGER RANGE", "choice": f" [{'|'.join(self.choices)}]",
+                   "flag": ""}.get(self.kind, " TEXT")
+        extra = []
+        if self.kind != "flag" and self.default is not None:
+            shown = ", ".join(self.default) if self.kind == "many" else self.default
+            extra.append(f"default: {shown}")
+        if self.kind == "int":
+            extra.append(f"x>={self.minimum}")
+        if self.required:
+            extra.append("required")
+        text = self.help
+        if extra:
+            text = f"{text}  [{'; '.join(extra)}]" if text else f"[{'; '.join(extra)}]"
+        return self.flag + metavar, text
 
 
-def _show(ctx: click.Context, param: click.Parameter, value: bool) -> None:
-    """``--help`` and ``--version``: their text written like a command's output
-    (``_write_out``), then exit 0."""
-    if value and not ctx.resilient_parsing:
-        text = ctx.get_help() if param.name == "help" else f"zdx, version {__version__}"
-        _write_out(text + "\n", "-")
-        ctx.exit()
+_HELP = _Option("--help", "flag", help="Show this message and exit.")
+_VERSION = _Option("--version", "flag", help="Show the version and exit.")
+_OUT = _Option("--out", default="-", help="Output file, or - for stdout.", check=_check_out)
 
 
-class _HelpOut:
-    """A command whose ``--help`` is written by ``_show``."""
+def _split(args: Sequence[str], options: Sequence[_Option], interspersed: bool):
+    """The values given in ``args``, by option in the order the options first
+    appear, and the arguments left over.  ``--opt v`` and ``--opt=v`` are
+    alike, and the last value of an option that is not ``many`` wins.
+    Parsing stops at ``--`` and, unless ``interspersed``, at the first
+    argument."""
+    flags = {option.flag: option for option in options}
+    given: dict[_Option, object] = {}
+    args, rest = list(args), []
+    while args:
+        arg = args.pop(0)
+        if arg == "--":
+            break
+        if arg[:1] != "-" or len(arg) == 1:
+            if not interspersed:
+                args.insert(0, arg)
+                break
+            rest.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        option = flags.get(name)
+        if option is None:
+            if arg[:2] != "--":  # read as the one-letter option "-x", and there are none
+                raise _no_such("option", arg[:2])
+            raise _no_such("option", name, flags)
+        if option.kind == "flag":
+            if eq:
+                raise UsageError(f"Option {name!r} does not take a value.", bare=True)
+            value = True
+        elif not eq:
+            if not args:
+                raise UsageError(f"Option {name!r} requires an argument.", bare=True)
+            value = args.pop(0)
+        if option.kind == "many":
+            value = [*given.get(option, ()), value]
+        given[option] = value  # the last value wins, at the place of the first
+    return given, rest + args
 
-    def get_help_option(self, ctx: click.Context) -> click.Option | None:
-        option = super().get_help_option(ctx)
-        if option is not None:
-            option.callback = _show
-        return option
+
+def _no_such(kind: str, name: str, known: Iterable[str] = ()) -> UsageError:
+    """The error for an unknown option or command, with the known names close to it."""
+    message = f"No such {kind} {name!r}."
+    if known:
+        from difflib import get_close_matches
+
+        close = sorted(get_close_matches(name, known))
+        names = ", ".join(map(repr, close))
+        if len(close) == 1:
+            message += f" Did you mean {names}?"
+        elif close:
+            message += f" (Did you mean one of: {names}?)"
+    return UsageError(message)
 
 
-class _Command(_HelpOut, click.Command):
-    pass
+def _width() -> int:
+    """The help's width: the terminal's columns, ``COLUMNS`` first, less 2, in [50, 78]."""
+    import shutil
+
+    return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
 
 
-class _Zdx(_HelpOut, click.Group):
+def _wrap(text: str, width: int, indent: str = "", later: str | None = None) -> list[str]:
+    import textwrap
+
+    return textwrap.wrap(text, width, initial_indent=indent, replace_whitespace=False,
+                         subsequent_indent=indent if later is None else later)
+
+
+def _usage(path: str, pieces: str, width: int) -> str:
+    prefix = f"Usage: {path} "
+    return "\n".join(_wrap(pieces, width, prefix, " " * len(prefix)))
+
+
+def _paragraphs(doc: str) -> list[str]:
+    """The paragraphs of a docstring, each on one line."""
+    return [" ".join(paragraph.split()) for paragraph in doc.strip().split("\n\n")]
+
+
+def _rows(rows: list[tuple[str, str]], width: int) -> list[str]:
+    """A two-column list at indent 2: a first column of at most 30, a gap of 2."""
+    first = min(max(len(term) for term, _ in rows), 30) + 2
+    lines = []
+    for term, text in rows:
+        if len(term) <= first - 2:
+            head = f"  {term}".ljust(first + 2)
+        else:
+            lines.append(f"  {term}")
+            head = " " * (first + 2)
+        wrapped = _wrap(text, max(width - first - 2, 10))
+        lines += [head + wrapped[0], *(" " * (first + 2) + line for line in wrapped[1:])]
+    return lines
+
+
+def _short_help(text: str, limit: int) -> str:
+    """A summary of ``text`` in at most ``limit`` characters: its first
+    sentence, or as many words as fit before ``...``."""
+    words = text.split()
+    end = next((i + 1 for i, word in enumerate(words) if word.endswith(".")), len(words))
+    if len(" ".join(words[:end])) <= limit:
+        return " ".join(words[:end])
+    while words and len(" ".join(words)) + 3 > limit:
+        words.pop()
+    return " ".join(words) + "..."
+
+
+class _Command:
+    """A subcommand: its function, its options and its docstring, which heads its help."""
+
+    group = False
+    pieces = "[OPTIONS]"
+
+    def __init__(self, fn: Callable[..., None] | None, options: Sequence[_Option],
+                 doc: str | None = None) -> None:
+        self.fn, self.options, self.doc = fn, (*options, _HELP), doc or fn.__doc__
+
+    def parse(self, args: Sequence[str], path: str) -> tuple[dict, list[str]] | None:
+        """The function's keyword arguments from ``args`` and the arguments
+        left over; None once ``--help`` or ``--version`` is written.
+
+        Parse errors come first.  Then ``--help`` and ``--version``, in
+        command-line order, and then each option is converted, in
+        command-line order and then in declaration order.
+        """
+        try:
+            given, rest = _split(args, self.options, interspersed=not self.group)
+            for option in given:
+                if option in (_HELP, _VERSION):
+                    text = self.help(path) if option is _HELP else f"zdx, version {__version__}"
+                    _write_out(text + "\n", "-")
+                    return None
+            order = [*given, *(o for o in self.options if o not in given)]
+            kwargs = {o.dest: o.value(given.get(o)) for o in order if o not in (_HELP, _VERSION)}
+            if rest and not self.group:
+                s = "s" if len(rest) > 1 else ""
+                raise UsageError(f"Got unexpected extra argument{s} ({' '.join(rest)})")
+        except UsageError as exc:
+            raise exc.at(path, self.pieces)
+        return kwargs, rest
+
+    def help(self, path: str) -> str:
+        """The help page of the command at ``path``."""
+        width = _width()
+        doc = "\n\n".join("\n".join(_wrap(p, width, "  ")) for p in _paragraphs(self.doc))
+        lines = [_usage(path, self.pieces, width), "", doc, "", "Options:",
+                 *_rows([o.row() for o in self.options], width)]
+        if self.group:
+            limit = width - 6 - max(map(len, self.commands))
+            lines += ["", "Commands:", *_rows(
+                [(name, _short_help(_paragraphs(self.commands[name].doc)[0], limit))
+                 for name in sorted(self.commands)], width)]
+        return "\n".join(lines)
+
+
+class _Zdx(_Command):
     """The ``zdx`` group: the one place that turns exceptions into exit codes."""
 
-    command_class = _Command
+    group = True
+    pieces = "[OPTIONS] COMMAND [ARGS]..."
+    name = "zdx"
 
-    def main(self, *args, standalone_mode: bool = True, **extra):
-        """click's ``main``, with its own error messages written by ``_echo_err``."""
-        if not standalone_mode:
-            return super().main(*args, standalone_mode=False, **extra)
+    def __init__(self, doc: str) -> None:
+        super().__init__(None, (_VERSION,), doc)
+        self.commands: dict[str, _Command] = {}
+
+    def command(self, name: str, *options: _Option) -> Callable:
+        """Register the decorated function as the subcommand ``name`` with ``options``."""
+        def register(fn: Callable[..., None]) -> Callable[..., None]:
+            self.commands[name] = _Command(fn, options)
+            return fn
+
+        return register
+
+    def main(self, args: Sequence[str] | None = None, prog_name: str | None = None,
+             standalone_mode: bool = True) -> int:
+        """Run ``zdx`` on ``args``, by default ``sys.argv[1:]``, and exit with
+        its code; with ``standalone_mode`` off, return the code of a run
+        that does not exit, and raise a usage error."""
         try:
-            code = super().main(*args, standalone_mode=False, **extra)
-        except click.ClickException as exc:
-            buf = io.StringIO()
-            exc.show(buf)
-            _echo_err(buf.getvalue().removesuffix("\n"))
-            code = exc.exit_code
-        except click.Abort:
-            _echo_err("Aborted!")
+            code = self._run(sys.argv[1:] if args is None else list(args), prog_name or self.name)
+        except UsageError as exc:
+            if not standalone_mode:
+                raise
+            _echo_err(exc.text())
+            code = EXIT_USAGE
+        except KeyboardInterrupt:
+            if not standalone_mode:
+                raise
+            _echo_err("\nAborted!")
             code = 1
-        sys.exit(code or 0)
+        if not standalone_mode:
+            return code
+        sys.exit(code)
 
-    def invoke(self, ctx: click.Context):
+    __call__ = main
+
+    def _run(self, args: list[str], prog: str) -> int:
+        if not args:
+            _echo_err(self.help(prog))
+            return EXIT_USAGE
+        parsed = self.parse(args, prog)
+        if parsed is None:
+            return 0
+        if not parsed[1]:
+            raise UsageError("Missing command.").at(prog, self.pieces)
+        name, *args = parsed[1]
+        command = self.commands.get(name)
+        if command is None:
+            # a name that starts like an option is parsed as the group's options first
+            if name[:1] and not name[:1].isalnum() and self.parse(parsed[1], prog) is None:
+                return 0
+            raise _no_such("command", name, self.commands).at(prog, self.pieces)
+        path = f"{prog} {name}"
+        parsed = command.parse(args, path)
+        if parsed is None:
+            return 0
         try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
+            command.fn(**parsed[0])
+        except UsageError as exc:
+            raise exc.at(path, command.pieces)
         except Inadmissible as exc:
             _fail(EXIT_INADMISSIBLE, str(exc))
         except Exception as exc:
             _fail(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}")
+        return 0
 
 
-@click.group(cls=_Zdx)
-@click.option("--version", is_flag=True, expose_value=False, is_eager=True, callback=_show,
-              help="Show the version and exit.")
-def cli() -> None:
-    """Exact workbench for exponent-pair zero-density bounds."""
+cli = _Zdx("Exact workbench for exponent-pair zero-density bounds.")
 
 
 # ---------------------------------------------------------------------------
 # pairs
 # ---------------------------------------------------------------------------
 
-@cli.command("pairs")
-@click.option("--depth", type=click.IntRange(min=0), default=DEFAULT_DEPTH,
-              show_default=True, help="Maximum A/B word length.")
-@click.option("--prune", is_flag=True, help="No effect: the family is already Pareto-minimal.")
-@out_option
+@cli.command("pairs",
+             _Option("--depth", "int", DEFAULT_DEPTH, "Maximum A/B word length."),
+             _Option("--prune", "flag", help="No effect: the family is already Pareto-minimal."),
+             _OUT)
 def cmd_pairs(depth: int, prune: bool, out: str) -> None:
     """Generate the exponent-pair family as JSON."""
     from .pairs import generate_pairs
@@ -294,10 +558,12 @@ def cmd_pairs(depth: int, prune: bool, out: str) -> None:
 # bound
 # ---------------------------------------------------------------------------
 
-@cli.command("bound")
-@click.option("--pair", "pair_text", required=True, help="kappa,lambda (exact rationals).")
-@click.option("--sigma", "sigma_text", required=True, help="Evaluation point (exact rational).")
-@out_option
+@cli.command("bound",
+             _Option("--pair", help="kappa,lambda (exact rationals).", dest="pair_text",
+                     required=True),
+             _Option("--sigma", help="Evaluation point (exact rational).", dest="sigma_text",
+                     required=True),
+             _OUT)
 def cmd_bound(pair_text: str, sigma_text: str, out: str) -> None:
     """One-line report of A(sigma) and E(sigma) for a pair."""
     from .density import exponent_curve, regions_for
@@ -329,14 +595,13 @@ def cmd_bound(pair_text: str, sigma_text: str, out: str) -> None:
 # optimize
 # ---------------------------------------------------------------------------
 
-@cli.command("optimize")
-@click.option("--depth", type=click.IntRange(min=0), default=DEFAULT_DEPTH, show_default=True)
-@click.option("--interval", "interval_text", default="17/18,1", show_default=True)
-@click.option("--resolution", type=click.IntRange(min=1), default=256, show_default=True,
-              help="Grid intervals of the CSV table (JSON segments are exact).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@out_option
+@cli.command("optimize",
+             _Option("--depth", "int", DEFAULT_DEPTH),
+             _Option("--interval", default="17/18,1", dest="interval_text"),
+             _Option("--resolution", "int", 256,
+                     "Grid intervals of the CSV table (JSON segments are exact).", minimum=1),
+             _Option("--format", "choice", "csv", dest="fmt", choices=("csv", "json")),
+             _OUT)
 def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str, out: str) -> None:
     """Minimize E(sigma) over a pair family plus baselines."""
     from .density import optimize, piecewise_to_json_obj, provenance_fields, validate_resolution
@@ -375,14 +640,13 @@ def cmd_optimize(depth: int, interval_text: str, resolution: int, fmt: str, out:
 # compare
 # ---------------------------------------------------------------------------
 
-@cli.command("compare")
-@click.option("--depth", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--interval", "interval_text", default="17/18,1", show_default=True)
-@click.option("--baseline", "baseline_texts", multiple=True,
-              help="Extra baseline A-curve (repeatable), e.g. '4/(8s-5)'.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]),
-              default="text", show_default=True)
-@out_option
+@cli.command("compare",
+             _Option("--depth", "int", 3),
+             _Option("--interval", default="17/18,1", dest="interval_text"),
+             _Option("--baseline", "many", help="Extra baseline A-curve (repeatable), e.g. "
+                     "'4/(8s-5)'.", dest="baseline_texts"),
+             _Option("--format", "choice", "text", dest="fmt", choices=("csv", "json", "text")),
+             _OUT)
 def cmd_compare(depth: int, interval_text: str, baseline_texts: tuple[str, ...], fmt: str,
                 out: str) -> None:
     """Optimized bound vs baselines: segments and exact crossovers."""
@@ -478,13 +742,12 @@ def _audit_report_obj(report) -> dict:
     }
 
 
-@cli.command("audit")
-@click.option("--pair", "pair_text", required=True, help="kappa,lambda (exact rationals).")
-@click.option("--region", "region_text", type=click.Choice(["1", "2", "both"]),
-              default="both", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
-              show_default=True)
-@out_option
+@cli.command("audit",
+             _Option("--pair", help="kappa,lambda (exact rationals).", dest="pair_text",
+                     required=True),
+             _Option("--region", "choice", "both", dest="region_text", choices=("1", "2", "both")),
+             _Option("--format", "choice", "text", dest="fmt", choices=("text", "json")),
+             _OUT)
 def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
     """Certify the exponent balance of both branches for one pair."""
     from .density import EmptyRegion, audit_balance, continuity_check, regions_for
@@ -535,10 +798,9 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
     _write_out("\n".join(lines) + "\n", out)
 
 
-@cli.command("audit-family")
-@click.option("--depth", type=click.IntRange(min=0), default=DEFAULT_DEPTH,
-              show_default=True, help="Maximum A/B word length.")
-@click.option("--verbose", is_flag=True, help="One status line per audited pair.")
+@cli.command("audit-family",
+             _Option("--depth", "int", DEFAULT_DEPTH, "Maximum A/B word length."),
+             _Option("--verbose", "flag", help="One status line per audited pair."))
 def cmd_audit_family(depth: int, verbose: bool) -> None:
     """Audit a pair family: balance and continuity.
 
@@ -564,9 +826,7 @@ def cmd_audit_family(depth: int, verbose: bool) -> None:
 # hecke-verify
 # ---------------------------------------------------------------------------
 
-@cli.command("hecke-verify")
-@click.option("--limit", type=click.IntRange(min=1), default=DEFAULT_LIMIT, show_default=True)
-@out_option
+@cli.command("hecke-verify", _Option("--limit", "int", DEFAULT_LIMIT, minimum=1), _OUT)
 def cmd_hecke(limit: int, out: str) -> None:
     """Tau table checks; CSV of n, tau, m, convolution value."""
     from .hecke import verify_table
@@ -594,10 +854,10 @@ def cmd_hecke(limit: int, out: str) -> None:
 # hm-test
 # ---------------------------------------------------------------------------
 
-@cli.command("hm-test")
-@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), default=10_000, show_default=True)
-@out_option
+@cli.command("hm-test",
+             _Option("--seed", "int", 1),
+             _Option("--trials", "int", 10_000, minimum=1),
+             _OUT)
 def cmd_hm(seed: int, trials: int, out: str) -> None:
     """Random-system harness for the bilinear large-values inequality."""
     from .probes import hm_random_trials
@@ -627,10 +887,10 @@ def _worst(values: list[float]) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-@cli.command("mellin-probe")
-@click.option("--x", "x_texts", multiple=True, default=("1/2", "1", "2"),
-              show_default=True, help="Positive evaluation point (repeatable).")
-@out_option
+@cli.command("mellin-probe",
+             _Option("--x", "many", ("1/2", "1", "2"), "Positive evaluation point (repeatable).",
+                     dest="x_texts"),
+             _OUT)
 def cmd_mellin(x_texts: tuple[str, ...], out: str) -> None:
     """Gamma-kernel quadrature recovery of exp(-x)."""
     from .probes import mellin_probe
@@ -640,7 +900,7 @@ def cmd_mellin(x_texts: tuple[str, ...], out: str) -> None:
         try:
             exact_x = _parse_rat(text, "--x")
             if exact_x <= 0:
-                raise click.UsageError(f"--x must be positive, got {text!r}")
+                raise UsageError(f"--x must be positive, got {text!r}")
             x = float(exact_x)
         except OverflowError:
             raise Inadmissible(f"the probe at x = {text} overflows the floating-point range")
@@ -666,10 +926,10 @@ def cmd_mellin(x_texts: tuple[str, ...], out: str) -> None:
 # zeta-probe
 # ---------------------------------------------------------------------------
 
-@cli.command("zeta-probe")
-@click.option("--pair", "pair_text", default="1/14,11/14", show_default=True,
-              help="Pair fixing sigma0 = lambda - kappa and the ratio exponent kappa.")
-@out_option
+@cli.command("zeta-probe",
+             _Option("--pair", default="1/14,11/14", dest="pair_text",
+                     help="Pair fixing sigma0 = lambda - kappa and the ratio exponent kappa."),
+             _OUT)
 def cmd_zeta(pair_text: str, out: str) -> None:
     """Growth scan of zeta on the line sigma0 = lambda - kappa (report only)."""
     from .probes import zeta_growth_scan
@@ -684,10 +944,10 @@ def cmd_zeta(pair_text: str, out: str) -> None:
 # plot
 # ---------------------------------------------------------------------------
 
-@cli.command("plot")
-@click.option("--depth", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--interval", "interval_text", default="17/18,1", show_default=True)
-@out_option
+@cli.command("plot",
+             _Option("--depth", "int", 3),
+             _Option("--interval", default="17/18,1", dest="interval_text"),
+             _OUT)
 def cmd_plot(depth: int, interval_text: str, out: str) -> None:
     """SVG of the optimized E(sigma) against the baselines."""
     from .density import baseline_curves, optimize

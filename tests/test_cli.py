@@ -623,23 +623,103 @@ DESK_SHA256 = {
 
 @pytest.mark.parametrize("argv", sorted(DESK_SHA256))
 def test_desk_outputs_pinned(runner, argv):
-    # 78 columns is the help width of an 80-column terminal
-    res = runner.invoke(cli, argv.split(), prog_name="zdx", terminal_width=78)
+    # the help is 78 columns wide in an 80-column terminal
+    res = runner.invoke(cli, argv.split(), prog_name="zdx", env={"COLUMNS": "80"})
     assert res.exit_code == 0
     digests = tuple(hashlib.sha256(b).hexdigest() for b in (res.stdout_bytes, res.stderr_bytes))
     assert digests == DESK_SHA256[argv]
 
 
+def _call_digest(argv: str, columns: int) -> str:
+    """sha256 of the stdout, stderr and exit code of ``zdx argv`` in a fresh
+    interpreter whose terminal is ``columns`` wide."""
+    proc = subprocess.run([sys.executable, "-m", "zdx.cli", *argv.split()], capture_output=True,
+                          env={**_env(), "COLUMNS": str(columns)}, timeout=60)
+    return hashlib.sha256(b"\0".join([proc.stdout, proc.stderr, str(proc.returncode).encode()])
+                          ).hexdigest()
+
+
+#: ``_call_digest`` of every help text and of one call per kind of usage
+#: error, taken when the options were parsed by click 8.4, whose help
+#: layout and error text the CLI keeps.
+HELP_AND_USAGE_SHA256 = {
+    ("--help", 80): "d91ede67029f7121dcb7c125e1150e7d343157743df7aad9ef4ea66a1b023aa0",
+    ("--version", 80): "d66d4a86756d1548e84a8b89fe97426e4736c554ab57251a942791548b8036e1",
+    ("", 80): "1908e1b23c69d5ae9f0d6f4c8b4ec7065f1c08ae4c67033a33c9292e2489b797",
+    ("audit --help", 80): "f9c3fa0d7cd750128496e63fd60fc7acc497d50e3cfa8420f9d36da8c63b44ff",
+    ("audit-family --help", 80):
+        "1a909245b4d57f7ca5f451edb6413e5dec6900263eb9f34cd89cf49fc21c8539",
+    ("bound --help", 80): "4e241de445bd23637b1fab5d20400c30f1d825930512c64e1261331cdc4ef50b",
+    ("compare --help", 80): "239177b0c8a5ecae7f4cf198cf4e4fbaed5c31b0813aa41e65bcc4d8ef698aaf",
+    ("hecke-verify --help", 80):
+        "0552037a5abbd93c51d73df5c8d67051b796848cf033f2e2f22f5439eecc7691",
+    ("hm-test --help", 80): "100a0be9ecac9a564163c5cabc33f4808eb4588ceb3b289dcc7f2e213f651b63",
+    ("mellin-probe --help", 80):
+        "6675188e9deb8279dfede7af058dac09e60ff464bcb3e778be4532792d4534c5",
+    ("optimize --help", 80): "33f5f612e3d57f0568f82f264fc42897f3b1dd4c13e68bc3f79bd7a3ba5bfbf2",
+    ("pairs --help", 80): "d30f74ac7d2d5f12ca58f02728665f813265e1f84ea87027e29242c3f0fb7d5e",
+    ("plot --help", 80): "85889d4434fe335bcf54018804fc09f27db0d1ff6138806ad064e7fddda6c522",
+    ("zeta-probe --help", 80): "68b71e4e9470ad79dc867b8acfd18d3920924b014447e5e4237d18a5f09d0923",
+    ("optimize --help", 60): "7f6690766c3b4820b05b697913f0d53033b15a9f6f6d7b23fe4840fda7a3366e",
+    ("optimize --help", 200): "33f5f612e3d57f0568f82f264fc42897f3b1dd4c13e68bc3f79bd7a3ba5bfbf2",
+    ("--help", 50): "718489f69118721f3aa2c1840092e1b20c86469f84556d2a3d7c373183b030d8",
+    ("audit-family --help", 50):
+        "3f653fb33fdd416b3fb3c597eba00fc3b1d8f7f1886ef5e86ba732319f35d71b",
+    ("optimize --dep 3", 80): "b61d30e60ef565ad87e32d7ca7baffa7ac927af745e9aebc63ada378c005005c",
+    ("optimize --forma x", 80): "0d5dfdbfcdd43b3199f759226fc092cec2ceb9b360a5af932d6b9d13ce94226b",
+    ("nope", 80): "d46ee24a699c66b0447ead5846450391a516d59080b930085bdc5016e11443bb",
+    ("audit-famly", 80): "ce0a081ce31c163a782870f02e951557b73df412df9301832f70ec7049e573ae",
+    ("--ver", 80): "2225fc52ba0770189191f5506f6eac68a3ede5a3eb0e51f19ebcd03fd3f015f1",
+    ("--bogus", 80): "a3b0b6914aba4f5525d397fc5ca2aedd2e33e83b54802baff8097e65ad722679",
+    ("-x", 80): "fb7621c209831bfd280f7d89386ced958e895479f1dd8b05bcc47a54ad4ab97f",
+    ("--", 80): "db1cbbc58680dc6a78e4bd331392ac415ff22b4a82211d744a237e786e5249c2",
+    ("bound --sigma 1/2", 80): "244bc444978c78b17c567c4de9930fb4eba35f9ec1dff71ada802fe8cc3b5274",
+    ("optimize --depth", 80): "1fb8a4ac8bf59ae76a7697b974f2c14c248d4113ba95e2c62f49ff9fe67b5ad7",
+    ("pairs --prune=1", 80): "19e52e859f52ae7d5236e9ed308aeb09d2e48f590a2455174f56b3060815b689",
+    ("--version=1", 80): "f1bcbd0697e3e3895c6133009dda4ae65d5ae1ae021c3f28fa0f0a9b760ed56b",
+    ("pairs foo", 80): "587bf7c80b69afa946f2218465b3391bc73535420509d695a00319b9b8c1cf0d",
+    ("pairs foo bar", 80): "104cced46ca654a13d6b6a573a07a00426215c1cb506773ad9d888285438fadb",
+    ("pairs -- --depth 3", 80): "a660211d355a9d19ff4521f7f2841344660c0e2b045afab3ae81bbe9df5f6c57",
+    ("mellin-probe --x 0", 80): "c003b1fa59b1a5b875dd6ef921ce216c6d5503b947be2dbd9541c555695acf11",
+    ("bound --pair 1/14 --sigma 1", 80):
+        "4e6f94ae4d203e5cee6691fabb5759ea31fc9f0207d5d02386fa4dabe75e8182",
+    ("pairs --out /nonexistent/x", 80):
+        "d83de9768ddeb7a3eb6dc5d98f01ae3a4553afc7156f0ae57ff012d00168522b",
+    ("pairs --depth x", 80): "69fb2a1432b97e6401f229537c54efeaf2bfb8c96688e19103b78388b656f231",
+    ("pairs --depth -1", 80): "d7d46818c501f8d7cf2ef2a073827f73d12da79ff42ab861122b04327fe4730c",
+    ("optimize --format svg", 80):
+        "556cc0594e9a4ea52463a63e07006ef29528d4501a2877adcd006240e8792870",
+    ("audit --pair 1/14,11/14 --region 3", 80):
+        "0ab5281663bb4877b6f6221bf552fed3b25c11a60315bca9dba8150d724a479f",
+    ("audit --region 3 --bogus", 80):
+        "264e0849297b8fd8cd23d5db6b72fb015a2e20760b93a326a6534d5b5f75c5a0",
+    ("optimize --depth x --help", 80):
+        "33f5f612e3d57f0568f82f264fc42897f3b1dd4c13e68bc3f79bd7a3ba5bfbf2",
+    ("optimize --depth x --resolution 0", 80):
+        "95c0b1cc8d20c40dcc3e259336821cdadc74092d05363a3a2aeb9d10f350d27a",
+    ("optimize --resolution 0 --depth x", 80):
+        "bfe70bc34f1ae8dd5f609d9e53ca6365e485e8c72139900a46ee4505a2ce9c7f",
+    ("hecke-verify --limit 0 --limit=-5", 80):
+        "dc67e57820496a2a37141ef1f835c8ecc6ac4736f8261ef4229c18c8bf42e881",
+}
+
+
+@pytest.mark.parametrize("argv, columns", sorted(HELP_AND_USAGE_SHA256))
+def test_help_and_usage_errors_pinned(argv, columns):
+    assert _call_digest(argv, columns) == HELP_AND_USAGE_SHA256[argv, columns]
+
+
 @pytest.mark.parametrize("argv, unloaded", [
-    (["--help"], ["csv", "decimal", "fractions", "json", "numpy", "zdx.density", "zdx.hecke",
-                  "zdx.svg"]),
-    (["compare", "--depth", "3", "--format", "csv"], ["json", "numpy"]),
-    (["plot", "--depth", "3"], ["csv", "json", "numpy"]),
-    (["mellin-probe"], ["numpy", "zdx.exact"]),
-    (["hm-test", "--trials", "3"], ["zdx.density", "zdx.exact", "zdx.pairs"]),
-    (["hecke-verify", "--limit", "50"], ["numpy", "zdx.density", "zdx.exact", "zdx.pairs"]),
-    (["zeta-probe"], ["numpy", "zdx.density", "zdx.exact"]),
-    (["pairs", "--depth", "3"], ["numpy", "zdx.density", "zdx.exact"]),
+    (["--help"], ["click", "csv", "decimal", "fractions", "json", "numpy", "zdx.density",
+                  "zdx.hecke", "zdx.svg"]),
+    (["compare", "--depth", "3", "--format", "csv"], ["click", "json", "numpy"]),
+    (["plot", "--depth", "3"], ["click", "csv", "json", "numpy"]),
+    (["mellin-probe"], ["click", "numpy", "zdx.exact"]),
+    (["hm-test", "--trials", "3"], ["click", "zdx.density", "zdx.exact", "zdx.pairs"]),
+    (["hecke-verify", "--limit", "50"],
+     ["click", "numpy", "zdx.density", "zdx.exact", "zdx.pairs"]),
+    (["zeta-probe"], ["click", "numpy", "zdx.density", "zdx.exact"]),
+    (["pairs", "--depth", "3"], ["click", "numpy", "zdx.density", "zdx.exact"]),
 ])
 def test_commands_load_only_what_they_use(argv, unloaded):
     code = (
@@ -836,6 +916,15 @@ def test_internal_error_exits_4_with_one_line(runner, monkeypatch):
     assert res.stderr == "error: internal error: RuntimeError: broken pair generator\n"
 
 
+def test_interrupt_exits_1_with_aborted(runner, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("zdx.pairs.generate_pairs", interrupted)
+    res = runner.invoke(cli, ["pairs", "--depth", "1"])
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", "\nAborted!\n")
+
+
 def test_closed_stdout_still_reports_and_exits_0():
     # the reader takes 100 bytes of the CSV and closes the pipe
     proc = subprocess.Popen([sys.executable, "-m", "zdx.cli", "hecke-verify", "--limit", "20000"],
@@ -963,12 +1052,11 @@ def test_argv_fuzz_exit_codes(argv):
 # -- exit codes of every command in every stream state ------------------------------
 
 #: (case, args, exit code with both streams open) per desk command, on the
-#: smallest inputs, besides the usage error and ``--help`` that every command
-#: has.  Cells that no CLI input reaches are left out:
-#: ``hecke-verify`` and ``hm-test`` have no input that fails their checks
-#: (the tau identities hold at every admissible limit, and no seed found
-#: gives an hm slack above the tolerance), and ``zeta-probe`` is report-only,
-#: so it never exits 1.
+#: smallest inputs, besides the usage error and ``--help`` of every command.
+#: Cells that no CLI input reaches are left out: ``hecke-verify`` and
+#: ``hm-test`` have no input that fails their checks (the tau identities hold
+#: at every admissible limit, and no seed found gives an hm slack above the
+#: tolerance), and ``zeta-probe`` is report-only, so it never exits 1.
 _DESK_INPUTS = {
     "hecke-verify": [("ok", ["--limit", "50"], 0),
                      ("inadmissible", ["--limit", "200001"], 3)],
@@ -982,14 +1070,12 @@ _DESK_INPUTS = {
 }
 _EVERY_COMMAND = [("usage", ["--bogus"], 2), ("help", ["--help"], 0)]
 
-#: The same for the other commands, whose usage errors and ``--help`` take
-#: the group's code that the desk commands test.  ``pairs``, ``bound``,
-#: ``optimize``, ``compare`` and ``plot`` check nothing, so they never exit 1.
-#: ``audit`` and ``audit-family`` exit 1 only on a failed balance audit or
-#: continuity check, which no input reaches: on every pair they accept, the
-#: terms meet E and the branches meet each other by algebraic identities, so
-#: only a defect in the code fails them, and their check-failure cells are
-#: left out too.
+#: The same for the other commands.  ``pairs``, ``bound``, ``optimize``,
+#: ``compare`` and ``plot`` check nothing, so they never exit 1.  ``audit``
+#: and ``audit-family`` exit 1 only on a failed balance audit or continuity
+#: check, which no input reaches: on every pair they accept, the terms meet E
+#: and the branches meet each other by algebraic identities, so only a defect
+#: in the code fails them, and their check-failure cells are left out too.
 _OTHER_INPUTS = {
     "pairs": [("ok", ["--depth", "2"], 0), ("inadmissible", ["--depth", "23"], 3)],
     "bound": [("ok", ["--pair", "1/6,2/3", "--sigma", "4/5"], 0),
@@ -1006,7 +1092,7 @@ _MATRIX = [
     *((command, case, args, code) for command, cells in _DESK_INPUTS.items()
       for case, args, code in [*cells, *_EVERY_COMMAND]),
     *((command, case, args, code) for command, cells in _OTHER_INPUTS.items()
-      for case, args, code in cells),
+      for case, args, code in [*cells, *_EVERY_COMMAND]),
 ]
 
 _STREAM_STATES = ["stdout-closed", "stderr-closed", "both-closed", "dev-full"]
@@ -1038,7 +1124,7 @@ def _run_in_state(argv, state):
 def test_desk_exit_code_matrix(command, case, args, code, state):
     """A closed stream keeps the exit code; a stdout that refuses a write
     exits 2 with one line, where the command writes to it.  Every command
-    is run, the desk ones with every cell."""
+    is run with every cell."""
     if state == "dev-full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
     proc = _run_in_state([command, *args], state)
