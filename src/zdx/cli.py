@@ -571,13 +571,12 @@ def cmd_bound(pair_text: str, sigma_text: str, out: str) -> None:
 
     pair = _parse_pair(pair_text)
     sigma = _parse_rat(sigma_text, "--sigma")
-    regions = regions_for(pair)
-    in1 = regions.region1.contains(sigma)
-    in2 = regions.region2.contains(sigma)
+    region1, region2 = regions_for(pair)
+    in1, in2 = region1.contains(sigma), region2.contains(sigma)
     if not in1 and not in2:
         raise Inadmissible(
             f"sigma = {rat_str(sigma)} outside the validity regions "
-            f"{regions.region1} and {regions.region2} of pair {pair}"
+            f"{region1} and {region2} of pair {pair}"
         )
     region = 1 if in1 else 2
     curve = exponent_curve(pair, region)
@@ -719,7 +718,7 @@ def cmd_compare(depth: int, interval_text: str, baseline_texts: tuple[str, ...],
 def _audit_report_obj(report) -> dict:
     from .exact import rat_str
 
-    pair, terms = report.regions.pair, []
+    pair, terms = report.pair, []
     for t in report.terms:
         terms.append({
             "label": t.label,
@@ -750,15 +749,15 @@ def _audit_report_obj(report) -> dict:
              _OUT)
 def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
     """Certify the exponent balance of both branches for one pair."""
-    from .density import EmptyRegion, audit_balance, continuity_check, regions_for
+    from .density import EmptyRegion, audit_balance, continuity_check
     from .exact import rat_str
 
-    spec = regions_for(_parse_pair(pair_text))
+    pair = _parse_pair(pair_text)
     regions = (1, 2) if region_text == "both" else (int(region_text),)
     reports = []
     for region in regions:
         try:
-            report = audit_balance(spec, region)
+            report = audit_balance(pair, region)
         except EmptyRegion as exc:
             if len(regions) == 1:
                 raise  # an audit that certifies nothing is inadmissible
@@ -774,7 +773,7 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
             )
         reports.append(report)
     if len(regions) == 2:
-        cont = continuity_check(spec)
+        cont = continuity_check(pair)
         if cont.status == "mismatch":
             _fail(
                 EXIT_CHECK_FAILURE,
@@ -786,7 +785,7 @@ def cmd_audit(pair_text: str, region_text: str, fmt: str, out: str) -> None:
     lines = []
     for r in reports:
         lines.append(
-            f"pair {rat_str(spec.pair.kappa)},{rat_str(spec.pair.lam)} region {r.region_index} "
+            f"pair {rat_str(pair.kappa)},{rat_str(pair.lam)} region {r.region_index} "
             f"{r.region}: {'PASS' if r.passed else 'FAIL'}"
         )
         lines.append(f"  Y = T^y with y = {r.y}; T0 exponent in N = {r.t0_exponent}")

@@ -98,11 +98,10 @@ def test_criterion_4_audit_suite(depth12):
     for pair in depth12:
         if not 0 < pair.kappa < KAPPA_LIMIT:
             continue  # kappa >= 1/3 out of range; kappa = 0 degenerate (seed only)
-        regions = regions_for(pair)
-        for region in (1, 2):
-            if regions.region(region).is_empty:
+        for region, interval in zip((1, 2), regions_for(pair)):
+            if interval.is_empty:
                 continue
-            rep = audit_balance(regions, region)
+            rep = audit_balance(pair, region)
             all_pass &= rep.passed
             audited += 1
             # 1000-point rational grid: max of the term numerators equals the
@@ -110,7 +109,7 @@ def test_criterion_4_audit_suite(depth12):
             nums = [t.num for t in rep.terms]
             for sigma in fraction_grid(rep.region, 1000):
                 all_pass &= max(q.eval(sigma) for q in nums) == e_num(rep).eval(sigma)
-    spot = audit_balance(regions_for(ExponentPair(F(1, 14), F(11, 14), "AAB")), 1)
+    spot = audit_balance(ExponentPair(F(1, 14), F(11, 14), "AAB"), 1)
     s = F(24, 25)
     spot_ok = (
         term_value(spot, "class1_main", s) == F(4, 71)
@@ -129,13 +128,13 @@ def test_criterion_5_continuity_and_admissibility(depth12):
     for pair in depth12:
         if pair.kappa >= KAPPA_LIMIT:
             continue
-        regions = regions_for(pair)
+        region1, region2 = regions_for(pair)
         # nonemptiness equivalences, exact
-        ok &= (not regions.region2.is_empty) == (pair.kappa + 1 <= 4 * pair.lam)
-        ok &= (not regions.region1.is_empty) == (pair.lam + 2 * pair.kappa <= 1)
+        ok &= (not region2.is_empty) == (pair.kappa + 1 <= 4 * pair.lam)
+        ok &= (not region1.is_empty) == (pair.lam + 2 * pair.kappa <= 1)
         # branch continuity at sigma_star (kappa = 0 seed is degenerate: skipped)
-        if pair.kappa > 0 and not regions.region1.is_empty and not regions.region2.is_empty:
-            rep = continuity_check(regions)
+        if pair.kappa > 0 and not region1.is_empty and not region2.is_empty:
+            rep = continuity_check(pair)
             ok &= rep.status == "ok"
             k, l = pair.kappa, pair.lam
             ok &= rep.shared_value == 4 * (2 - 6 * k) / (2 + 4 * l - 10 * k)

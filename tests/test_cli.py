@@ -354,8 +354,8 @@ def test_audit_term_violation_exit1(runner, monkeypatch):
 
     real = density.audit_balance
 
-    def audit(regions, region):
-        report = real(regions, region)
+    def audit(pair, region):
+        report = real(pair, region)
         if region == 2:
             return replace(report, violation=BalanceViolation("class2_moment", Fraction(43, 45)))
         return report
@@ -373,7 +373,7 @@ def test_audit_continuity_mismatch_exit1(runner, monkeypatch):
     from zdx import density
 
     real = density.continuity_check
-    monkeypatch.setattr(density, "continuity_check", lambda regions: replace(real(regions),
+    monkeypatch.setattr(density, "continuity_check", lambda pair: replace(real(pair),
         status="mismatch", note="branches disagree: 44/31 vs 45/31"))
     for fmt in ("text", "json"):
         res = runner.invoke(cli, ["audit", "--pair", "1/14,11/14", "--format", fmt])

@@ -1,6 +1,5 @@
 import csv
 import io
-import math
 import random
 from fractions import Fraction
 
@@ -48,7 +47,6 @@ from oracles import (
     is_nonpos,
     minus,
     numerators,
-    replace,
     segment_at,
     term_value,
 )
@@ -85,15 +83,15 @@ def linear_product(a1, b1, a2, b2) -> Quadratic:
 # -- regions -------------------------------------------------------------------
 
 def test_regions_headline_pair():
-    regions = regions_for(PAIR_114)
-    assert regions.region1 == Interval(F(21, 22), F(1))
-    assert regions.region2 == Interval(F(13, 15), F(21, 22))
+    region1, region2 = regions_for(PAIR_114)
+    assert region1 == Interval(F(21, 22), F(1))
+    assert region2 == Interval(F(13, 15), F(21, 22))
 
 
 def test_regions_seed_pair_degenerate_points():
-    regions = regions_for(ExponentPair(F(0), F(1)))
-    assert regions.region1 == Interval(F(1), F(1))
-    assert regions.region2 == Interval(F(1), F(1))
+    region1, region2 = regions_for(ExponentPair(F(0), F(1)))
+    assert region1 == Interval(F(1), F(1))
+    assert region2 == Interval(F(1), F(1))
 
 
 def test_regions_inadmissible():
@@ -104,20 +102,19 @@ def test_regions_inadmissible():
 def test_regions_lie_within_half_one():
     # region 2 ends at min(sigma_star, 1): sigma_star > 1 exactly when region 1 is empty
     for p in admissible(generate_pairs(18)):
-        regions = regions_for(p)
-        for region in (regions.region1, regions.region2):
+        for region in regions_for(p):
             assert region.is_empty or F(1, 2) <= region.lo <= region.hi <= 1, (p, region)
-    regions = regions_for(ExponentPair(F(2, 7), F(4, 7)))
-    assert regions.sigma_star == F(3, 2)
-    assert regions.region2 == Interval(F(13, 18), F(1))
+    p = ExponentPair(F(2, 7), F(4, 7))
+    assert F(*density._region_ends(*p.triple)[0]) == F(3, 2)  # sigma_star
+    assert regions_for(p)[1] == Interval(F(13, 18), F(1))
 
 
 def test_region_emptiness_flags_not_dropped():
     # B(1/14, 11/14) = (2/7, 4/7) has lambda + 2 kappa > 1: region 1 empty
     p = ExponentPair(F(2, 7), F(4, 7))
-    regions = regions_for(p)
-    assert regions.region1.is_empty
-    assert not regions.region2.is_empty
+    region1, region2 = regions_for(p)
+    assert region1.is_empty
+    assert not region2.is_empty
 
 
 # -- exponent curves ------------------------------------------------------------
@@ -185,29 +182,29 @@ def test_e_monotone_decreasing_on_regions(depth12):
 # -- continuity ------------------------------------------------------------------
 
 def test_continuity_headline_pair():
-    rep = continuity_check(regions_for(PAIR_114))
+    rep = continuity_check(PAIR_114)
     assert rep.status == "ok"
     assert rep.sigma_star == F(21, 22)
     assert rep.shared_value == F(44, 31)
 
 
 def test_continuity_16():
-    assert continuity_check(regions_for(PAIR_16)).status == "ok"
+    assert continuity_check(PAIR_16).status == "ok"
 
 
 def test_continuity_skips_degenerate():
-    rep = continuity_check(regions_for(ExponentPair(F(0), F(1))))
+    rep = continuity_check(ExponentPair(F(0), F(1)))
     assert rep.status == "skipped"
     assert "kappa" in rep.note
     p = ExponentPair(F(2, 7), F(4, 7))
-    rep = continuity_check(regions_for(p))
+    rep = continuity_check(p)
     assert rep.status == "skipped"
     assert "EmptyRegion" in rep.note
 
 
 def test_continuity_family_closed_form(depth12):
     for p in admissible(depth12):
-        rep = continuity_check(regions_for(p))
+        rep = continuity_check(p)
         if rep.status != "ok":
             continue
         k, l = p.kappa, p.lam
@@ -217,7 +214,7 @@ def test_continuity_family_closed_form(depth12):
 # -- audit ------------------------------------------------------------------------
 
 def test_audit_spot_value_region1():
-    rep = audit_balance(regions_for(PAIR_114), 1)
+    rep = audit_balance(PAIR_114, 1)
     s = F(24, 25)
     assert rep.y.eval(s) == F(50, 71)
     assert term_value(rep, "class1_main", s) == F(4, 71)
@@ -228,7 +225,7 @@ def test_audit_spot_value_region1():
 
 
 def test_audit_region1_at_one():
-    rep = audit_balance(regions_for(PAIR_114), 1)
+    rep = audit_balance(PAIR_114, 1)
     assert rep.y.eval(F(1)) == F(2, 3)
     assert term_value(rep, "class1_main", F(1)) == 0
     assert term_value(rep, "class2_moment", F(1)) == 0
@@ -236,27 +233,26 @@ def test_audit_region1_at_one():
 
 
 def test_audit_region2_subdivision_tight_at_left_endpoint():
-    regions = regions_for(PAIR_16)
-    rep = audit_balance(regions, 2)
-    left = regions.left2
+    rep = audit_balance(PAIR_16, 2)
+    left = regions_for(PAIR_16)[1].lo  # region 2 starts at left2
     assert left == F(11, 14)
     assert term_value(rep, "class1_subdivision", left) == exponent_value(rep, left)
 
 
 def test_audit_t0_exponent_expression():
-    rep = audit_balance(regions_for(PAIR_114), 1)
+    rep = audit_balance(PAIR_114, 1)
     # (2 sigma - 1 - (lambda - kappa)) / kappa at sigma = 24/25: (36/175)*14 = 72/25
     assert rep.t0_exponent.eval(F(24, 25)) == F(36, 175) * 14
 
 
 def test_audit_rejects_kappa_zero():
     with pytest.raises(InadmissiblePair):
-        audit_balance(regions_for(ExponentPair(F(0), F(1))), 1)
+        audit_balance(ExponentPair(F(0), F(1)), 1)
 
 
 def test_audit_empty_region():
     with pytest.raises(EmptyRegion):
-        audit_balance(regions_for(ExponentPair(F(2, 7), F(4, 7))), 1)
+        audit_balance(ExponentPair(F(2, 7), F(4, 7)), 1)
 
 
 def test_audit_family_grid_consistency(depth12):
@@ -264,11 +260,10 @@ def test_audit_family_grid_consistency(depth12):
     sample = [PAIR_114, PAIR_16, ExponentPair(F(2, 7), F(4, 7)),
               ExponentPair(F(1, 30), F(13, 15), "AAAB")]
     for p in sample:
-        regions = regions_for(p)
-        for region in (1, 2):
-            if regions.region(region).is_empty:
+        for region, interval in zip((1, 2), regions_for(p)):
+            if interval.is_empty:
                 continue
-            rep = audit_balance(regions, region)
+            rep = audit_balance(p, region)
             for sigma in fraction_grid(rep.region, 1000):
                 terms = [term_value(rep, t.label, sigma) for t in rep.terms]
                 assert max(terms) == exponent_value(rep, sigma)
@@ -277,18 +272,17 @@ def test_audit_family_grid_consistency(depth12):
 def test_audit_differences_are_linear(depth12):
     # every term minus E is linear, so an endpoint is a witness whenever one exists
     for p in admissible(depth12):
-        regions = regions_for(p)
-        for region in (1, 2):
-            if p.kappa > 0 and not regions.region(region).is_empty:
-                rep = audit_balance(regions, region)
+        for region, interval in zip((1, 2), regions_for(p)):
+            if p.kappa > 0 and not interval.is_empty:
+                rep = audit_balance(p, region)
                 assert all(minus(t.num, e_num(rep)).c2 == 0 for t in rep.terms), (p, region)
 
 
-def test_balance_violation_carries_witness():
+def test_balance_violation_carries_witness(monkeypatch):
     # Force a violation by auditing region 2 extended beyond sigma_star:
     # the sixth-moment term exceeds E to the right of sigma_star.
-    spec = regions_for(PAIR_114)
-    rep = audit_balance(replace(spec, region2=Interval(spec.left2, spec.sigma_star + F(1, 50))), 2)
+    _move_region_ends(monkeypatch, lambda e1, e2: (e1, (e2[0], _shift(e2[1], 1, 50))))
+    rep = audit_balance(PAIR_114, 2)
     assert rep.region.hi == F(21, 22) + F(1, 50)
     assert [t.diff_cert.kind for t in rep.terms] == ["zero", "zero", "mixed"]
     assert not rep.passed and rep.violation.term == "class2_moment"
@@ -310,34 +304,35 @@ def test_audit_fails_when_curve_is_not_two_y(monkeypatch, pair, region):
         return A.a, A.b + 1, A.c, A.d
 
     monkeypatch.setattr(density, "_branch_ints", perturbed)
-    regions = regions_for(pair)
-    rep = audit_balance(regions, region)
+    rep = audit_balance(pair, region)
     assert not rep.passed
     assert rep.violation.term == "exponent_curve"
     sigma = rep.violation.witness
-    assert regions.region(region).contains(sigma)
+    assert regions_for(pair)[region - 1].contains(sigma)
     assert str(rep.violation).startswith("exponent_curve's A = ")
     monkeypatch.undo()
-    y = audit_balance(regions, region).y
+    y = audit_balance(pair, region).y
     assert LinFrac(*perturbed(*pair.triple, region)).eval(sigma) != 2 * y.eval(sigma)
 
 
-def test_audit_and_continuity_build_one_region_spec(monkeypatch):
-    # both take the pair's one RegionSpec and build no other
-    regions = regions_for(PAIR_114)
-
+def _forbid_regions_for(monkeypatch):
     def never(*args):
-        raise AssertionError("a second RegionSpec was built")
+        raise AssertionError("regions_for was called")
 
     monkeypatch.setattr(density, "regions_for", never)
-    monkeypatch.setattr(density, "RegionSpec", never)
+
+
+def test_audit_and_continuity_call_no_regions_for(monkeypatch):
+    # both take the pair and read its region ends from the integer kernel
+    _forbid_regions_for(monkeypatch)
     for region in (1, 2):
-        assert audit_balance(regions, region).passed
-    assert continuity_check(regions).status == "ok"
+        assert audit_balance(PAIR_114, region).passed
+    assert continuity_check(PAIR_114).status == "ok"
 
 
-def test_candidate_curves_build_one_region_spec_per_pair(monkeypatch, depth12):
-    # both branches of a pair come from one RegionSpec, and they are exponent_curve's
+def test_candidate_curves_are_exponent_curves(monkeypatch, depth12):
+    # both branches of a pair, in family order, are exponent_curve's; neither
+    # candidate_curves nor optimize calls regions_for
     want = []
     for p in admissible(depth12):
         for region in (1, 2):
@@ -345,11 +340,11 @@ def test_candidate_curves_build_one_region_spec_per_pair(monkeypatch, depth12):
                 want.append(exponent_curve(p, region))
             except (EmptyRegion, InadmissiblePair):
                 continue
-    built = []
-    monkeypatch.setattr(density, "regions_for", lambda pair: built.append(pair) or regions_for(pair))
+    _forbid_regions_for(monkeypatch)
     curves = candidate_curves(depth12)
-    assert built == admissible(depth12)
     assert list(curves[:len(want)]) == want
+    optimize(depth12, Interval(F(1, 2), F(1)))
+    optimize(depth12, Interval(F(21, 22), F(21, 22)))
 
 
 # -- integer audit kernel against the Fraction reference ---------------------------
@@ -358,6 +353,7 @@ def test_candidate_curves_build_one_region_spec_per_pair(monkeypatch, depth12):
 # library decides the same on integers.  Both must give the same report.
 
 def _reference_regions(pair):
+    """sigma_star, left2 and regions 1 and 2 of a pair, over Fraction."""
     k, l = pair.kappa, pair.lam
     sigma_star = (1 + l - 4 * k) / (2 - 6 * k)
     left2 = (1 + l + k) / (2 * (1 + k))
@@ -365,20 +361,17 @@ def _reference_regions(pair):
     region1 = Interval(lo1, F(1)) if lo1 <= 1 else Interval.empty()
     hi2 = min(sigma_star, F(1))
     region2 = Interval(left2, hi2) if left2 <= hi2 else Interval.empty()
-    q = math.lcm(k.denominator, l.denominator)
-    p, r = int(k * q), int(l * q)
-    return density.RegionSpec(pair, p, r, q, sigma_star, left2, region1, region2)
+    return sigma_star, left2, region1, region2
 
 
-def _reference_audit(pair, region, regions, branch_A):
-    reg = regions.region(region)
+def _reference_audit(pair, region, reg, branch_A):
     k, l = pair.kappa, pair.lam
     y = LinFrac(0, 2, 4, -1) if region == 1 else LinFrac.of(0, 2 * k, 2 - 2 * k, 3 * k - l - 1)
     n_y = F(y.b)
     den = Quadratic.linear(y.c, y.d)
     assert den.eval(reg.lo) > 0 and den.eval(reg.hi) > 0
     violation = None
-    A = branch_A(regions, region)
+    A = branch_A(region)
     if A != LinFrac(2 * y.a, 2 * y.b, y.c, y.d):
         gap = minus(linear_product(A.a, A.b, y.c, y.d),
                     linear_product(2 * y.a, 2 * y.b, A.c, A.d))
@@ -415,15 +408,15 @@ def _audit_summary(rep):
     )
 
 
-def _reference_continuity(regions, branch_A):
-    if regions.region1.is_empty or regions.region2.is_empty or regions.pair.kappa == 0:
+def _reference_continuity(pair, sigma_star, regions, branch_A):
+    if any(region.is_empty for region in regions) or pair.kappa == 0:
         return "skipped"
-    k, l = regions.pair.kappa, regions.pair.lam
-    a1 = branch_A(regions, 1).eval(regions.sigma_star)
-    a2 = branch_A(regions, 2).eval(regions.sigma_star)
+    k, l = pair.kappa, pair.lam
+    a1 = branch_A(1).eval(sigma_star)
+    a2 = branch_A(2).eval(sigma_star)
     if a1 == a2 == 4 * (2 - 6 * k) / (2 + 4 * l - 10 * k):
-        return ("ok", regions.sigma_star, a1)
-    return ("mismatch", regions.sigma_star, f"branches disagree: {rat_str(a1)} vs {rat_str(a2)}")
+        return ("ok", sigma_star, a1)
+    return ("mismatch", sigma_star, f"branches disagree: {rat_str(a1)} vs {rat_str(a2)}")
 
 
 def _continuity_summary(rep):
@@ -432,10 +425,20 @@ def _continuity_summary(rep):
     return (rep.status, rep.sigma_star, rep.shared_value if rep.status == "ok" else rep.note)
 
 
+def _ends(interval):
+    """An Interval as ``_region_ends`` gives a region: integer (lo, hi), None if empty."""
+    if interval.is_empty:
+        return None
+    return (interval.lo.numerator, interval.lo.denominator), \
+        (interval.hi.numerator, interval.hi.denominator)
+
+
 def assert_kernel_matches_reference(pair, monkeypatch=None, widen=None, perturb=None):
     """Audit and continuity of one pair against the reference, optionally on
-    regions changed by ``widen`` and with a branch A changed by ``perturb``."""
-    widen = widen or (lambda spec: spec)
+    regions changed by ``widen`` and with a branch A changed by ``perturb``.
+
+    ``widen`` maps (sigma_star, left2, region1, region2) to the two regions
+    to audit; the kernel is given them through a patched ``_region_ends``."""
     if perturb is not None:
         real = density._branch_ints
 
@@ -444,19 +447,24 @@ def assert_kernel_matches_reference(pair, monkeypatch=None, widen=None, perturb=
             return A.a, A.b, A.c, A.d
         monkeypatch.setattr(density, "_branch_ints", perturbed)
 
-    def branch_A(regions, index):
-        return LinFrac(*density._branch_ints(regions.p, regions.r, regions.q, index))
-    regions = _reference_regions(pair)
-    assert regions_for(pair) == regions, pair
-    regions = widen(regions)
-    for region in (1, 2):
-        if regions.region(region).is_empty:
+    def branch_A(index):
+        return LinFrac(*density._branch_ints(*pair.triple, index))
+    sigma_star, left2, *regions = _reference_regions(pair)
+    assert regions_for(pair) == tuple(regions), pair
+    star, left, *_ = density._region_ends(*pair.triple)
+    assert (F(*star), F(*left)) == (sigma_star, left2), pair
+    if widen is not None:
+        regions = widen(sigma_star, left2, *regions)
+        _move_region_ends(monkeypatch, lambda e1, e2: tuple(map(_ends, regions)))
+    for region, reg in zip((1, 2), regions):
+        if reg.is_empty:
             with pytest.raises(EmptyRegion):
-                audit_balance(regions, region)
+                audit_balance(pair, region)
             continue
-        expected = _reference_audit(pair, region, regions, branch_A)
-        assert _audit_summary(audit_balance(regions, region)) == expected, (pair, region)
-    assert _continuity_summary(continuity_check(regions)) == _reference_continuity(regions, branch_A)
+        expected = _reference_audit(pair, region, reg, branch_A)
+        assert _audit_summary(audit_balance(pair, region)) == expected, (pair, region)
+    assert _continuity_summary(continuity_check(pair)) == \
+        _reference_continuity(pair, sigma_star, regions, branch_A)
 
 
 def test_audit_kernel_matches_reference_on_family():
@@ -490,13 +498,13 @@ def test_audit_kernel_matches_reference_off_family(pair):
 
 @pytest.mark.parametrize("pair", [PAIR_114, PAIR_16, ExponentPair(F(1, 30), F(13, 15))])
 @pytest.mark.parametrize("widen", [
-    lambda s: replace(s, region1=Interval(s.sigma_star - F(1, 50), F(1))),
-    lambda s: replace(s, region2=Interval(s.left2, s.sigma_star + F(1, 50))),
-    lambda s: replace(s, region2=Interval(s.left2 - F(1, 200), s.left2)),
+    lambda star, left2, r1, r2: (Interval(star - F(1, 50), F(1)), r2),
+    lambda star, left2, r1, r2: (r1, Interval(left2, star + F(1, 50))),
+    lambda star, left2, r1, r2: (r1, Interval(left2 - F(1, 200), left2)),
 ], ids=["region1-below-star", "region2-past-star", "region2-left-of-left2"])
-def test_audit_kernel_matches_reference_on_failures(pair, widen):
+def test_audit_kernel_matches_reference_on_failures(monkeypatch, pair, widen):
     # regions moved off their construction; past sigma_star a term fails: same term, same witness
-    assert_kernel_matches_reference(pair, widen=widen)
+    assert_kernel_matches_reference(pair, monkeypatch, widen=widen)
 
 
 @pytest.mark.parametrize("pair", [PAIR_114, PAIR_16, ExponentPair(F(1, 30), F(13, 15))])
@@ -511,7 +519,7 @@ def test_audit_kernel_matches_reference_when_curve_is_not_two_y(monkeypatch, pai
 
 # -- audit_family against the report path --------------------------------------------
 # The reference is audit-family's loop as it was written over the reports: every pair's
-# RegionSpec, audits and continuity check built in full.  audit_family decides on the
+# regions, audits and continuity check built in full.  audit_family decides on the
 # pair's integers and builds reports only for failures; both must print the same.
 
 def _reference_family_audit(family):
@@ -520,20 +528,19 @@ def _reference_family_audit(family):
         if not 0 < pair.kappa < KAPPA_LIMIT:
             skipped += 1
             continue
-        regions = regions_for(pair)
         statuses = []
-        for region in (1, 2):
-            if regions.region(region).is_empty:
+        for region, interval in zip((1, 2), regions_for(pair)):
+            if interval.is_empty:
                 statuses.append(f"r{region}:empty")
                 continue
-            rep = audit_balance(regions, region)
+            rep = audit_balance(pair, region)
             statuses.append(f"r{region}:{'pass' if rep.passed else 'FAIL'}")
             if rep.passed:
                 audited += 1
             else:
                 failed += 1
                 lines.append(f"FAIL {pair} region {region}: {rep.violation}")
-        cont = continuity_check(regions)
+        cont = continuity_check(pair)
         if cont.status == "mismatch":
             failed += 1
             lines.append(
@@ -613,7 +620,7 @@ def test_audit_family_forced_failures_match_reports(monkeypatch, force):
 
 def test_audit_family_failure_builds_no_region_spec_or_report(monkeypatch):
     # region 2 of (1/14, 11/14) perturbed: its audit and its continuity check fail, and
-    # the FAIL lines come from the kernels' results, not from a RegionSpec or a report
+    # the FAIL lines come from the kernels' results, not from regions_for or a report
     real = density._branch_ints
 
     def perturbed(p, r, q, region):
@@ -630,19 +637,19 @@ def test_audit_family_failure_builds_no_region_spec_or_report(monkeypatch):
     ]
 
     def never(*args, **kwargs):
-        raise AssertionError("audit_family built a RegionSpec or a report")
+        raise AssertionError("audit_family built regions or a report")
 
-    for name in ("regions_for", "RegionSpec", "AuditReport", "ContinuityReport",
+    for name in ("regions_for", "AuditReport", "ContinuityReport",
                  "audit_balance", "continuity_check"):
         monkeypatch.setattr(density, name, never)
     assert_family_audit_matches_reference(family, expected)
 
 
-def test_audit_asserts_positive_y_denominator():
+def test_audit_asserts_positive_y_denominator(monkeypatch):
     # region 2 widened left to the pole of y = 1/(13s - 11) at 11/13
-    widened = replace(regions_for(PAIR_114), region2=Interval(F(11, 13), F(21, 22)))
+    _move_region_ends(monkeypatch, lambda e1, e2: (e1, _ends(Interval(F(11, 13), F(21, 22)))))
     with pytest.raises(AssertionError, match="y denominator must be positive"):
-        audit_balance(widened, 2)
+        audit_balance(PAIR_114, 2)
 
 
 # -- baselines and crossovers ------------------------------------------------------
@@ -796,12 +803,12 @@ def test_optimize_credits_region_1_to_first_pair_begun(depth12):
     (seg,) = optimize(depth12, Interval(F(24, 25), F(1))).segments
     first = next(
         p for p in admissible(depth12)
-        if not regions_for(p).region1.is_empty and regions_for(p).region1.lo <= F(24, 25)
+        if not regions_for(p)[0].is_empty and regions_for(p)[0].lo <= F(24, 25)
     )
     assert (seg.curve.provenance.pair, seg.curve.provenance.region) == (first, 1)
     assert first.key == (F(11, 278), F(118, 139))
-    earliest = min(admissible(depth12), key=lambda p: regions_for(p).sigma_star)
-    assert regions_for(earliest).region1.lo < regions_for(first).region1.lo
+    earliest = min(admissible(depth12), key=lambda p: _reference_regions(p)[0])
+    assert regions_for(earliest)[0].lo < regions_for(first)[0].lo
 
 
 def test_optimize_matches_sweep_oracle_with_repeated_pairs(depth12):
@@ -860,6 +867,30 @@ def test_optimize_point_interval_matches_oracle(sigma, dominant_conjectural):
     assert [s.region for s in bound.segments] == [point]
     if sigma == F(21, 22):
         assert pairs_of(bound) == [(PAIR_114.key, 2)]
+
+
+def test_optimize_point_matches_oracle_at_every_region_end(depth12):
+    # closed regions begin and end at every sigma_star and left2, at 1/2, at
+    # 11/12 (where ivic-1992 begins) and at 1: there ties are decided on slope
+    # and on candidate order
+    points = {F(1, 2), F(11, 12), F(1)}
+    for pair in admissible(depth12):
+        points.update(x for x in _reference_regions(pair)[:2] if F(1, 2) <= x <= 1)
+    assert len(points) > 200
+    for sigma in sorted(points):
+        assert_matches_oracle(depth12, Interval(sigma, sigma))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigma=fractions_in_domain)
+@example(sigma=F(4, 5))
+@example(sigma=F(21, 22))
+def test_optimize_point_matches_oracle_on_drawn_sigma(depth12, sigma):
+    # every pair listed twice: a pair's two listings tie, and the first, word None, wins
+    pairs = [ExponentPair(p.kappa, p.lam, None) for p in depth12] + list(depth12)
+    bound = assert_matches_oracle(PairFamily(tuple(pairs), 12), Interval(sigma, sigma))
+    pair = bound.segments[0].curve.provenance.pair
+    assert pair is None or pair.word is None
 
 
 def test_optimize_headline_reproduction():
@@ -936,7 +967,7 @@ def test_optimize_provenance_replays(depth):
         prov = seg.curve.provenance
         if prov.pair is None:
             continue
-        region = regions_for(prov.pair).region(prov.region)
+        region = regions_for(prov.pair)[prov.region - 1]
         assert region.contains(seg.region.lo) and region.contains(seg.region.hi), str(seg.curve)
         assert exponent_curve(prov.pair, prov.region).A == seg.curve.A
 

@@ -29,8 +29,7 @@ def _samples() -> dict[type, list]:
     """Two or more instances of every record class, most of them from library calls."""
     family = pairs.generate_pairs(4)
     pair = pairs.ExponentPair(F(1, 14), F(11, 14), "BA")
-    regions = density.regions_for(pair)
-    audits = [density.audit_balance(regions, 1), density.audit_balance(regions, 2)]
+    audits = [density.audit_balance(pair, 1), density.audit_balance(pair, 2)]
     bound = density.optimize(family, Interval(F(17, 18), F(1)))
     wide = density.optimize(family, Interval(F(1, 2), F(1)))
     bases = density.baseline_curves()
@@ -49,12 +48,11 @@ def _samples() -> dict[type, list]:
                                               exact.LinFrac.constant(2), Interval(F(1, 2), 1)),
             exact.OrderCertificate("eq"),
         ],
-        density.RegionSpec: [regions, density.regions_for(pairs.SEED)],
         density.Provenance: [seg.curve.provenance for seg in wide.segments]
         + [density.Provenance("x")],
         density.BoundCurve: [seg.curve for seg in wide.segments],
-        density.ContinuityReport: [density.continuity_check(regions),
-                                   density.continuity_check(density.regions_for(pairs.SEED))],
+        density.ContinuityReport: [density.continuity_check(pair),
+                                   density.continuity_check(pairs.SEED)],
         density.TermCertificate: [t for rep in audits for t in rep.terms],
         density.BalanceViolation: [density.BalanceViolation("class2_moment", F(43, 45)),
                                    density.BalanceViolation("t", F(1), "message")],
@@ -109,7 +107,7 @@ def _outcome(fn, *args, **kwargs):
 
 
 def test_every_record_has_samples():
-    assert len(RECORDS) == 25
+    assert len(RECORDS) == 24
     assert set(RECORDS) == set(SAMPLES)
     assert all(len(SAMPLES[cls]) >= 2 for cls in RECORDS)
 
