@@ -220,10 +220,10 @@ def _csv_blocks(header: str, count: int, block: Callable[[int, int], str]) -> It
     each block of ``_CSV_ROWS`` of the ``count`` rows, so that the writer never
     holds the whole text (12 MB for ``hecke-verify`` at its budget).
 
-    The rows are f-strings, 2-3 times faster than ``csv.writer``, and are
-    not quoted: numbers, rationals, pair words and the fixed baseline labels
-    need none.  A table whose fields can need quoting, a user's label or
-    text, is small and goes through ``_to_csv``.
+    The rows are f-strings or %-formats, 2-3 times faster than
+    ``csv.writer``, and are not quoted: numbers, rationals, pair words and
+    the fixed baseline labels need none.  A table whose fields can need
+    quoting, a user's label or text, is small and goes through ``_to_csv``.
     """
     yield header + "\n"
     for lo in range(0, count, _CSV_ROWS):
@@ -834,8 +834,8 @@ def cmd_hecke(limit: int, out: str) -> None:
     tau, m, conv = rep.table.tau, rep.mollifier.m, rep.convolution
 
     def block(lo: int, hi: int) -> str:
-        # row i is n = i + 1
-        return "".join([f"{n},{t},{mn},{c}\n" for n, t, mn, c in zip(
+        # row i is n = i + 1; %-formatting of the row tuple gives an f-string's bytes, faster
+        return "".join(["%d,%d,%d,%d\n" % row for row in zip(
             range(lo + 1, hi + 1), tau[lo + 1:hi + 1], m[lo + 1:hi + 1], conv[lo + 1:hi + 1])])
 
     _write_out(_csv_blocks("n,tau,m,convolution_value", limit, block), out)

@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 #: Time and memory budget: the largest table ``compute_tau`` builds.
-#: ``hecke-verify --limit 200000`` takes 2.0-2.2 s at 91 MB peak RSS, and
-#: ``--limit 20000`` 0.28-0.40 s at 25 MB (``BENCH_29.json``, "budgets").
+#: ``hecke-verify --limit 200000`` takes 1.7-2.0 s at 91 MB peak RSS, and
+#: ``--limit 20000`` 0.18-0.25 s at 23 MB (``BENCH_32.json``, "budgets").
 #: The peak is ``compute_tau``'s packed squarings, as the CLI writes the CSV
 #: in blocks.
 MAX_LIMIT = 200_000
@@ -135,8 +135,15 @@ class TauTable(Record):
 
     @cached_property
     def _spf_powers(self) -> tuple[list[int], list[int]]:
-        """``_prime_powers`` of the sieve, shared by the mollifier and the divisor counts."""
+        """``_prime_powers`` of the sieve, shared by the mollifier and the checks."""
         return _prime_powers(self._spf)
+
+    @cached_property
+    def _primes(self) -> list[int]:
+        """The primes to ``limit``, read off the sieve once for the convolution
+        and the recursion check."""
+        spf = self._spf
+        return [p for p in range(2, self.limit + 1) if spf[p] == p]
 
 
 class MollifierTable(Record):
@@ -144,6 +151,7 @@ class MollifierTable(Record):
 
     m is multiplicative with m(p) = -tau(p), m(p^2) = p^11, m(p^a) = 0 for
     a >= 3; it is supported exactly on cube-free integers.
+    ``convolution_values`` relies on this form and refuses a table without it.
     """
 
     limit: int
@@ -162,9 +170,9 @@ def compute_tau(limit: int) -> TauTable:
     about sqrt(2 limit) nonzero terms, about 200 at limit 20000.  The other
     two are dense and go through packed decimals (``_series_square``).  The
     coefficient of q^{n-1} in eta^24 is tau(n).  In process it takes
-    1.4-1.7 s at MAX_LIMIT = 200000 and 0.10-0.16 s at 20000
-    (``BENCH_27.json``, "budgets"); these squarings are the peak memory of
-    ``hecke-verify`` (see ``MAX_LIMIT``).
+    1.3-1.8 s at MAX_LIMIT = 200000 and 0.09-0.13 s at 20000, most of
+    ``hecke-verify``'s time (``BENCH_32.json``, "layers"); these squarings
+    are the peak memory of ``hecke-verify`` (see ``MAX_LIMIT``).
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -243,26 +251,55 @@ class ConvolutionWitness(Record):
 def convolution_values(table: TauTable, moll: MollifierTable) -> list[int]:
     """sum_{d k = n} m(d) tau(k) for n = 1..table.limit (index 0 unused).
 
-    Every term with d k <= limit has d <= s = isqrt(limit), or d > s and
-    then k <= limit // (s + 1).  One slice over k for each d <= s and one over
-    d > s for each such k add each product once: about 2 sqrt(limit) slices.
+    m is multiplicative and vanishes on cubes (``MollifierTable``), so the
+    Dirichlet series of m is the Euler product over p of
+    1 + m(p) p^{-s} + m(p^2) p^{-2s}.  Starting from tau, multiplying by
+    one such factor is vals[n] += m(p) vals[n/p] + m(p^2) vals[n/p^2] with
+    the values from before the factor: two slices over the multiples of p,
+    about limit (1/p + 1/p^2) products.  Over the primes p <= limit that is
+    about limit log log limit products, where the sum over d k = n takes
+    about limit log limit.  The product is the sum over d k = n only when
+    m is that extension of its prime-power entries, so m is checked first
+    (``_first_non_multiplicative_m``), in one pass over n.  In process the
+    whole call takes 10-15 ms at 20000 and 0.12-0.21 s at MAX_LIMIT, where
+    the sum over d k = n took 21-35 ms and 0.37-0.65 s (``BENCH_32.json``,
+    "layers").
     """
     limit = table.limit
     if limit > moll.limit:
         raise ValueError("the table limit exceeds the mollifier limit")
-    tau, m = table.tau, moll.m
-    s = math.isqrt(limit)
-    vals = [0] * (limit + 1)
-    for d, md in enumerate(m[1:s + 1], 1):
-        if md:
-            # vals[d k] += m(d) tau(k) for k = 1..limit // d
-            vals[d::d] = [v + md * t for v, t in zip(vals[d::d], tau[1:limit // d + 1])]
-    for k, t in enumerate(tau[1:limit // (s + 1) + 1], 1):
-        if t:
-            # vals[d k] += m(d) tau(k) for d = s+1..limit // k
-            start = (s + 1) * k
-            vals[start::k] = [v + md * t for v, md in zip(vals[start::k], m[s + 1:limit // k + 1])]
+    m = moll.m
+    bad = _first_non_multiplicative_m(m, *table._spf_powers)
+    if bad is not None:
+        raise ValueError(
+            f"the mollifier is not multiplicative with m(p^a) = 0 for a >= 3 at n = {bad}")
+    vals = [0, *table.tau[1:]]
+    for p in table._primes:
+        old = vals[1:limit // p + 1]
+        mp = m[p]
+        vals[p::p] = [v + mp * o for v, o in zip(vals[p::p], old)]
+        p2 = p * p
+        if p2 <= limit:
+            mp2 = m[p2]
+            vals[p2::p2] = [v + mp2 * o for v, o in zip(vals[p2::p2], old)]
     return vals
+
+
+def _first_non_multiplicative_m(m: tuple[int, ...], a: list[int], rest: list[int]) -> int | None:
+    """The first n in 1..len(a) - 1 where m is not the multiplicative
+    function with m(1) = 1, the prime-power entries m(p), m(p^2) of m, and
+    m(p^a) = 0 for a >= 3; None if there is none.
+
+    With n = p^a rest as in ``_prime_powers``, that function has
+    m(n) = m(p^a) m(rest) for a <= 2 and m(n) = 0 for a >= 3, and these
+    equalities at every n >= 2, with m(1) = 1, determine it.
+    """
+    if len(a) > 1 and m[1] != 1:
+        return 1
+    for n, an, r in zip(range(2, len(a)), a[2:], rest[2:]):
+        if m[n] != (m[n // r] * m[r] if an <= 2 else 0):
+            return n
+    return None
 
 
 def _convolution_witnesses(vals: list[int]) -> list[ConvolutionWitness]:
@@ -305,7 +342,12 @@ def _divisor_counts(a: list[int], rest: list[int]) -> list[int]:
 
 
 def deligne_check(table: TauTable) -> DeligneReport:
-    """Exact check of tau(n)^2 <= d(n)^2 n^11 for every n in the table."""
+    """Exact check of tau(n)^2 <= d(n)^2 n^11 for every n in the table.
+
+    Once the running maximum ratio is at least 1, an entry within the bound
+    has ratio at most 1 and cannot replace it (a tie keeps the first
+    argmax), so only violations are compared with it.
+    """
     d = _divisor_counts(*table._spf_powers)
     best_num, best_den, argmax = 0, 1, 1
     violations = []
@@ -314,6 +356,8 @@ def deligne_check(table: TauTable) -> DeligneReport:
         den = dn * dn * n ** 11
         if num > den:
             violations.append(n)
+        elif best_num >= best_den:
+            continue
         if num * best_den > best_num * den:
             best_num, best_den, argmax = num, den, n
     return DeligneReport(table.limit, Fraction(best_num, best_den), argmax, tuple(violations))
@@ -321,10 +365,9 @@ def deligne_check(table: TauTable) -> DeligneReport:
 
 def hecke_recursion_failures(table: TauTable) -> list[tuple[int, int]]:
     """Prime powers (p, a) with tau(p^{a+1}) != tau(p) tau(p^a) - p^11 tau(p^{a-1})."""
-    limit, tau, spf = table.limit, table.tau, table._spf
-    primes = [p for p in range(2, limit + 1) if spf[p] == p]
+    limit, tau = table.limit, table.tau
     failures = []
-    for p in primes:
+    for p in table._primes:
         pa = p  # p^a, starting at a = 1
         a = 1
         while pa * p <= limit:
@@ -338,8 +381,30 @@ def hecke_recursion_failures(table: TauTable) -> list[tuple[int, int]]:
 
 
 def multiplicativity_failures(table: TauTable) -> list[tuple[int, int]]:
-    """Coprime pairs (m, n), m < n, m n <= limit, with tau(mn) != tau(m) tau(n)."""
+    """Coprime pairs (m, n), m < n, m n <= limit, with tau(mn) != tau(m) tau(n).
+
+    One pass first checks tau(n) = tau(p^a) tau(rest) at every n = p^a rest
+    (``_prime_powers``) with rest > 1.  It passes exactly when there is no
+    such pair:
+    - if no pair fails, each check is one of them: p^a and rest are coprime,
+      both at least 2, and their product is n;
+    - if it passes, then by induction on the number of distinct primes of
+      n, tau(n) is the product of tau(q) over the prime powers q exactly
+      dividing n, for every 2 <= n <= limit (rest has one prime fewer than
+      n).  Coprime m and n share no prime power, so tau(mn) = tau(m) tau(n).
+    So a pass returns [], in about limit products against about
+    limit log limit / 2 for the pairs; only a failing table enumerates them.
+    In process a passing table takes 2-4 ms at 20000 and 0.03-0.06 s at
+    MAX_LIMIT, where the pairs took 10-18 ms and 0.16-0.32 s
+    (``BENCH_32.json``, "layers").
+    """
     limit, tau = table.limit, table.tau
+    rest = table._spf_powers[1]
+    for n, r in zip(range(2, limit + 1), rest[2:]):
+        if r > 1 and tau[n] != tau[n // r] * tau[r]:
+            break
+    else:
+        return []
     failures = []
     for m in range(2, math.isqrt(limit) + 1):
         tm, top = tau[m], limit // m

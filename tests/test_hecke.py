@@ -257,6 +257,57 @@ def test_convolution_rejects_a_short_mollifier():
         convolution_values(compute_tau(100), mollifier_from(compute_tau(50)))
 
 
+@pytest.mark.parametrize("n, value", [(1, 2), (8, 1), (12, 1), (14, -5), (54, 3), (299, 1)])
+def test_convolution_rejects_a_non_multiplicative_mollifier(table, moll, n, value):
+    # a product of local factors equals the sum over d k = n only for the
+    # multiplicative m that vanishes on cubes; any other m is refused
+    tau, m = _truncated(table, moll, 300)
+    entries = list(m.m)
+    entries[n] += value
+    if n > 1:  # a second defect after the first: the message names the first
+        entries[n + 1] += 1
+    with pytest.raises(ValueError, match=f"not multiplicative .* at n = {n}$"):
+        convolution_values(tau, MollifierTable(300, tuple(entries)))
+
+
+def test_convolution_of_another_multiplicative_mollifier(table):
+    # any local values m(p), m(p^2), with m(p^a) = 0 for a >= 3: the Euler
+    # product still gives the sum over d k = n
+    spf = hecke._smallest_prime_factors(300)
+    a, rest = hecke._prime_powers(spf)
+    m = [0, 1]
+    for n in range(2, 301):
+        m.append(m[rest[n]] * ((-1) ** a[n] * (spf[n] + a[n]) if a[n] <= 2 else 0))
+    tau, moll = TauTable(300, table.tau[:301]), MollifierTable(300, tuple(m))
+    vals = convolution_values(tau, moll)
+    assert vals == _oracle_convolution(tau, moll, 300)
+    assert vals[2] == m[2] + tau_at(table, 2) == -27
+
+
+def test_multiplicativity_defect_beyond_the_root(table):
+    # tau(2 * 997) is checked only as the pair (2, 997), whose larger member
+    # is above sqrt(2000): the one pass fails there and the pairs name it
+    tau = list(table.tau)
+    tau[2 * 997] += 1
+    bent = TauTable(LIMIT, tuple(tau))
+    assert multiplicativity_failures(bent) == _oracle_multiplicativity(bent) == [(2, 997)]
+
+
+@pytest.mark.parametrize("tau1", [0, 2, -2])
+@pytest.mark.parametrize("violation", [None, 6, 1999])
+def test_deligne_with_a_bent_unit(table, tau1, violation):
+    # tau(1) sets the first ratio; a running maximum above 1, or one of 0
+    # that any nonzero entry replaces, still gives the oracle's report
+    tau = list(table.tau[:2001])
+    tau[1] = tau1
+    if violation:
+        tau[violation] *= 10 ** 6
+    bent = TauTable(LIMIT, tuple(tau))
+    assert deligne_check(bent) == _oracle_deligne(bent)
+    expected = ((1,) if tau1 else ()) + ((violation,) if violation else ())
+    assert deligne_check(bent).violations == expected
+
+
 def test_convolution_unit_and_spot_values(table, moll):
     vals = convolution_values(*_truncated(table, moll, 12))
     assert vals[1] == 1
@@ -328,7 +379,8 @@ def test_verify_table_sieves_once(monkeypatch):
 
 @pytest.mark.parametrize("bent", [False, True], ids=["true", "perturbed"])
 def test_convolution_at_split_boundaries(table, bent):
-    # tables of size upto at and next to the split s = isqrt(upto), each cut from one table
+    # tables of size upto at and next to a square s^2, where a prime's m(p^2)
+    # slice first fits, each cut from one table
     roots = (1, 2, 3, 5, 12, 31)
     limit = (roots[-1] + 1) ** 2 + 5
     tau = list(table.tau[:limit + 1])
