@@ -531,12 +531,9 @@ def crossover(f: BoundCurve, g: BoundCurve) -> Crossover:
     overlap = f.region.intersect(g.region)
     if overlap.is_empty:
         raise ValueError("crossover requires overlapping regions")
-    if f.A == g.A:
+    if f.A == g.A:  # canonical LinFracs: equal exactly when the cross difference is zero
         return Crossover("identical")
-    q = f.A.cross_difference(g.A)
-    if q.is_zero:
-        return Crossover("identical")
-    roots = quadratic_roots_in_interval(q, overlap)
+    roots = quadratic_roots_in_interval(f.A.cross_difference(g.A), overlap)
     points = []
     for r in roots:
         probe = root_key(r)

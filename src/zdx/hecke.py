@@ -261,9 +261,8 @@ def convolution_values(table: TauTable, moll: MollifierTable) -> list[int]:
     about limit log limit.  The product is the sum over d k = n only when
     m is that extension of its prime-power entries, so m is checked first
     (``_first_non_multiplicative_m``), in one pass over n.  In process the
-    whole call takes 10-15 ms at 20000 and 0.12-0.21 s at MAX_LIMIT, where
-    the sum over d k = n took 21-35 ms and 0.37-0.65 s (``BENCH_32.json``,
-    "layers").
+    whole call takes 10-15 ms at 20000 and 0.12-0.21 s at MAX_LIMIT
+    (``BENCH_32.json``, "layers").
     """
     limit = table.limit
     if limit > moll.limit:
@@ -395,8 +394,7 @@ def multiplicativity_failures(table: TauTable) -> list[tuple[int, int]]:
     So a pass returns [], in about limit products against about
     limit log limit / 2 for the pairs; only a failing table enumerates them.
     In process a passing table takes 2-4 ms at 20000 and 0.03-0.06 s at
-    MAX_LIMIT, where the pairs took 10-18 ms and 0.16-0.32 s
-    (``BENCH_32.json``, "layers").
+    MAX_LIMIT (``BENCH_32.json``, "layers").
     """
     limit, tau = table.limit, table.tau
     rest = table._spf_powers[1]

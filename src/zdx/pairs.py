@@ -179,7 +179,6 @@ class PairFamily(Record):
     """Deduplicated set of exponent pairs up to a word-length bound."""
 
     pairs: tuple[ExponentPair, ...]
-    depth: int
 
     def __iter__(self):
         return iter(self.pairs)
@@ -249,4 +248,4 @@ def generate_pairs(depth: int) -> PairFamily:
         frontier = nxt
     # the empty word is the seed itself
     pairs = tuple(_pair(t, seen[t]) if seen[t] else SEED for t in sorted_triples(seen))
-    return PairFamily(pairs, depth)
+    return PairFamily(pairs)

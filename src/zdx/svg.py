@@ -10,7 +10,7 @@ exactly and rounded once: one integer true division, equal to
 from __future__ import annotations
 
 from .density import BoundCurve, PiecewiseBound
-from .exact import Interval, LinFrac, rat_str
+from .exact import LinFrac, rat_str
 
 __all__ = ["render_curves_svg", "PLOT_SAMPLES"]
 
@@ -46,13 +46,10 @@ def _sample_curve(curve: BoundCurve, xs: range, w: int) -> list[tuple[float, flo
     return [_point(curve.A, x, w) for x in xs if lo <= x <= hi]
 
 
-def render_curves_svg(
-    bound: PiecewiseBound,
-    baselines: tuple[BoundCurve, ...],
-    interval: Interval,
-) -> str:
+def render_curves_svg(bound: PiecewiseBound, baselines: tuple[BoundCurve, ...]) -> str:
     """E(sigma) of the optimized bound plus baselines as a standalone SVG,
-    sampled at ``PLOT_SAMPLES`` points."""
+    sampled at ``PLOT_SAMPLES`` points of the bound's interval."""
+    interval = bound.interval
     xs, w = interval.integer_grid(PLOT_SAMPLES - 1)
     series: list[tuple[str, bool, list[tuple[float, float]]]] = []
     series.append(("optimized", False, _sample_envelope(bound, xs, w)))

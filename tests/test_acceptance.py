@@ -187,6 +187,7 @@ DETERMINISM_INVOCATIONS = [
     ("mellin-probe",),
     ("zeta-probe",),
     ("plot", "--depth", "2", "--interval", "17/18,1"),
+    ("audit-family", "--depth", "9", "--verbose"),
 ]
 
 
@@ -198,11 +199,12 @@ def test_criterion_9_cli_determinism(tmp_path):
         outputs = []
         for run in (1, 2):
             out = tmp_path / f"{name}-{run}.out"
-            res = runner.invoke(
-                cli, list(argv) + ["--out", str(out)], catch_exceptions=False
-            )
+            # audit-family takes no --out, so its stdout is compared
+            to_file = name != "audit-family"
+            extra = ["--out", str(out)] if to_file else []
+            res = runner.invoke(cli, list(argv) + extra, catch_exceptions=False)
             assert res.exit_code == 0, (argv, res.output)
-            outputs.append(out.read_bytes())
+            outputs.append(out.read_bytes() if to_file else res.stdout_bytes)
         same = outputs[0] == outputs[1]
         ok &= same
         if not same:

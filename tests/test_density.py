@@ -794,7 +794,7 @@ def test_optimize_matches_sweep_oracle_on_subfamilies(
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(pairs)
     interval = Interval(min(ends), max(ends))
-    assert_matches_oracle(PairFamily(tuple(pairs), 12), interval, dominant_conjectural)
+    assert_matches_oracle(PairFamily(tuple(pairs)), interval, dominant_conjectural)
 
 
 def test_optimize_credits_region_1_to_first_pair_begun(depth12):
@@ -815,7 +815,7 @@ def test_optimize_matches_sweep_oracle_with_repeated_pairs(depth12):
     # a pair listed twice is credited to its first listing, here word None
     pairs = [ExponentPair(p.kappa, p.lam, None) for p in depth12] + list(depth12)
     for interval in (WIDE, Interval(F(1, 2), F(1))):
-        bound = assert_matches_oracle(PairFamily(tuple(pairs), 12), interval)
+        bound = assert_matches_oracle(PairFamily(tuple(pairs)), interval)
         assert all(s.curve.provenance.pair.word is None
                    for s in bound.segments if s.curve.provenance.pair)
 
@@ -824,7 +824,7 @@ def test_optimize_collinear_pairs_tie_to_smaller_kappa():
     # three pairs on the line lambda = 4/5 - kappa; the lower tangent from
     # (0, 2 sigma - 1) lies along it at sigma = 9/10, where all three tie
     mid, right, left = (ExponentPair(F(k, 20), F(16 - k, 20), None) for k in (2, 3, 1))
-    family = PairFamily((mid, right, left), 0)
+    family = PairFamily((mid, right, left))
     bound = assert_matches_oracle(family, Interval(F(17, 20), F(1)))
     assert [s.region for s in bound.segments] == [
         Interval(F(17, 20), F(9, 10)), Interval(F(9, 10), F(31, 34)), Interval(F(31, 34), F(1))
@@ -840,17 +840,17 @@ def test_optimize_uses_hull_of_admissible_pairs():
         ExponentPair(F(k), F(l)) for k, l in (("1/20", "3/4"), ("3/10", "3/5"), ("2/5", "1/2"))
     )
     assert hull._cross((1, 15, 20), (8, 10, 20), (6, 12, 20)) > 0  # b above a-c
-    bound = assert_matches_oracle(PairFamily((a, b, c), 0), Interval(F(1, 2), F(1)))
+    bound = assert_matches_oracle(PairFamily((a, b, c)), Interval(F(1, 2), F(1)))
     assert [s.region.hi for s in bound.segments] == [F(23, 28), F(89, 100), F(31, 34), F(1)]
     assert pairs_of(bound) == [("ivic-8/3", None), (b.key, 2), (a.key, 2), (a.key, 1)]
-    assert_matches_oracle(PairFamily((a, b, c), 0), Interval(F(17, 20), F(9, 10)))
+    assert_matches_oracle(PairFamily((a, b, c)), Interval(F(17, 20), F(9, 10)))
 
 
 def test_optimize_baseline_overtaking_a_pair_wins_on_slope():
     # ivic-1992 (slope 2 in g = 1/A) meets the region-2 line of (1/4, 13/25)
     # (slope 3/2) at 24/25 from below: tied there, it wins just right of it
     pair = ExponentPair(F(1, 4), F(13, 25))
-    bound = assert_matches_oracle(PairFamily((pair,), 0), Interval(F(9, 10), F(1)))
+    bound = assert_matches_oracle(PairFamily((pair,)), Interval(F(9, 10), F(1)))
     assert [s.region.hi for s in bound.segments] == [F(24, 25), F(1)]
     assert pairs_of(bound) == [(pair.key, 2), ("ivic-1992", None)]
 
@@ -888,7 +888,7 @@ def test_optimize_point_matches_oracle_at_every_region_end(depth12):
 def test_optimize_point_matches_oracle_on_drawn_sigma(depth12, sigma):
     # every pair listed twice: a pair's two listings tie, and the first, word None, wins
     pairs = [ExponentPair(p.kappa, p.lam, None) for p in depth12] + list(depth12)
-    bound = assert_matches_oracle(PairFamily(tuple(pairs), 12), Interval(sigma, sigma))
+    bound = assert_matches_oracle(PairFamily(tuple(pairs)), Interval(sigma, sigma))
     pair = bound.segments[0].curve.provenance.pair
     assert pair is None or pair.word is None
 

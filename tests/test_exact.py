@@ -141,6 +141,32 @@ def test_int_canonical_form_matches_fraction_path(a, b, c, d, content):
     )
 
 
+_SMALL = st.integers(-6, 6)
+_NONZERO = _SMALL.filter(bool)
+#: Raw (a, b, c, d): forms, most of them non-constant; constants p/q; and
+#: removable singularities k(v s + u)/(m(v s + u)), such as (s-1)/(s-1).
+_QUADRUPLES = st.one_of(
+    st.tuples(_SMALL, _SMALL, _SMALL, _SMALL).filter(lambda t: t[2:] != (0, 0)),
+    st.tuples(_SMALL, _NONZERO).map(lambda t: (0, t[0], 0, t[1])),
+    st.tuples(_SMALL, _NONZERO, _NONZERO, _SMALL).map(
+        lambda t: (t[0] * t[2], t[0] * t[3], t[1] * t[2], t[1] * t[3])),
+)
+
+
+@given(_QUADRUPLES, _QUADRUPLES, st.booleans(), st.integers(1, 5), _NONZERO)
+@example((1, -1, 1, -1), (0, 1, 0, 1), False, 1, 1)  # (s-1)/(s-1) is the constant 1
+@example((1, -1, 1, -1), (2, 4, 2, 4), False, 1, 1)  # removable at 1 and at -2: both 1
+@example((2, -2, 1, -1), (0, 1, 0, 1), False, 1, 1)  # 2 against 1
+@example((0, 4, 8, -5), (0, 4, 8, -5), False, 3, -2)  # one form, two contents and signs
+@settings(max_examples=300)
+def test_equality_is_a_zero_cross_difference(f, g, same, j, k):
+    # crossover() reports identical curves from f == g alone
+    if same:  # g is f's coefficients times another factor
+        g = f
+    f, g = LinFrac(*(j * x for x in f)), LinFrac(*(k * x for x in g))
+    assert (f == g) == f.cross_difference(g).is_zero
+
+
 def test_parse_roundtrip():
     for text, expected in [
         ("2/(13s-11)", LinFrac(0, 2, 13, -11)),

@@ -272,9 +272,9 @@ def test_family_json_is_indented_json_dumps(depth):
 
 def test_family_json_of_injected_and_empty_families():
     injected = ExponentPair(F(1, 14), F(11, 14), word=None)
-    assert_indented_json_dumps(pairs.PairFamily((injected, SEED), 0))
-    assert_indented_json_dumps(pairs.PairFamily((), 0))
-    assert pairs.PairFamily((), 0).to_json() == "[]\n"
+    assert_indented_json_dumps(pairs.PairFamily((injected, SEED)))
+    assert_indented_json_dumps(pairs.PairFamily(()))
+    assert pairs.PairFamily(()).to_json() == "[]\n"
 
 
 def test_family_growth_and_size_bound():
