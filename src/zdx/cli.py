@@ -791,9 +791,9 @@ def cmd_audit_family(depth: int, verbose: bool) -> None:
     Every pair with 0 < kappa < 1/3 is audited; exits 1 if any check fails.
     """
     from .density import audit_family
-    from .pairs import generate_pairs
+    from .pairs import closure
 
-    family = generate_pairs(depth)
+    family = closure(depth)
     result = audit_family(family, verbose=verbose)
     summary = (
         f"depth {depth}: {len(family)} pairs, {result.audited} region audits passed, "
@@ -842,6 +842,7 @@ def cmd_hecke(limit: int, out: str) -> None:
              _OUT)
 def cmd_hm(seed: int, trials: int, out: str) -> None:
     """Random-system harness for the bilinear large-values inequality."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # 64 x 16 products: one BLAS thread
     from .probes import hm_random_trials
 
     rep = hm_random_trials(trials, seed)

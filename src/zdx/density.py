@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,7 +29,7 @@ from .exact import (
     rat_str,
     root_key,
 )
-from .pairs import ExponentPair, PairFamily
+from .pairs import ExponentPair, PairFamily, sorted_triples, triple_str
 
 __all__ = [
     "InadmissiblePair",
@@ -240,7 +240,8 @@ def _continuity_ints(p: int, r: int, q: int, star: _End, A1: tuple[int, int, int
     """
     x, w = star
     # each branch's A at sigma_star as an integer quotient, cross-multiplied
-    (n1, d1), (n2, d2) = ((a * x + b * w, c * x + d * w) for a, b, c, d in (A1, A2))
+    (a, b, c, d), (e, f, g, h) = A1, A2
+    n1, d1, n2, d2 = a * x + b * w, c * x + d * w, e * x + f * w, g * x + h * w
     closed_n, closed_d = 4 * (2 * q - 6 * p), 2 * q + 4 * r - 10 * p
     return n1, d1, n2, d2, n1 * d2 == n2 * d1 and n1 * closed_d == closed_n * d1
 
@@ -393,8 +394,9 @@ def _audit_ints(
     #   e2 = 1 + y (1 - s - (2s - (1 + l - k)) / (2k))
     #   e3 = 2 + (3 - 6s) y
     scale = 2 * p
+    e_a, e_b = -2 * scale * n, 2 * scale * n
     term_ints = (
-        (-2 * scale * n, 2 * scale * n),
+        (e_a, e_b),
         (scale * c - 2 * n * (q + p), scale * d + n * (q + r + p)),
         (scale * (2 * c - 6 * n), scale * (2 * d + 3 * n)),
     )
@@ -409,12 +411,14 @@ def _audit_ints(
             ((x, w) for x, w in points if (gap[0] * x + gap[1] * w) * x + gap[2] * w * w), lo
         )
         return (n, c, d), scale, term_ints, ("exponent_curve", witness)
-    e_a, e_b = term_ints[0]
-    for label, (a, b) in zip(_TERM_LABELS, term_ints):
+    i = 0
+    for a, b in term_ints:
         a, b = a - e_a, b - e_b
-        at_lo, at_hi = a * lo_n + b * lo_d, a * hi_n + b * hi_d
-        if at_lo > 0 or at_hi > 0:
-            return (n, c, d), scale, term_ints, (label, lo if at_lo > 0 else hi)
+        if a * lo_n + b * lo_d > 0:
+            return (n, c, d), scale, term_ints, (_TERM_LABELS[i], lo)
+        if a * hi_n + b * hi_d > 0:
+            return (n, c, d), scale, term_ints, (_TERM_LABELS[i], hi)
+        i += 1
     return (n, c, d), scale, term_ints, None
 
 
@@ -431,54 +435,53 @@ class FamilyAudit(NamedTuple):
     lines: tuple[str, ...]
 
 
-def audit_family(family: Iterable[ExponentPair], verbose: bool = False) -> FamilyAudit:
+def audit_family(family: Mapping[tuple, str | None], verbose: bool = False) -> FamilyAudit:
     """Balance audit of every nonempty region and continuity check of every
-    pair with 0 < kappa < 1/3, the family-wide ``audit_balance`` and
+    pair with 0 < kappa < 1/3 in ``family``, {(p, r, q): word} as
+    ``pairs.closure`` gives it: the family-wide ``audit_balance`` and
     ``continuity_check``.
 
-    Each pair is decided on its triple (p, r, q) by the integer kernels
-    those two call, over ends and branch coefficients not brought to
-    lowest terms.  A FAIL line is written from the kernel's result by the
-    helpers the reports use, so no report is built.
+    Pairs are decided in the mapping's (breadth-first) order by the integer
+    kernels those two call, over ends and branch coefficients not brought
+    to lowest terms, and a line is written from a kernel's result by the
+    helpers the reports use, so no pair or report is built.  The lines are
+    sorted into family order (``sorted_triples``) afterwards, so a passing
+    run that is not verbose sorts nothing (``BENCH_34.json``, "layers").
     """
-    lines: list[str] = []
+    rows: list[tuple[int, int, int, str]] = []
     audited = failed = skipped = 0
-    for pair in family:
-        p, r, q = pair.triple
+    for (p, r, q), word in family.items():
         if not 0 < 3 * p < q:
             skipped += 1
             continue
-        star, _, *ends = _region_ends(p, r, q)
-        branches = _branch_ints(p, r, q, 1), _branch_ints(p, r, q, 2)
+        star, _, ends1, ends2 = _region_ends(p, r, q)
+        A1, A2 = _branch_ints(p, r, q, 1), _branch_ints(p, r, q, 2)
         status = []
-        for region, region_ends, A in zip((1, 2), ends, branches):
-            if region_ends is None:
+        for region, ends, A in (1, ends1, A1), (2, ends2, A2):
+            if ends is None:
                 status.append("empty")
                 continue
-            y, _, _, failure = _audit_ints(p, r, q, region, region_ends, A)
+            y, _, _, failure = _audit_ints(p, r, q, region, ends, A)
             if failure:
-                lines.append(f"FAIL {pair} region {region}: {_violation(failure, A, y)}")
+                text = f"FAIL {triple_str(p, r, q)} region {region}: {_violation(failure, A, y)}"
+                rows.append((p, r, q, text))
                 failed += 1
                 status.append("FAIL")
             else:
                 audited += 1
                 status.append("pass")
         continuity = "skipped"
-        if None not in ends:
-            n1, d1, n2, d2, agree = _continuity_ints(p, r, q, star, *branches)
+        if ends1 is not None and ends2 is not None:
+            n1, d1, n2, d2, agree = _continuity_ints(p, r, q, star, A1, A2)
             continuity = "ok" if agree else "mismatch"
             if not agree:
-                lines.append(
-                    f"FAIL {pair} continuity at sigma = {rat_str(Fraction(*star))}: "
-                    f"{_mismatch_note(n1, d1, n2, d2)}"
-                )
+                rows.append((p, r, q, f"FAIL {triple_str(p, r, q)} continuity at sigma = "
+                             f"{rat_str(Fraction(*star))}: {_mismatch_note(n1, d1, n2, d2)}"))
                 failed += 1
         if verbose:
-            lines.append(
-                f"{pair}  word={pair.word or '-'}  r1:{status[0]} r2:{status[1]}  "
-                f"continuity:{continuity}"
-            )
-    return FamilyAudit(audited, failed, skipped, tuple(lines))
+            rows.append((p, r, q, f"{triple_str(p, r, q)}  word={word or '-'}  "
+                         f"r1:{status[0]} r2:{status[1]}  continuity:{continuity}"))
+    return FamilyAudit(audited, failed, skipped, tuple(row[3] for row in sorted_triples(rows)))
 
 
 # ---------------------------------------------------------------------------

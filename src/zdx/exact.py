@@ -314,10 +314,6 @@ class Quadratic(Record):
             s = Fraction(s)
         return (self.c2 * s + self.c1) * s + self.c0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.c2 == 0 and self.c1 == 0 and self.c0 == 0
-
     def degree(self) -> int:
         if self.c2 != 0:
             return 2

@@ -345,12 +345,24 @@ def deligne_check(table: TauTable) -> DeligneReport:
 
     Once the running maximum ratio is at least 1, an entry within the bound
     has ratio at most 1 and cannot replace it (a tie keeps the first
-    argmax), so only violations are compared with it.
+    argmax), so only violations are compared with it.  An entry with
+    |tau(n)| < F, the float F = 0.999 * d(n) * n ** 5.5, is skipped unsquared:
+    - an int and a float compare exactly;
+    - n and d(n) are exact floats, and the constant 0.999, the pow (within
+      an ulp) and the two products each add a relative error below 2^-52,
+      so F is within 1e-15 of 0.999 d(n) n^5.5 relatively, and below
+      d(n) n^5.5;
+    - so tau(n)^2 < d(n)^2 n^11: a ratio below 1, neither a violation nor
+      a new maximum.
+    In process this takes the check from 8.4 to 5.2 ms at 20000 and from
+    130 to 78 ms at 200000, medians (``BENCH_34.json``, "layers").
     """
     d = _divisor_counts(*table._spf_powers)
     best_num, best_den, argmax = 0, 1, 1
     violations = []
     for n, t, dn in zip(range(1, table.limit + 1), table.tau[1:], d[1:]):
+        if best_num >= best_den and abs(t) < 0.999 * dn * n ** 5.5:
+            continue
         num = t * t
         den = dn * dn * n ** 11
         if num > den:

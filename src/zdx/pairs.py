@@ -26,16 +26,18 @@ __all__ = [
     "PairFamily",
     "SEED",
     "replay_word",
+    "closure",
     "generate_pairs",
     "sorted_triples",
+    "triple_str",
     "MAX_DEPTH",
 ]
 
 #: Largest generation depth.  The family grows about x1.6 per level
 #: (10,947 pairs at depth 20, 28,658 at 22, 75,026 at 24).  End to end,
-#: ``pairs --depth 22`` takes 0.34-0.50 s at 32.6 MB peak RSS, and the
-#: balance audit of that family, ``zdx audit-family --depth 22`` (41,396
-#: region audits), 0.46-0.61 s (``BENCH_27.json``, "budgets").
+#: ``pairs --depth 22`` takes 0.23-0.40 s at 31 MB peak RSS, and ``zdx
+#: audit-family --depth 22`` (41,396 region audits) 0.25-0.32 s at 24 MB
+#: (``BENCH_34.json``, "budgets").
 MAX_DEPTH = 22
 
 
@@ -51,6 +53,11 @@ def _ratio(n: int, q: int) -> str:
     """``rat_str(Fraction(n, q))`` for q > 0, without building the Fraction."""
     g = math.gcd(n, q)
     return str(n // g) if g == q else f"{n // g}/{q // g}"
+
+
+def triple_str(p: int, r: int, q: int) -> str:
+    """The text "(kappa, lambda)" of the pair (p/q, r/q), q > 0."""
+    return f"({_ratio(p, q)}, {_ratio(r, q)})"
 
 
 def _check(p: int, r: int, q: int, word: str | None) -> None:
@@ -129,16 +136,14 @@ class ExponentPair:
         return f"ExponentPair(kappa={self.kappa!r}, lam={self.lam!r}, word={self.word!r})"
 
     def __str__(self) -> str:
-        p, r, q = self.triple
-        return f"({_ratio(p, q)}, {_ratio(r, q)})"
+        return triple_str(*self.triple)
 
 
 _set_triple, _set_word = ExponentPair.triple.__set__, ExponentPair.word.__set__
 
 
 def _pair(triple: tuple[int, int, int], word: str | None) -> ExponentPair:
-    """The pair of a triple in lowest terms with q > 0, checked on its integers."""
-    _check(*triple, word)
+    """The pair of a triple in lowest terms with q > 0 that passed ``_check``."""
     pair = object.__new__(ExponentPair)
     _set_triple(pair, triple)
     _set_word(pair, word)
@@ -172,6 +177,7 @@ def replay_word(word: str) -> ExponentPair:
             t = _b(*t)
         else:
             raise InvalidPair(f"letter {ch!r} not in {{A, B}}")
+    _check(*t, word)
     return _pair(t, word) if word else SEED
 
 
@@ -217,20 +223,15 @@ def sorted_triples(triples: Collection[tuple]) -> list[tuple]:
     return sorted(triples, key=lambda t: ((t[0] << shift) // t[2], (t[1] << shift) // t[2]))
 
 
-def generate_pairs(depth: int) -> PairFamily:
-    """Closure of the seed under A/B words of length <= depth.
-
-    Deduplicates by (kappa, lambda), keeping the first (shortest) word in
-    breadth-first order.  The family comes out with kappa strictly rising
-    and lambda strictly falling, so no pair dominates another.  Depths
-    above ``MAX_DEPTH`` raise DepthLimitError.
-    """
+def closure(depth: int) -> dict[tuple[int, int, int], str]:
+    """The seed's closure under A/B words of length <= depth: {(p, r, q): word}
+    in breadth-first order, each triple in lowest terms with its first
+    (shortest) word and checked (``_check``) once, when first seen.  Depths
+    above ``MAX_DEPTH`` raise DepthLimitError."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth > MAX_DEPTH:
         raise DepthLimitError(f"depth {depth} exceeds the pair-family budget of {MAX_DEPTH}")
-    # a pair is the triple (p, r, q) with kappa = p/q, lambda = r/q and
-    # gcd(p, r, q) = 1, so equal pairs are equal triples
     seen = {SEED.triple: ""}
     frontier = [SEED.triple]
     for _ in range(depth):
@@ -239,13 +240,20 @@ def generate_pairs(depth: int) -> PairFamily:
             word = seen[parent]
             children = [("A", _a(*parent))]
             # B is an involution: B of a pair whose word starts with B is its seen parent
-            if not word.startswith("B"):
+            if word[:1] != "B":
                 children.append(("B", _b(*parent)))
             for letter, child in children:
                 if child not in seen:
-                    seen[child] = letter + word
+                    _check(*child, child_word := letter + word)
+                    seen[child] = child_word
                     nxt.append(child)
         frontier = nxt
-    # the empty word is the seed itself
-    pairs = tuple(_pair(t, seen[t]) if seen[t] else SEED for t in sorted_triples(seen))
-    return PairFamily(pairs)
+    return seen
+
+
+def generate_pairs(depth: int) -> PairFamily:
+    """The pairs of ``closure(depth)``, sorted: kappa strictly rises and
+    lambda strictly falls, so no pair dominates another."""
+    seen = closure(depth)
+    # the empty word is the seed itself; the closure checked every other triple
+    return PairFamily(tuple(_pair(t, seen[t]) if seen[t] else SEED for t in sorted_triples(seen)))

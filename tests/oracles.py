@@ -91,6 +91,11 @@ def minus(a: Quadratic, b: Quadratic) -> Quadratic:
     return Quadratic(a.c2 - b.c2, a.c1 - b.c1, a.c0 - b.c0)
 
 
+def is_zero(q: Quadratic) -> bool:
+    """q is identically zero: every coefficient is 0."""
+    return q.c2 == 0 and q.c1 == 0 and q.c0 == 0
+
+
 # --- zdx.hecke -------------------------------------------------------------
 
 def tau_at(table, n: int) -> int:

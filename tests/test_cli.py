@@ -439,7 +439,32 @@ def test_audit_family_forced_failure_lines(runner, monkeypatch):
         "FAIL (1/14, 11/14) region 2: term class2_moment exceeds the exponent at sigma = 1"
     )
     assert lines[1].startswith("depth 9: 56 pairs, 78 region audits passed, ")
-    assert tuple(lines[:-1]) == density.audit_family(generate_pairs(9)).lines
+    family = {p.triple: p.word for p in generate_pairs(9)}
+    assert tuple(lines[:-1]) == density.audit_family(family).lines
+
+
+def test_audit_family_checks_each_pair_once(runner, monkeypatch):
+    from zdx import pairs
+
+    family, checked, real = pairs.generate_pairs(12), [], pairs._check
+    monkeypatch.setattr(pairs, "_check", lambda *args: checked.append(args[:3]) or real(*args))
+    assert invoke(runner, "audit-family", "--depth", "12").exit_code == 0
+    assert sorted(checked) == sorted(p.triple for p in family if p is not pairs.SEED)
+
+
+def test_audit_family_rejects_a_pair_outside_the_triangle(runner, monkeypatch):
+    # as generate_pairs does: the closure checks every triple it finds
+    from zdx import pairs
+
+    real = pairs._a
+    # A of (1/6, 2/3) lands on (1, 1) instead of (1/14, 11/14)
+    monkeypatch.setattr(pairs, "_a", lambda *t: (1, 1, 1) if t == (1, 4, 6) else real(*t))
+    with pytest.raises(pairs.InvalidPair, match=r"^kappa = 1 outside \[0, 1/2\]$") as caught:
+        pairs.generate_pairs(3)
+    res = runner.invoke(cli, ["audit-family", "--depth", "3"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: {caught.value}\n"
 
 
 def test_audit_family_internal_error_exits_4(runner, monkeypatch):
@@ -489,6 +514,15 @@ def test_hm_test_small(runner, tmp_path):
     res = invoke(runner, "hm-test", "--trials", "200", "--seed", "7", "--out", str(out))
     assert res.exit_code == 0
     assert len(out.read_text().splitlines()) == 201
+
+
+@pytest.mark.parametrize("given, kept", [(None, "1"), ("3", "3")])
+def test_hm_test_asks_for_one_blas_thread_unless_told(runner, monkeypatch, given, kept):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", given or "")  # restored after the test
+    if given is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert invoke(runner, "hm-test", "--trials", "5", "--out", os.devnull).exit_code == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == kept
 
 
 def test_hm_test_writes_its_csv_in_blocks(runner, monkeypatch):

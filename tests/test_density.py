@@ -38,13 +38,14 @@ from zdx.exact import (
     quadratic_sign_on_interval,
     rat_str,
 )
-from zdx.pairs import ExponentPair, PairFamily, generate_pairs
+from zdx.pairs import ExponentPair, PairFamily, closure, generate_pairs
 from oracles import (
     bound_E,
     e_num,
     exponent_value,
     fraction_grid,
     is_nonpos,
+    is_zero,
     minus,
     numerators,
     segment_at,
@@ -389,7 +390,7 @@ def _reference_audit(pair, region, reg, branch_A):
                           (e1_num, e2_num, e3_num)):
         diff = minus(num, e1_num)
         cert = quadratic_sign_on_interval(diff, reg)
-        terms.append((label, str(num), cert.kind, cert.roots, diff.is_zero))
+        terms.append((label, str(num), cert.kind, cert.roots, is_zero(diff)))
         if violation is None and not is_nonpos(cert):
             witness = reg.lo if diff.eval(reg.lo) > 0 else reg.hi
             violation = (label, witness,
@@ -553,11 +554,15 @@ def _reference_family_audit(family):
     return FamilyAudit(audited, failed, skipped, tuple(lines))
 
 
-def assert_family_audit_matches_reference(family, expected=None):
+def assert_family_audit_matches_reference(family, expected=None, triples=None):
+    """audit_family of ``triples``, {triple: word} in any order (by default the
+    family's), against the report path over the pairs in family order."""
     if expected is None:
         expected = _reference_family_audit(family)
-    assert audit_family(family, verbose=True) == expected
-    quiet = audit_family(family)
+    if triples is None:
+        triples = {p.triple: p.word for p in family}
+    assert audit_family(triples, verbose=True) == expected
+    quiet = audit_family(triples)
     assert quiet == expected._replace(lines=tuple(x for x in expected.lines if x[:5] == "FAIL "))
     return quiet
 
@@ -566,6 +571,25 @@ def test_audit_family_matches_reports_on_family():
     family = generate_pairs(14)
     result = assert_family_audit_matches_reference(family)
     assert (result.audited, result.failed, result.lines) == (881, 0, ())
+    assert assert_family_audit_matches_reference(family, triples=closure(14)) == result
+
+
+def test_audit_family_sorts_a_third_forced_to_fail_into_family_order(monkeypatch):
+    # region 2 perturbed on every third pair in 0 < kappa < 1/3: its audit and, where
+    # region 1 is nonempty, its continuity check fail.  The closure's breadth-first
+    # order is not the family order, so the lines must be sorted to match the reports.
+    family, triples = generate_pairs(12), closure(12)
+    forced = {p.triple for p in admissible(family)[1::3]}
+    real = density._branch_ints
+
+    def perturbed(p, r, q, region):
+        a, b, c, d = real(p, r, q, region)
+        return (a, b + 1, c, d) if region == 2 and (p, r, q) in forced else (a, b, c, d)
+
+    monkeypatch.setattr(density, "_branch_ints", perturbed)
+    assert list(triples) != [p.triple for p in family]
+    result = assert_family_audit_matches_reference(family, triples=triples)
+    assert len(forced) == 64 and result.failed >= len(forced)
 
 
 @given(pair=admissible_pairs())

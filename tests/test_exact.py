@@ -21,7 +21,7 @@ from zdx.exact import (
     rat_str,
 )
 from zdx import dec_str, rat
-from oracles import fraction_grid, is_nonneg, is_nonpos, minus
+from oracles import fraction_grid, is_nonneg, is_nonpos, is_zero, minus
 
 F = Fraction
 
@@ -164,7 +164,7 @@ def test_equality_is_a_zero_cross_difference(f, g, same, j, k):
     if same:  # g is f's coefficients times another factor
         g = f
     f, g = LinFrac(*(j * x for x in f)), LinFrac(*(k * x for x in g))
-    assert (f == g) == f.cross_difference(g).is_zero
+    assert (f == g) == is_zero(f.cross_difference(g))
 
 
 def test_parse_roundtrip():

@@ -308,6 +308,22 @@ def test_deligne_with_a_bent_unit(table, tau1, violation):
     assert deligne_check(bent).violations == expected
 
 
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_deligne_at_the_edge_of_the_bound(table, sign, offset):
+    # tau(n) = +-floor(d(n) n^5.5), on the bound at squares and just inside it
+    # elsewhere, or one more, just past it: the float screen must pass both
+    # on to the exact compare, alone and among the table's true values
+    d = divisor_counts(LIMIT)
+    edge = [0, *(sign * (math.isqrt(d[n] ** 2 * n ** 11) + offset) for n in range(1, LIMIT + 1))]
+    mixed = [e if n % 3 == 1 else t for n, (t, e) in enumerate(zip(table.tau, edge))]
+    for tau in edge, mixed:
+        bent = TauTable(LIMIT, tuple(tau))
+        assert deligne_check(bent) == _oracle_deligne(bent)
+    assert deligne_check(TauTable(LIMIT, tuple(edge))).violations == (
+        tuple(range(1, LIMIT + 1)) if offset else ())
+
+
 def test_convolution_unit_and_spot_values(table, moll):
     vals = convolution_values(*_truncated(table, moll, 12))
     assert vals[1] == 1

@@ -16,6 +16,7 @@ from zdx.pairs import (
     DepthLimitError,
     ExponentPair,
     InvalidPair,
+    closure,
     generate_pairs,
     replay_word,
     sorted_triples,
@@ -307,6 +308,34 @@ def test_generate_matches_bfs_reference(depth):
     got = generate_pairs(depth).pairs
     want = bfs_reference(depth)
     assert [(p.key, p.word) for p in got] == [(p.key, p.word) for p in want]
+
+
+@pytest.mark.parametrize("depth", range(17))
+def test_closure_is_the_family_in_breadth_first_order(depth):
+    seen, family = closure(depth), generate_pairs(depth)
+    assert seen == {p.triple: p.word for p in family}
+    assert sorted_triples(seen) == [p.triple for p in family]
+    words = [len(word) for word in seen.values()]
+    assert words == sorted(words)
+
+
+def counting_check(monkeypatch):
+    """Patch ``pairs._check`` to record the triple of every call."""
+    checked, real = [], pairs._check
+
+    def check(p, r, q, word):
+        checked.append((p, r, q))
+        return real(p, r, q, word)
+
+    monkeypatch.setattr(pairs, "_check", check)
+    return checked
+
+
+@pytest.mark.parametrize("depth", [0, 1, 9, 16])
+def test_check_runs_once_per_generated_triple(monkeypatch, depth):
+    checked = counting_check(monkeypatch)
+    family = generate_pairs(depth)
+    assert sorted_triples(checked) == [p.triple for p in family if p is not SEED]
 
 
 def test_depth_budget():
