@@ -36,10 +36,11 @@ __all__ = [
 ]
 
 #: Time and memory budget: the largest table ``compute_tau`` builds.
-#: ``hecke-verify --limit 200000`` takes 1.7-2.0 s at 91 MB peak RSS, and
-#: ``--limit 20000`` 0.18-0.25 s at 23 MB (``BENCH_32.json``, "budgets").
-#: The peak is ``compute_tau``'s packed squarings, as the CLI writes the CSV
-#: in blocks.
+#: ``hecke-verify --limit 200000`` takes 1.4-1.6 s at 54 MB peak RSS, and
+#: ``--limit 20000`` 0.15-0.24 s at 20 MB (``BENCH_35.json``, "budgets").
+#: The CLI writes the CSV in blocks, and under ``tracemalloc``
+#: ``compute_tau``'s packed squarings peak no higher than the Deligne check
+#: or the convolution with the tables held (``BENCH_35.json``, "stages").
 MAX_LIMIT = 200_000
 
 
@@ -51,34 +52,85 @@ class TableLimitError(Inadmissible):
 # Truncated integer power series via packed decimals
 # ---------------------------------------------------------------------------
 
-def _series_square(f: list[int], n: int) -> list[int]:
-    """Square of an integer series truncated to n coefficients, exact.
+def _packed_square(packed: str, h_in: int, d: int, n: int) -> str:
+    """The square of a packed series, as d n digits: blocks c_k + h, highest k first.
 
-    Signed Kronecker substitution in base 10^d: the series becomes the
-    decimal P = sum f_i 10^{d i}, and libmpdec multiplies P by itself with
-    its number-theoretic transform.  With 2 n max|f|^2 < 10^d every product
-    coefficient c_k (k < n) satisfies |c_k| < h = 10^d / 2, so adding
-    h 10^{d k} for each k < n turns the low d n digits into the blocks
-    c_k + h, each in (0, 10^d); the terms with k >= n are multiples of
-    10^{d n} and drop out when those digits are kept, so no carry crosses a
-    block.  The same offset packs P from nonnegative blocks f_i + h.  The
-    decimal's digit string is linear in its length; a Python int of the
-    packed value would not be.
+    Signed Kronecker substitution in base 10^d (Harvey, J. Symbolic Comput.
+    44, 2009): ``packed`` holds n blocks a_i + h_in, d digits each, highest
+    i first and each in [0, 10^d), so
+    P = packed - h_in sum_{i<n} 10^{d i} = sum a_i 10^{d i}, and
+    libmpdec squares P with its number-theoretic transform.  The caller
+    picks d with |c_k| < h = 10^d / 2 for every coefficient c_k (k < n) of
+    the square.  Then adding h 10^{d k} for each k < n turns the low d n
+    digits of P^2 into the blocks c_k + h, each in (0, 10^d); the terms with
+    k >= n are multiples of 10^{d n}, and P^2 >= 0, so no carry crosses a
+    block.  Those digits are cut off inside ``decimal`` (floor of the sum
+    over 10^{d n}, scaled back and subtracted; ``Context.remainder`` is
+    hundreds of times slower, ``BENCH_35.json``, "cut"), so only the kept
+    half is ever turned into text.  A decimal's digit string is linear in
+    its length; a Python int of the packed value would not be.
+
+    The product's length sets the transform's: libmpdec transforms the
+    smallest 2^k or 3 2^(k-1) words of 19 digits that hold it, so a digit
+    less of d can drop the transform a size, a third or a quarter smaller.
+    At limit 20000, compute_tau's first square at d = 15 needs 31,580 words
+    and a 2^15 transform; d = 16 needs 33,686 and 3 2^14 (``BENCH_35.json``,
+    "widths").
     """
     # exact at any size, and a lost digit would raise; a private context
     # leaves the thread's current one (``dec_str``) untouched
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                             traps=[decimal.Inexact, decimal.Rounded])
-    m = max(abs(c) for c in f)
-    d = len(str(2 * n * m * m))
+    p = exact.subtract(decimal.Decimal(packed), _repeated(h_in, d, n, exact))
+    square = exact.multiply(p, p)
+    del p
+    square = exact.add(square, _repeated(5 * 10 ** (d - 1), d, n, exact))
+    dn = d * n
+    high = square.scaleb(-dn, exact).to_integral_value(decimal.ROUND_FLOOR, exact).scaleb(dn, exact)
+    return str(exact.subtract(square, high)).zfill(dn)
+
+
+def _repeated(block: int, d: int, n: int, exact: decimal.Context) -> decimal.Decimal:
+    """sum_{k<n} block 10^{d k}, doubling over n's bits: a few additions of
+    whole words, over ten times faster than parsing its n d digits
+    (``BENCH_35.json``, "offsets")."""
+    r, k = decimal.Decimal(0), 0  # r holds k blocks
+    for bit in bin(n)[2:]:
+        r, k = exact.add(exact.scaleb(r, d * k), r), 2 * k
+        if bit == "1":
+            r, k = exact.add(exact.scaleb(r, d), block), k + 1
+    return r
+
+
+def _pack(f: list[int]) -> tuple[str, int]:
+    """f packed for ``_packed_square`` at the width d its square needs: (text, d).
+
+    The text holds the blocks f_i + 10^d / 2, d digits each, highest i first.
+
+    The width d is the least with 2 sum f_i^2 < 10^d.  Each coefficient
+    c_k = sum_{i+j=k} f_i f_j of the square satisfies
+    |c_k| <= sum_i |f_i| |f_{k-i}| <= sum_i f_i^2 by Cauchy-Schwarz, so
+    |c_k| < 10^d / 2, and so is each |f_i|: the blocks fit in d digits.  A
+    constant series +-M of length n reaches the bound at c_{n-1} = n M^2.
+    It is never wider than the rule 2 n max|f|^2 < 10^d, and at
+    compute_tau's first square it is one digit narrower at 20000 and two at
+    200000 (``BENCH_35.json``, "widths").
+    """
+    d = len(str(2 * sum(c * c for c in f)))
     h = 5 * 10 ** (d - 1)
-    offset = decimal.Decimal(f"{h}" * n)
-    # c + 10^d + h has d + 1 digits, a leading 1 then the zero-padded block
-    lead = 10 ** d + h
-    packed = "".join([str(c + lead)[1:] for c in reversed(f)])
-    p = exact.subtract(decimal.Decimal(packed), offset)
-    digits = str(exact.add(exact.multiply(p, p), offset))[-d * n:].zfill(d * n)
-    return [int(digits[i - d:i]) - h for i in range(d * n, 0, -d)]
+    return (f"%0{d}d" * len(f)) % tuple([c + h for c in reversed(f)]), d
+
+
+def _unpack(digits: str, d: int) -> list[int]:
+    """The coefficients c_k of ``_packed_square``'s blocks c_k + 10^d / 2, lowest k first."""
+    h = 5 * 10 ** (d - 1)
+    return [int(digits[i - d:i]) - h for i in range(len(digits), 0, -d)]
+
+
+def _series_square(f: list[int], n: int) -> list[int]:
+    """Square of an integer series of n coefficients, truncated to n, exact."""
+    packed, d = _pack(f)
+    return _unpack(_packed_square(packed, 5 * 10 ** (d - 1), d, n), d)
 
 
 def _sparse_square(terms: list[tuple[int, int]], n: int) -> list[int]:
@@ -168,20 +220,36 @@ def compute_tau(limit: int) -> TauTable:
     eta^24 = (((eta^3)^2)^2)^2 takes three exact truncated squarings.  The
     first is term by term on integers (``_sparse_square``): eta^3 has only
     about sqrt(2 limit) nonzero terms, about 200 at limit 20000.  The other
-    two are dense and go through packed decimals (``_series_square``).  The
-    coefficient of q^{n-1} in eta^24 is tau(n).  In process it takes
-    1.3-1.8 s at MAX_LIMIT = 200000 and 0.09-0.13 s at 20000, most of
-    ``hecke-verify``'s time (``BENCH_32.json``, "layers"); these squarings
-    are the peak memory of ``hecke-verify`` (see ``MAX_LIMIT``).
+    two are dense and go through packed decimals (``_packed_square``), and
+    eta^12 passes between them as text, never as ints:
+    - eta^6 packs at the Cauchy-Schwarz width d1 (``_pack``);
+    - eta^12's blocks c + h1 are d1-digit strings, whose string max and min
+      are the numeric ones, so the second width d2 comes from
+      2 limit max|c|^2 < 10^d2 without parsing them;
+    - padding each block with d2 - d1 zeros repacks them at width d2, still
+      offset by h1, which ``_packed_square`` subtracts.
+    The coefficient of q^{n-1} in eta^24 is tau(n).  In process it takes
+    1.0-1.4 s at MAX_LIMIT = 200000 and 0.06-0.12 s at 20000, most of
+    ``hecke-verify``'s time (``BENCH_35.json``, "layers").
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > MAX_LIMIT:
         raise TableLimitError(f"limit {limit} exceeds the table budget of {MAX_LIMIT}")
-    series = _sparse_square(_eta_cubed(limit), limit)
-    for _ in range(2):
-        series = _series_square(series, limit)
-    return TauTable(limit, (0, *series))
+    packed, d1 = _pack(_sparse_square(_eta_cubed(limit), limit))
+    h1 = 5 * 10 ** (d1 - 1)
+    digits = _packed_square(packed, h1, d1, limit)
+    del packed
+    blocks = [digits[i:i + d1] for i in range(0, d1 * limit, d1)]
+    del digits
+    m = max(int(max(blocks)) - h1, h1 - int(min(blocks)))
+    # d2 >= d1 keeps the padding nonnegative; a block wider than needed is still exact
+    d2 = max(d1, len(str(2 * limit * m * m)))
+    packed = ("0" * (d2 - d1)).join(blocks)
+    del blocks
+    digits = _packed_square(packed, h1, d2, limit)
+    del packed
+    return TauTable(limit, (0, *_unpack(digits, d2)))
 
 
 def _smallest_prime_factors(limit: int) -> list[int]:

@@ -145,18 +145,34 @@ def test_check_loops_match_their_oracles(table, limit, perturbations):
     assert deligne_check(bent) == _oracle_deligne(bent)
 
 
-@given(st.data())
-@example(None)
+def _constant(n, c):
+    """The terms of the constant series c + c q + ... + c q^{n-1}."""
+    return n, [(i, c) for i in range(n)]
+
+
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+    # a few terms anywhere in [0, n + 10), so the support may run past
+    # n / 2 and past the truncation
+    st.integers(0, n + 9), st.integers(-(10 ** 12), 10 ** 12), max_size=12,
+).map(lambda terms: sorted(terms.items())))))
+@example((1, [(0, -7)]))  # n = 1, a negative constant term
+# A constant series +-M of length n meets the Cauchy-Schwarz bound of the
+# block width at c_{n-1} = n M^2: 2 n M^2 just below 10^d (at d = 2, 2, 9)
+# leaves no digit to spare, and 2 n M^2 = 10^d (at d = 2, 4, 9) needs d + 1.
+@example(_constant(1, 7))
+@example(_constant(3, 4))
+@example(_constant(3, -4))
+@example(_constant(5, 9999))
+@example(_constant(5, -9999))
+@example(_constant(2, 5))
+@example(_constant(2, -5))
+@example(_constant(8, 25))
+@example(_constant(8, -25))
+@example(_constant(5, 10 ** 4))
+@example(_constant(5, -(10 ** 4)))
 @settings(max_examples=80, deadline=None)
-def test_sparse_square_matches_packed_square(data):
-    if data is None:  # n = 1, a negative constant term
-        n, terms = 1, [(0, -7)]
-    else:
-        n = data.draw(st.integers(1, 80))
-        # a few terms anywhere in [0, n + 10), so the support may run past
-        # n / 2 and past the truncation
-        terms = sorted(data.draw(st.dictionaries(
-            st.integers(0, n + 9), st.integers(-(10 ** 12), 10 ** 12), max_size=12)).items())
+def test_sparse_square_matches_packed_square(case):
+    n, terms = case
     f = [dict(terms).get(i, 0) for i in range(n)]
     expected = [sum(f[i] * f[k - i] for i in range(k + 1)) for k in range(n)]
     assert hecke._sparse_square(terms, n) == hecke._series_square(f, n) == expected
@@ -179,8 +195,59 @@ def test_tau_against_naive_oracle(table):
 @pytest.mark.parametrize("limit", [*range(1, 41), 400])
 def test_tau_kernel_against_naive_oracle(limit):
     # 1..40 crosses the first Jacobi exponents (0, 1, 3, 6, ..., 36) and
-    # the sizes where the packing width grows by a digit
+    # the limits where a packing width grows by a digit (``WIDTH_STEPS``):
+    # d1 at 2, 3, 5, 10, 22 and d2 at 2, 3, 6, 10, 12, 17, 21, 35
     assert list(compute_tau(limit).tau) == naive_tau(limit)
+
+
+# The limits up to 20000 where compute_tau's block widths change: d1, from
+# 2 sum eta6_i^2 < 10^d1, or d2, from 2 limit max|eta12_i|^2 < 10^d2.
+WIDTH_STEPS = (2, 3, 5, 6, 10, 12, 17, 21, 22, 35, 44, 49, 64, 94, 96, 127, 192,
+               203, 289, 402, 430, 633, 840, 921, 1315, 1920, 1990, 2604, 3547,
+               4267, 5187, 7852, 9219, 10986, 16066, 19858)
+
+
+@pytest.fixture(scope="module")
+def table_20000():
+    return compute_tau(20000)
+
+
+def _widths(monkeypatch, limit):
+    """compute_tau(limit) and the block widths of its two packed squares."""
+    widths = []
+    square = hecke._packed_square
+
+    def spy(packed, h_in, d, n):
+        widths.append(d)
+        return square(packed, h_in, d, n)
+
+    monkeypatch.setattr(hecke, "_packed_square", spy)
+    table = compute_tau(limit)
+    monkeypatch.undo()
+    return table, tuple(widths)
+
+
+def test_width_steps_are_every_change_to_20000():
+    eta6 = hecke._sparse_square(hecke._eta_cubed(20000), 20000)
+    eta12 = hecke._series_square(eta6, 20000)
+    steps, last, squares, top = [], (1, 1), 0, 0
+    for limit in range(1, 20001):
+        squares += eta6[limit - 1] ** 2
+        top = max(top, abs(eta12[limit - 1]))
+        widths = (len(str(2 * squares)), len(str(2 * limit * top * top)))
+        assert widths[1] >= widths[0]  # so d2 is the rule's, never d1's
+        if widths != last:
+            steps.append(limit)
+        last = widths
+    assert tuple(steps) == WIDTH_STEPS
+
+
+@pytest.mark.parametrize("limit", sorted({s for step in WIDTH_STEPS for s in (step - 1, step)}))
+def test_tau_at_each_width_step(monkeypatch, table_20000, limit):
+    table, widths = _widths(monkeypatch, limit)
+    assert table.tau == table_20000.tau[: limit + 1]
+    if limit in WIDTH_STEPS:
+        assert widths != _widths(monkeypatch, limit - 1)[1]
 
 
 @given(st.integers(1, LIMIT))
